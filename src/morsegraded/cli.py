@@ -10,7 +10,7 @@ from .automaton import build_degree_d_automaton, build_quadratic_automaton, rati
 from .chains import FacetOrderConfig, ordered_facets
 from .errors import InternalInvariantError, MorsegradedError, ValidationError
 from .groebner import default_cap, groebner_for, verify_groebner
-from .homology import tor_ranks, verify_vanishing
+from .homology import tor_tables, verify_vanishing
 from .io import (
     COMMANDS,
     InputDocument,
@@ -175,18 +175,16 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
         payload = {"cancellation": entries}
     elif cfg.command == "betti":
         window = pres.degree_window(cfg.degree_window)
-        tables = {}
-        rows_for_tsv = None
-        for char in cfg.characteristics:
-            table = tor_ranks(pres, window, char)
-            rows = table.to_rows()
-            tables[str(char)] = [
-                {"multidegree": lam, "i": i, "rank": r} for lam, i, r in rows
-            ]
-            if rows_for_tsv is None:
-                rows_for_tsv = rows
-        payload = {"tor": tables}
-        tsv = betti_tsv(rows_for_tsv or [])
+        tables = tor_tables(pres, window, cfg.characteristics)
+        payload = {
+            "tor": {
+                str(char): [
+                    {"multidegree": lam, "i": i, "rank": r} for lam, i, r in table.to_rows()
+                ]
+                for char, table in tables.items()
+            }
+        }
+        tsv = betti_tsv(tables[cfg.characteristics[0]].to_rows())
     elif cfg.command == "automaton":
         auto = _automaton(gb, fcfg, cfg)
         payload = {

@@ -1,9 +1,27 @@
 """Independent ground truth: reduced simplicial homology in exact arithmetic.
 
-The oracle builds order complexes straight from interval data and computes
-boundary-matrix ranks by fraction-free elimination over Q or modular
-elimination over F_p; Smith normal form (torsion) only on demand.  Nothing
-here touches the Morse pipeline.
+The oracle builds order complexes straight from interval data: the order on
+the open interval is the transitive closure of its cover edges, one bitset
+per element, and chains grow one dimension at a time.  Nothing here touches
+the Morse pipeline.
+
+`betti_numbers` is the one routine behind every Betti number.  It builds
+each boundary map of a complex once and ranks its columns over every
+requested field, top dimension first, with clearing: a column of d_k whose
+index is the pivot lead of the reduced d_{k+1} is skipped.  That reduced
+column is a boundary, hence a cycle, whose entry at its lead is nonzero, so
+the skipped face's boundary lies in the span of the remaining columns and
+the rank is unchanged over any field.
+
+Ranks over F_2 and F_3 use bitsliced elimination, other primes sparse
+modular elimination, Q fraction-free integer elimination.  Rational Betti
+numbers are read off the prime fields when a certificate holds: F_2 is
+always ranked when Q is asked for, and with m_i the least b~_i over the
+ranked primes, universal coefficients give b~_i(Q) <= m_i while the reduced
+Euler characteristic is the same over every field.  So if the nonzero m_i
+all sit in degrees of one parity and sum (-1)^i m_i is the reduced Euler
+characteristic, then b~(Q) = m.  Otherwise the exact rational elimination
+runs.  Smith normal form (torsion) only on demand.
 """
 
 from __future__ import annotations
@@ -41,28 +59,38 @@ class OrderComplex:
         return sum((-1) ** d * len(fs) for d, fs in enumerate(self.faces))
 
 
+def _bit_indices(bits: int) -> list[int]:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def order_complex(pres: SemigroupPresentation, ivl: IntervalData) -> OrderComplex:
-    vertices = tuple(e for e in ivl.elements if e not in (ivl.bottom, ivl.top))
-    above = []
-    for i, v in enumerate(vertices):
-        above.append([j for j in range(i + 1, len(vertices)) if pres.leq(v, vertices[j])])
+    """The order complex of the open interval (bottom, top).
+
+    The interval's elements are a linear extension with the bottom first
+    and the top last, and every relation u < v inside it is a chain of
+    cover edges, so the order is their transitive closure.  Faces of each
+    dimension come out in lexicographic order.
+    """
+    n = len(ivl.elements)
+    reach = [0] * n  # reach[i]: bitset of the elements strictly above element i
+    for i in range(n - 1, -1, -1):
+        bits = 0
+        for _, j in ivl.cover_edges[i]:
+            bits |= reach[j] | (1 << j)
+        reach[i] = bits
+    vertices = ivl.elements[1:-1]
+    mask = (1 << len(vertices)) - 1
+    above = [_bit_indices(reach[v + 1] >> 1 & mask) for v in range(len(vertices))]
     by_dim: list[list[tuple[int, ...]]] = []
-    chain: list[int] = []
-
-    def extend(last: int):
-        d = len(chain) - 1
-        while len(by_dim) <= d:
-            by_dim.append([])
-        by_dim[d].append(tuple(chain))
-        for j in above[last]:
-            chain.append(j)
-            extend(j)
-            chain.pop()
-
-    for i in range(len(vertices)):
-        chain.append(i)
-        extend(i)
-        chain.pop()
+    layer = [(v,) for v in range(len(vertices))]
+    while layer:
+        by_dim.append(layer)
+        layer = [f + (j,) for f in layer for j in above[f[-1]]]
     return OrderComplex(vertices, tuple(tuple(fs) for fs in by_dim))
 
 
@@ -87,10 +115,15 @@ def boundary_matrix(cx: OrderComplex, d: int) -> tuple[int, int, list[dict[int, 
     return (len(cx.faces[d - 1]), len(cx.faces[d]), cols)
 
 
-def _rank_rational(columns: list[dict[int, int]]) -> int:
+# Each elimination kernel returns its pivots keyed by lead row.  A pivot is
+# a combination of input columns whose entry at its lead is nonzero, and no
+# two pivots share a lead: the rank is their number, and clearing skips the
+# columns of the next boundary map down whose indices are the leads.
+
+
+def _pivots_rational(columns: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Fraction-free sparse elimination; rank over Q equals rank over Z."""
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for col in sorted(columns, key=len):
         col = dict(col)
         while col:
@@ -101,7 +134,6 @@ def _rank_rational(columns: list[dict[int, int]]) -> int:
                 for v in col.values():
                     g = gcd(g, v)
                 pivots[lead] = {k: v // g for k, v in col.items()}
-                rank += 1
                 break
             a, b = piv[lead], col[lead]
             merged: dict[int, int] = {}
@@ -115,10 +147,10 @@ def _rank_rational(columns: list[dict[int, int]]) -> int:
                 for v in col.values():
                     g = gcd(g, v)
                 col = {k: v // g for k, v in col.items()}
-    return rank
+    return pivots
 
 
-def _rank_mod_2(columns: list[dict[int, int]]) -> int:
+def _pivots_mod_2(columns: list[dict[int, int]]) -> dict[int, int]:
     """Bitset elimination: each column is one integer, rows are bit indexes."""
     vecs = []
     for col in columns:
@@ -128,22 +160,20 @@ def _rank_mod_2(columns: list[dict[int, int]]) -> int:
                 v |= 1 << k
         if v:
             vecs.append(v)
-    vecs.sort(key=lambda v: v.bit_count() if hasattr(v, "bit_count") else bin(v).count("1"))
+    vecs.sort(key=int.bit_count)
     pivots: dict[int, int] = {}
-    rank = 0
     for v in vecs:
         while v:
             lead = v.bit_length() - 1
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = v
-                rank += 1
                 break
             v ^= piv
-    return rank
+    return pivots
 
 
-def _rank_mod_3(columns: list[dict[int, int]]) -> int:
+def _pivots_mod_3(columns: list[dict[int, int]]) -> dict[int, tuple[int, int]]:
     """Bitsliced GF(3) elimination: a column is a (ones, twos) bit pair."""
 
     def add(a, b):
@@ -166,7 +196,6 @@ def _rank_mod_3(columns: list[dict[int, int]]) -> int:
         if lo | hi:
             vecs.append((lo, hi))
     pivots: dict[int, tuple[int, int]] = {}
-    rank = 0
     for v in vecs:
         while v[0] | v[1]:
             lead = (v[0] | v[1]).bit_length() - 1
@@ -175,25 +204,19 @@ def _rank_mod_3(columns: list[dict[int, int]]) -> int:
                 if v[1] >> lead & 1:
                     v = (v[1], v[0])  # normalize lead coefficient to 1
                 pivots[lead] = v
-                rank += 1
                 break
             # subtract coeff * pivot: -1 == +2 swaps the trit planes
             if v[0] >> lead & 1:
                 v = add(v, (piv[1], piv[0]))
             else:
                 v = add(v, piv)
-    return rank
+    return pivots
 
 
-def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
-    if p == 2:
-        return _rank_mod_2(columns)
-    if p == 3:
-        return _rank_mod_3(columns)
+def _pivots_mod_p(columns: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     cols = [c for c in ({k: v % p for k, v in col.items() if v % p} for col in columns) if c]
     cols.sort(key=len)
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for col in cols:
         while col:
             lead = min(col)
@@ -201,7 +224,6 @@ def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
             if piv is None:
                 inv = pow(col[lead], -1, p)
                 pivots[lead] = {k: v * inv % p for k, v in col.items()}
-                rank += 1
                 break
             b = col[lead]
             col = {
@@ -209,29 +231,90 @@ def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
                 for k in set(col) | set(piv)
                 if (v := (col.get(k, 0) - b * piv.get(k, 0)) % p)
             }
-    return rank
+    return pivots
 
 
-def matrix_rank(columns: list[dict[int, int]], characteristic: int) -> int:
+def matrix_rank(
+    columns: list[dict[int, int]], characteristic: int, leads: set[int] | None = None
+) -> int:
+    """Rank of sparse integer columns over Q (characteristic 0) or F_p.
+
+    When `leads` is given, the lead row of every pivot is added to it: the
+    columns of the next boundary map down that clearing skips.
+    """
     if characteristic == 0:
-        return _rank_rational(columns)
-    return _rank_mod_p(columns, characteristic)
+        pivots = _pivots_rational(columns)
+    elif characteristic == 2:
+        pivots = _pivots_mod_2(columns)
+    elif characteristic == 3:
+        pivots = _pivots_mod_3(columns)
+    else:
+        pivots = _pivots_mod_p(columns, characteristic)
+    if leads is not None:
+        leads.update(pivots)
+    return len(pivots)
+
+
+def _cleared_betti(
+    cx: OrderComplex, columns: list[list[dict[int, int]]], characteristic: int
+) -> tuple[int, ...]:
+    """Betti numbers from the boundary maps ranked top-down with clearing."""
+    ranks = [0] * (cx.dim + 2)
+    leads: set[int] = set()
+    for d in range(cx.dim, -1, -1):
+        kept = [col for k, col in enumerate(columns[d]) if k not in leads]
+        leads = set()
+        ranks[d] = matrix_rank(kept, characteristic, leads)
+    return (1 - ranks[0],) + tuple(
+        cx.face_count(d) - ranks[d] - ranks[d + 1] for d in range(cx.dim + 1)
+    )
+
+
+def rational_from_primes(
+    cx: OrderComplex, prime_betti: list[tuple[int, ...]]
+) -> tuple[int, ...] | None:
+    """Rational reduced Betti numbers certified by prime-field ones, or None.
+
+    Universal coefficients give 0 <= b~_i(Q) <= b~_i(F_p) for every prime
+    p, and the reduced Euler characteristic sum (-1)^i b~_i is the same over
+    every field.  Let m_i be the least b~_i(F_p) over the given primes.  If
+    the nonzero m_i all sit in degrees of one parity, then
+    |sum (-1)^i b~_i(Q)| <= sum m_i with equality only at b~(Q) = m, so an
+    alternating sum of m equal to the reduced Euler characteristic proves
+    b~(Q) = m.
+    """
+    least = tuple(map(min, zip(*prime_betti)))
+    parities = {i % 2 for i, b in enumerate(least, start=-1) if b}
+    alternating = sum(-b if i % 2 else b for i, b in enumerate(least, start=-1))
+    if len(parities) <= 1 and alternating == cx.euler_characteristic() - 1:
+        return least
+    return None
+
+
+def betti_numbers(cx: OrderComplex, characteristics) -> dict[int, tuple[int, ...]]:
+    """Reduced Betti numbers b~_{-1} .. b~_dim over every requested field.
+
+    Each boundary map is built once and shared by the fields.  Q is taken
+    from the prime fields (F_2 added if absent) when `rational_from_primes`
+    certifies it, and from fraction-free elimination otherwise.
+    """
+    wanted = tuple(dict.fromkeys(characteristics))
+    if cx.dim < 0 or not wanted:
+        return {c: (1,) for c in wanted}
+    primes = [c for c in wanted if c != 0]
+    if 0 in wanted and 2 not in primes:
+        primes.append(2)
+    columns = [boundary_matrix(cx, d)[2] for d in range(cx.dim + 1)]
+    betti = {p: _cleared_betti(cx, columns, p) for p in primes}
+    if 0 in wanted:
+        rational = rational_from_primes(cx, list(betti.values()))
+        betti[0] = rational if rational is not None else _cleared_betti(cx, columns, 0)
+    return {c: betti[c] for c in wanted}
 
 
 def reduced_betti(cx: OrderComplex, characteristic: int = 0) -> tuple[int, ...]:
     """Reduced Betti numbers b~_{-1} .. b~_dim over the requested field."""
-    top = cx.dim
-    if top < 0:
-        return (1,)
-    ranks = []
-    for d in range(0, top + 2):
-        _, _, cols = boundary_matrix(cx, d)
-        ranks.append(matrix_rank(cols, characteristic))
-    out = [1 - ranks[0]]
-    for d in range(0, top + 1):
-        nxt = ranks[d + 1] if d + 1 <= top else 0
-        out.append(cx.face_count(d) - ranks[d] - nxt)
-    return tuple(out)
+    return betti_numbers(cx, (characteristic,))[characteristic]
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
@@ -332,28 +415,32 @@ class BettiTable:
         return rows
 
 
-def tor_ranks(
-    pres: SemigroupPresentation,
-    window: dict[Vector, int],
-    characteristic: int = 0,
-    complexes: dict[Vector, OrderComplex] | None = None,
-) -> BettiTable:
-    """Tor_i ranks at every multidegree of the window via interval homology.
+def tor_tables(
+    pres: SemigroupPresentation, window: dict[Vector, int], characteristics
+) -> dict[int, BettiTable]:
+    """Tor_i ranks at every multidegree of the window, over every field in one pass.
 
     The index correspondence Tor_i <-> b~_{i-2} is validated by tests on
     generator and relation multidegrees before anything else trusts it.
     """
     zero = tuple([0] * pres.dimension)
-    ranks: dict[tuple[int, Vector], int] = {(0, zero): 1}
-    interval_betti: dict[Vector, tuple[int, ...]] = {}
+    tables = {c: BettiTable(c, {(0, zero): 1}, {}) for c in characteristics}
     for lam in sorted(window):
-        cx = complexes[lam] if complexes is not None else order_complex(pres, pres.interval(zero, lam))
-        betti = reduced_betti(cx, characteristic)
-        interval_betti[lam] = betti
-        for d, b in enumerate(betti, start=-1):
-            if b:
-                ranks[(d + 2, lam)] = b
-    return BettiTable(characteristic, ranks, interval_betti)
+        cx = order_complex(pres, pres.interval(zero, lam))
+        for char, betti in betti_numbers(cx, characteristics).items():
+            table = tables[char]
+            table.interval_betti[lam] = betti
+            for d, b in enumerate(betti, start=-1):
+                if b:
+                    table.ranks[(d + 2, lam)] = b
+    return tables
+
+
+def tor_ranks(
+    pres: SemigroupPresentation, window: dict[Vector, int], characteristic: int = 0
+) -> BettiTable:
+    """Tor_i ranks at every multidegree of the window over one field."""
+    return tor_tables(pres, window, (characteristic,))[characteristic]
 
 
 def below_vanishing_bound(i: int, degree: int, d: int) -> bool:
@@ -366,7 +453,6 @@ def verify_vanishing(
     gb_degree: int,
     window: dict[Vector, int],
     characteristics=(0, 2, 3),
-    complexes: dict[Vector, OrderComplex] | None = None,
 ) -> dict:
     """Check reduced homology vanishes below the degree bound, every field.
 
@@ -384,11 +470,11 @@ def verify_vanishing(
     violations = []
     for lam in sorted(window):
         degree = window[lam]
-        cx = complexes[lam] if complexes is not None else order_complex(pres, pres.interval(zero, lam))
+        cx = order_complex(pres, pres.interval(zero, lam))
+        prime_betti = betti_numbers(cx, primes)
         prime_ok = bool(primes)
         for char in primes:
-            betti = reduced_betti(cx, char)
-            for i, b in enumerate(betti, start=-1):
+            for i, b in enumerate(prime_betti[char], start=-1):
                 if below_vanishing_bound(i, degree, d):
                     checks += 1
                     if b != 0:

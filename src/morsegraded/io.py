@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from math import isqrt
 
 from . import __version__
 from .errors import ParseError, ValidationError
@@ -43,6 +44,13 @@ class InputDocument:
         return self.presentation.dimension
 
 
+def _integers(value, what: str) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple; anything else is a ParseError."""
+    if not isinstance(value, list) or not all(type(c) is int for c in value):
+        raise ParseError(f"{what} must be an array of integers, got {value!r}")
+    return tuple(value)
+
+
 def parse_input(text: str) -> InputDocument:
     """Validated input document; a supplied basis is re-verified, not trusted."""
     try:
@@ -52,35 +60,44 @@ def parse_input(text: str) -> InputDocument:
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
     try:
-        dimension = int(doc["dimension"])
+        dimension = doc["dimension"]
         generators = doc["generators"]
     except KeyError as exc:
         raise ParseError(f"missing required field {exc}") from exc
+    if type(dimension) is not int:
+        raise ParseError(f"dimension must be an integer, got {dimension!r}")
     if not isinstance(generators, list) or not generators:
         raise ParseError("generators must be a nonempty list of integer vectors")
     try:
-        pres = SemigroupPresentation(dimension, [tuple(g) for g in generators])
-    except (TypeError, ValidationError) as exc:
-        raise ParseError(str(exc)) from exc
-    try:
-        order = TermOrder.from_json(pres.n, doc.get("term_order"))
+        pres = SemigroupPresentation(dimension, [_integers(g, "a generator") for g in generators])
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
+    term_order = doc.get("term_order")
+    if term_order is not None and not isinstance(term_order, dict):
+        raise ParseError(f"term_order must be an object, got {term_order!r}")
+    try:
+        order = TermOrder.from_json(pres.n, term_order)
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ParseError(f"bad term_order: {exc}") from exc
     basis = None
     if doc.get("groebner_basis") is not None:
+        if not isinstance(doc["groebner_basis"], list):
+            raise ParseError("groebner_basis must be a list of binomials")
         elements = []
         for entry in doc["groebner_basis"]:
-            try:
-                plus = tuple(int(x) for x in entry["plus"])
-                minus = tuple(int(x) for x in entry["minus"])
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"bad basis element {entry!r}") from exc
+            if not isinstance(entry, dict) or "plus" not in entry or "minus" not in entry:
+                raise ParseError(f"bad basis element {entry!r}")
+            plus = _integers(entry["plus"], "a basis exponent vector")
+            minus = _integers(entry["minus"], "a basis exponent vector")
             if len(plus) != pres.n or len(minus) != pres.n:
                 raise ParseError("basis exponent vectors must have one entry per generator")
             elements.append(Binomial(plus, minus))
         basis = GroebnerBasis(order, tuple(elements))
         verify_groebner(basis, pres, completeness_cap=max(2, basis.degree))
-    targets = tuple(tuple(int(c) for c in t) for t in doc.get("targets", []))
+    raw_targets = doc.get("targets", [])
+    if not isinstance(raw_targets, list):
+        raise ParseError("targets must be a list of integer vectors")
+    targets = tuple(_integers(t, "a target") for t in raw_targets)
     for t in targets:
         if len(t) != dimension:
             raise ParseError(f"target {t} has wrong dimension")
@@ -113,9 +130,13 @@ class RunConfig:
             raise ValidationError("caps must be positive")
         if self.output_format not in ("json", "tsv"):
             raise ValidationError("format must be json or tsv")
+        if not self.characteristics:
+            raise ValidationError("at least one field characteristic is required")
         for p in self.characteristics:
-            if p != 0 and p < 2:
-                raise ValidationError("characteristics are 0 or primes >= 2")
+            if p != 0 and not _is_prime(p):
+                raise ValidationError(
+                    f"field characteristic {p} is neither 0 nor a prime below 2^31"
+                )
 
     def echo(self) -> dict:
         return {
@@ -130,6 +151,13 @@ class RunConfig:
             "cap": self.cap,
             "threads": self.threads,
         }
+
+
+MAX_CHARACTERISTIC = 2**31  # keeps the trial division below 46,341 steps
+
+
+def _is_prime(p: int) -> bool:
+    return 2 <= p < MAX_CHARACTERISTIC and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def thread_cap_from_env() -> int:

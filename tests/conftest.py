@@ -11,6 +11,7 @@ import pytest
 
 from morsegraded.chains import FacetOrderConfig
 from morsegraded.groebner import buchberger, toric_ideal_basis
+from morsegraded.homology import boundary_matrix, matrix_rank
 from morsegraded.morse import build_face_matching
 from morsegraded.orders import TermOrder
 from morsegraded.semigroup import SemigroupPresentation
@@ -36,6 +37,26 @@ RINGS = {
         3,
     ),
 }
+
+
+def uncleared_betti(cx, characteristic):
+    """Reduced Betti numbers from the full rank of every boundary map.
+
+    The reference route: no clearing and no prime-field certificate, so
+    over Q it is the fraction-free elimination of every column.
+    """
+    if cx.dim < 0:
+        return (1,)
+    ranks = [matrix_rank(boundary_matrix(cx, d)[2], characteristic) for d in range(cx.dim + 1)]
+    ranks.append(0)
+    return (1 - ranks[0],) + tuple(
+        cx.face_count(d) - ranks[d] - ranks[d + 1] for d in range(cx.dim + 1)
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_betti():
+    return uncleared_betti
 
 
 class Ring:

@@ -156,6 +156,40 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert main(["--input", str(bad), "--command", "gb"]) == 1
 
 
+@pytest.mark.parametrize("field", ["4", "9", "1", "-2"])
+def test_exit_code_non_prime_field(field, capsys):
+    code = main(["--input", str(FIXTURES / "minor.json"), "--command", "betti", "--field", field])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+MALFORMED = {
+    "dimension": '{"dimension": "x", "generators": [[1, 0]]}',
+    "generator coordinate": '{"dimension": 2, "generators": [[1, "a"], [0, 1]]}',
+    "fractional coordinate": '{"dimension": 2, "generators": [[1.5, 0], [0, 1]]}',
+    "target coordinate": '{"dimension": 2, "generators": [[1, 0], [0, 1]], "targets": [[1, "b"]]}',
+    "targets": '{"dimension": 2, "generators": [[1, 0], [0, 1]], "targets": 5}',
+    "term_order": '{"dimension": 2, "generators": [[1, 0], [0, 1]], "term_order": [1]}',
+    "priority": '{"dimension": 2, "generators": [[1, 0], [0, 1]], "term_order": {"priority": 5}}',
+    "basis": '{"dimension": 2, "generators": [[1, 0], [0, 1]], "groebner_basis": 5}',
+    "basis exponent": (
+        '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
+        ' "groebner_basis": [{"plus": ["a", 0], "minus": [0, 1]}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_with_one_error_line(case, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED[case])
+    assert main(["--input", str(bad), "--command", "gb"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_exit_code_missing_file():
     assert main(["--input", "/nonexistent/x.json", "--command", "gb"]) == 1
 

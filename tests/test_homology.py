@@ -2,16 +2,21 @@
 
 from fractions import Fraction
 
+from morsegraded import homology
 from morsegraded.homology import (
     below_vanishing_bound,
+    betti_numbers,
     integral_homology,
     order_complex,
+    rational_from_primes,
     reduced_betti,
     smith_normal_form,
     standard_grading_functional,
     tor_ranks,
+    tor_tables,
     verify_vanishing,
 )
+from morsegraded.semigroup import SemigroupPresentation
 
 
 def test_two_points(free_plane):
@@ -51,11 +56,11 @@ def test_euler_characteristic_equals_alternating_betti(squares):
         assert alt == cx.euler_characteristic() - 1, lam
 
 
-def test_field_independence_on_rings(squares, minor):
+def test_field_independence_on_rings(squares, minor, reference_betti):
     for ring in (squares, minor):
         for lam in sorted(ring.pres.degree_window(3)):
             cx = order_complex(ring.pres, ring.interval(lam))
-            b0 = reduced_betti(cx, 0)
+            b0 = reference_betti(cx, 0)
             assert b0 == reduced_betti(cx, 2) == reduced_betti(cx, 3), (ring.name, lam)
 
 
@@ -64,6 +69,33 @@ def test_integral_homology_matches_rational_ranks(squares):
     ranks = [r for r, _ in integral_homology(cx)]
     assert tuple(ranks) == reduced_betti(cx, 0)
     assert all(not tor for _, tor in integral_homology(cx))
+
+
+def test_certificate_declines_homology_in_both_parities(monkeypatch, reference_betti):
+    pres = SemigroupPresentation(3, [(1, 0, 3), (0, 3, 2), (0, 1, 3), (2, 2, 3), (3, 3, 0)])
+    cx = order_complex(pres, pres.interval((0, 0, 0), (4, 4, 6)))
+    primes = [reduced_betti(cx, 2), reduced_betti(cx, 3)]
+    assert primes == [(0, 1, 1), (0, 1, 1)]
+    assert rational_from_primes(cx, primes) is None
+    fields = []
+    real_rank = homology.matrix_rank
+
+    def spy(columns, characteristic, leads=None):
+        fields.append(characteristic)
+        return real_rank(columns, characteristic, leads)
+
+    monkeypatch.setattr(homology, "matrix_rank", spy)
+    assert betti_numbers(cx, (0, 2, 3))[0] == (0, 1, 1) == reference_betti(cx, 0)
+    assert 0 in fields  # the exact rational elimination ran
+
+
+def test_tor_tables_match_one_field_tables(squares):
+    window = squares.pres.degree_window(4)
+    tables = tor_tables(squares.pres, window, (0, 2, 3))
+    for char in (0, 2, 3):
+        single = tor_ranks(squares.pres, window, char)
+        assert tables[char].ranks == single.ranks
+        assert tables[char].interval_betti == single.interval_betti
 
 
 def test_smith_normal_form_known_values():

@@ -1,12 +1,21 @@
 """Seeded randomized property checks across sampled presentations."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from morsegraded import homology
 from morsegraded.chains import FacetOrderConfig, check_crossing_condition, ordered_facets
 from morsegraded.groebner import buchberger, default_cap, phi, toric_ideal_basis
-from morsegraded.homology import order_complex, reduced_betti
+from morsegraded.homology import (
+    betti_numbers,
+    integral_homology,
+    order_complex,
+    rational_from_primes,
+    reduced_betti,
+)
+from morsegraded.io import parse_input
 from morsegraded.morse import (
     build_face_matching,
     direct_interval_system,
@@ -15,6 +24,8 @@ from morsegraded.morse import (
 )
 from morsegraded.orders import TermOrder
 from morsegraded.semigroup import random_presentation
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def sample_rings(seed, count, window_degree=4):
@@ -78,14 +89,67 @@ def test_sampled_morse_inequalities(sampled):
                 assert m.get(i, 0) >= bound, (pres.generators, lam, i)
 
 
-def test_sampled_field_independence(sampled):
+def test_sampled_field_independence(sampled, reference_betti):
     for pres, _, _ in sampled:
         zero = tuple([0] * pres.dimension)
         window = sorted(pres.degree_window(3))
         for lam in window[:15]:
             cx = order_complex(pres, pres.interval(zero, lam))
-            b0 = reduced_betti(cx, 0)
+            b0 = reference_betti(cx, 0)
             assert b0 == reduced_betti(cx, 2) == reduced_betti(cx, 3)
+
+
+def _betti_from_integral(integral, p):
+    """Universal coefficients: b~_i(F_p) counts free ranks plus the p-torsion
+    of H~_i and H~_{i-1}."""
+    out = []
+    for k, (free, torsion) in enumerate(integral):
+        below = integral[k - 1][1] if k else []
+        out.append(free + sum(t % p == 0 for t in torsion) + sum(t % p == 0 for t in below))
+    return tuple(out)
+
+
+def _oracle_rings():
+    for name in ("squares", "pair_swap", "minor", "cyclic_split3"):
+        yield name, parse_input((FIXTURES / f"{name}.json").read_text()).presentation, 5
+    rng = random.Random(20260314)
+    drawn = 0
+    while drawn < 20:
+        pres = random_presentation(rng, window_degree=4, face_budget=20_000)
+        if pres.n >= 3:  # fewer generators give only points and empty complexes
+            drawn += 1
+            yield f"random{drawn}", pres, 4
+
+
+def test_cleared_certified_betti_match_references(monkeypatch, reference_betti):
+    """The one-pass route against uncleared ranks, exact Q and integral homology.
+
+    Every interval is also run through the exact rational route with the
+    certificate switched off, so clearing over Q is checked everywhere, not
+    only where the certificate declines.
+    """
+    fields = (0, 2, 3)
+    declined = {}
+    for name, pres, degree in _oracle_rings():
+        zero = tuple([0] * pres.dimension)
+        declined[name] = 0
+        for lam in sorted(pres.degree_window(degree)):
+            cx = order_complex(pres, pres.interval(zero, lam))
+            got = betti_numbers(cx, fields)
+            for p in fields:
+                assert got[p] == reference_betti(cx, p), (name, lam, p)
+            primes = [got[2], got[3]]
+            declined[name] += rational_from_primes(cx, primes) is None
+            with monkeypatch.context() as m:
+                m.setattr(homology, "rational_from_primes", lambda cx, primes: None)
+                assert betti_numbers(cx, (0,))[0] == got[0], (name, lam)
+            if sum(len(fs) for fs in cx.faces) <= 120:  # dense Smith form is cubic
+                integral = integral_homology(cx)
+                assert tuple(free for free, _ in integral) == got[0], (name, lam)
+                for p in (2, 3):
+                    assert _betti_from_integral(integral, p) == got[p], (name, lam, p)
+    # the exact fallback ran on real intervals: homology in both parities
+    assert declined["cyclic_split3"] == 13
 
 
 def test_sampled_translation_invariance(sampled):
