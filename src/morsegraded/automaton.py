@@ -22,13 +22,6 @@ from .orders import content_monomial
 INIT = ("init",)
 
 
-def _pair_in_ideal(gb: GroebnerBasis, a: int, b: int) -> bool:
-    m = [0] * gb.order.n
-    m[a] += 1
-    m[b] += 1
-    return leading_ideal_member(gb, tuple(m))
-
-
 @dataclass
 class MorseAutomaton:
     """Deterministic automaton over generator-index letters."""
@@ -102,6 +95,7 @@ class _QuadraticRules:
 
     def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig):
         self.gb = gb
+        self.commutes = gb.commutes
         self.cfg = cfg
         self.rank = cfg.order.label_rank
         self.n = cfg.order.n
@@ -110,7 +104,7 @@ class _QuadraticRules:
         # mu was read first (sits above lam in the chain)
         if self.rank[lam] > self.rank[mu]:
             return "descent"
-        if _pair_in_ideal(self.gb, lam, mu):
+        if not self.commutes[lam][mu]:
             return "lead"
         return None
 
@@ -122,10 +116,10 @@ class _QuadraticRules:
         a1, a2 = items[window_pos][1]
         if not (self.rank[a1] < self.rank[lam] < self.rank[a2]):
             return False
-        if _pair_in_ideal(self.gb, lam, a1) or _pair_in_ideal(self.gb, lam, a2):
+        if not self.commutes[lam][a1] or not self.commutes[lam][a2]:
             return False
         for nu in self._labels_after(items, window_pos):
-            if _pair_in_ideal(self.gb, lam, nu):
+            if not self.commutes[lam][nu]:
                 return False  # blocked by a non-commuting label
             if self.rank[nu] >= self.rank[lam]:
                 return False  # cannot sort past a larger label
@@ -149,7 +143,7 @@ class _QuadraticRules:
             later = self._labels_after(items, q)
             if any(self.rank[x] <= self.rank[mu_p] for x in later):
                 continue
-            if any(_pair_in_ideal(self.gb, mu_p, x) for x in later):
+            if any(not self.commutes[mu_p][x] for x in later):
                 continue
             pruned = items[:q] + items[q + 1 :]
             if any(
@@ -186,11 +180,11 @@ class _QuadraticRules:
             return ("F", self.append(items, (("L", letter),)), letter)
         # non-final: only rescue letters forming a window under the pending label
         _, items, lam, mu = state
-        if self.rank[letter] > self.rank[lam] or not _pair_in_ideal(self.gb, letter, lam):
+        if self.rank[letter] > self.rank[lam] or self.commutes[letter][lam]:
             return None
         rescue = (
             self.rank[letter] < self.rank[mu]
-            and not _pair_in_ideal(self.gb, letter, mu)
+            and self.commutes[letter][mu]
             and not self._shift_stays_critical(items, lam, letter)
         )
         if not rescue:
@@ -225,7 +219,7 @@ class _QuadraticRules:
         last = len(run) - 1
         for i in range(len(run)):
             for j in range(i + 1, len(run)):
-                if (i, j) != (0, last) and _pair_in_ideal(self.gb, run[i], run[j]):
+                if (i, j) != (0, last) and not self.commutes[run[i]][run[j]]:
                     return False
         return True
 
@@ -301,7 +295,7 @@ class _DegreeRules(_QuadraticRules):
         ):
             return False
         for nu in self._labels_after(items, pos):
-            if _pair_in_ideal(self.gb, lam, nu) or self.rank[nu] >= self.rank[lam]:
+            if not self.commutes[lam][nu] or self.rank[nu] >= self.rank[lam]:
                 return False
         return True
 
@@ -614,6 +608,7 @@ def commutation_classes(
     from .cancellation import _distinct_permutations
 
     rank = cfg.order.label_rank
+    commutes = gb.commutes
     content = tuple(sorted(content, key=lambda i: rank[i]))
     words = set(_distinct_permutations(list(content)))
     out = []
@@ -629,10 +624,10 @@ def commutation_classes(
             for k in range(len(w) - 1):
                 a, b = w[k], w[k + 1]
                 if a == b:
-                    if not _pair_in_ideal(gb, a, a):
+                    if commutes[a][a]:
                         stutter = True
                     continue
-                if not _pair_in_ideal(gb, a, b):
+                if commutes[a][b]:
                     s = w[:k] + (b, a) + w[k + 2 :]
                     if s not in cls:
                         cls.add(s)

@@ -19,14 +19,14 @@ from .errors import (
     PathCapExceeded,
     UnmatchedUnsaturatedCell,
 )
-from .groebner import GroebnerBasis, leading_ideal_member
+from .groebner import GroebnerBasis
 from .morse import (
     CriticalCell,
     FaceMatching,
     build_face_matching,
     covers_all_ranks,
-    label_system,
     labels_contribute,
+    msi_characterization,
     truncate_to_j_intervals,
     verify_acyclic,
 )
@@ -73,10 +73,6 @@ def enumerate_gradient_paths(
                 stack.append((up, trail + (y, up)))
     paths.sort(key=lambda p: p.cells)
     return paths
-
-
-def count_gradient_paths(fm, tau_mask, sigma_mask, cap=DEFAULT_PATH_CAP) -> int:
-    return len(enumerate_gradient_paths(fm, tau_mask, sigma_mask, cap))
 
 
 # -- 321-avoidance and theorem-backed uniqueness -------------------------------
@@ -152,23 +148,9 @@ class Window:
 def windows_of(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> list[Window]:
     return [
         Window(iv.lo - 1, iv.hi, iv.lead)
-        for iv in label_system(gb, cfg, tuple(labels))
+        for iv in msi_characterization(gb, cfg, tuple(labels))
         if iv.kind == "syzygy"
     ]
-
-
-def commutation_table(gb: GroebnerBasis) -> list[list[bool]]:
-    """labels commute iff their pair product avoids the leading ideal."""
-    n = gb.order.n
-    table = [[True] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            m = [0] * n
-            m[a] += 1
-            m[b] += 1
-            if leading_ideal_member(gb, tuple(m)):
-                table[a][b] = table[b][a] = False
-    return table
 
 
 @dataclass(frozen=True)
@@ -196,11 +178,12 @@ def _not_window_interior(windows: list[Window], pos: int) -> bool:
     return all(not (w.start < pos < w.end) for w in windows)
 
 
-def _down_slot(gb, cfg, commutes, labels, w: Window, p: int):
+def _down_slot(gb, cfg, labels, w: Window, p: int):
     """Shift labels[p] out of window w to the highest landing that leaves a
     critical cell with the label outside every window interior."""
     x = labels[p]
     rank = cfg.order.label_rank
+    commutes = gb.commutes
     # every label passed on the way down must sort past x and commute with it
     for y in labels[w.start + 1 : p]:
         if rank[y] >= rank[x] or not commutes[x][y]:
@@ -231,9 +214,10 @@ def _insert_sorted(gb, cfg, labels, w: Window, p: int):
     return tuple(rest), start + offset
 
 
-def _upward_shiftable(gb, cfg, commutes, labels, w: Window, p: int):
+def _upward_shiftable(gb, cfg, labels, w: Window, p: int):
     x = labels[p]
     rank = cfg.order.label_rank
+    commutes = gb.commutes
     a1, a2 = labels[w.start], labels[w.end]
     if not (rank[a1] < rank[x] < rank[a2]):
         return None
@@ -262,12 +246,7 @@ def _upward_shiftable(gb, cfg, commutes, labels, w: Window, p: int):
     return word
 
 
-def non_essential_sets(
-    gb: GroebnerBasis,
-    cfg: FacetOrderConfig,
-    labels,
-    commutes=None,
-) -> list[NonEssentialSet]:
+def non_essential_sets(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> list[NonEssentialSet]:
     """Per-window shiftable labels of a critical cell's label sequence.
 
     Inside members carry the word with the label shifted out to its highest
@@ -276,8 +255,6 @@ def non_essential_sets(
     belongs to the lowest one that accepts it.
     """
     labels = tuple(labels)
-    if commutes is None:
-        commutes = commutation_table(gb)
     out = []
     claimed_outside: set[int] = set()
     for w in sorted(windows_of(gb, cfg, labels), key=lambda w: (w.start, w.end)):
@@ -287,7 +264,7 @@ def non_essential_sets(
             x = labels[p]
             if x in seen_values:
                 continue
-            hit = _down_slot(gb, cfg, commutes, labels, w, p)
+            hit = _down_slot(gb, cfg, labels, w, p)
             if hit is not None:
                 word, q = hit
                 members.append(ShiftMember(x, "inside", p, word, q))
@@ -298,7 +275,7 @@ def non_essential_sets(
             x = labels[p]
             if x in seen_values:
                 continue
-            word = _upward_shiftable(gb, cfg, commutes, labels, w, p)
+            word = _upward_shiftable(gb, cfg, labels, w, p)
             if word is not None:
                 members.append(ShiftMember(x, "outside", p, word, p))
                 seen_values.add(x)
@@ -372,7 +349,7 @@ class LabelCell:
 
 def label_cell(gb, cfg, labels) -> LabelCell | None:
     labels = tuple(labels)
-    system = label_system(gb, cfg, labels)
+    system = msi_characterization(gb, cfg, labels)
     if not covers_all_ranks(system, len(labels) - 1):
         return None
     ranks = tuple(iv.lo for iv in truncate_to_j_intervals(system))
@@ -536,7 +513,6 @@ def cancel_cells(
     unsaturated survivor at all.
     """
     cfg = fm.cfg
-    commutes = commutation_table(gb)
     notes: list[str] = []
     cells = [c for c in fm.critical.values() if not c.is_base and c.dimension >= 0]
     cells.sort(key=_cell_sort_key(cfg))
@@ -566,7 +542,7 @@ def cancel_cells(
     for cell in cells:
         if cell.facet.labels in matched:
             continue
-        nes = non_essential_sets(gb, cfg, cell.facet.labels, commutes)
+        nes = non_essential_sets(gb, cfg, cell.facet.labels)
         target = expanding_interval(nes)
         if target is None:
             continue
@@ -575,7 +551,7 @@ def cancel_cells(
         if partner is None or partner.facet.labels in matched:
             notes.append(f"pivot partner unavailable for {cell.facet.labels}")
             continue
-        back = expanding_interval(non_essential_sets(gb, cfg, partner.facet.labels, commutes))
+        back = expanding_interval(non_essential_sets(gb, cfg, partner.facet.labels))
         if back is None or pivot_member(back, cfg).partner_labels != cell.facet.labels:
             notes.append(f"pivot not mutual for {cell.facet.labels}")
             continue
@@ -587,6 +563,8 @@ def cancel_cells(
         certify(hi, lo, "expanding-interval pivot")
 
     # fallback: certified greedy pairing for whatever the rules left behind
+    edges = _fiber_edges(fm, cells, mask_of, path_cap)
+
     def wanted(cell: CriticalCell) -> bool:
         if require_complete:
             return _has_interior_window(gb, cfg, cell.facet.labels)
@@ -614,12 +592,11 @@ def cancel_cells(
                 continue
             trial = dict(matched)
             trial[lo.facet.labels] = hi.facet.labels
-            if not _fiber_acyclic(trial, _fiber_edges(fm, cells, mask_of, path_cap)):
+            if not _fiber_acyclic(trial, edges):
                 continue
             certify(hi, lo, "greedy certified")
             break
 
-    edges = _fiber_edges(fm, cells, mask_of, path_cap)
     low_matched = {
         lo: hi for lo, hi in matched.items() if by_labels[lo].dimension < by_labels[hi].dimension
     }
@@ -667,10 +644,6 @@ def critical_multigraph(fm: FaceMatching, path_cap: int = DEFAULT_PATH_CAP) -> C
 
 def _fiber_edges(fm, cells, mask_of, path_cap):
     """Path counts between same-content consecutive-dimension cells."""
-    key = "_fiber_edge_cache"
-    cached = getattr(fm, key, None)
-    if cached is not None:
-        return cached
     edges: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     by_content: dict[tuple[int, ...], list[CriticalCell]] = {}
     for c in cells:
@@ -680,12 +653,13 @@ def _fiber_edges(fm, cells, mask_of, path_cap):
             for lo in group:
                 if hi.dimension != lo.dimension + 1:
                     continue
-                count = count_gradient_paths(
-                    fm, mask_of[hi.facet.labels], mask_of[lo.facet.labels], path_cap
+                count = len(
+                    enumerate_gradient_paths(
+                        fm, mask_of[hi.facet.labels], mask_of[lo.facet.labels], path_cap
+                    )
                 )
                 if count:
                     edges[(hi.facet.labels, lo.facet.labels)] = count
-    setattr(fm, key, edges)
     return edges
 
 
@@ -727,10 +701,7 @@ def cancel_interval(
 
 
 def fiber_survivor_words(
-    gb: GroebnerBasis,
-    cfg: FacetOrderConfig,
-    content,
-    commutes=None,
+    gb: GroebnerBasis, cfg: FacetOrderConfig, content
 ) -> list[tuple[int, ...]]:
     """Bottom-up label sequences of surviving cells of one content class.
 
@@ -739,8 +710,6 @@ def fiber_survivor_words(
     face-level engine must agree on bounded intervals; tests enforce that.
     """
     content = tuple(sorted(content))
-    if commutes is None:
-        commutes = commutation_table(gb)
     cells: dict[tuple[int, ...], LabelCell] = {}
     for word in _distinct_permutations(content):
         c = label_cell(gb, cfg, word)
@@ -750,14 +719,14 @@ def fiber_survivor_words(
     for word in sorted(cells):
         if word in matched:
             continue
-        target = expanding_interval(non_essential_sets(gb, cfg, word, commutes))
+        target = expanding_interval(non_essential_sets(gb, cfg, word))
         if target is None:
             continue
         pivot = pivot_member(target, cfg)
         other = pivot.partner_labels
         if other not in cells or other in matched:
             continue
-        back = expanding_interval(non_essential_sets(gb, cfg, other, commutes))
+        back = expanding_interval(non_essential_sets(gb, cfg, other))
         if back is None or pivot_member(back, cfg).partner_labels != word:
             continue
         if abs(cells[word].dimension - cells[other].dimension) != 1:
@@ -804,6 +773,7 @@ def survivor_words_by_content(
     gb: GroebnerBasis,
     cfg: FacetOrderConfig,
     max_degree: int,
+    path_cap: int = DEFAULT_PATH_CAP,
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Fiber-local survivors for every content in the degree window.
 
@@ -811,9 +781,8 @@ def survivor_words_by_content(
     every such multiset is a factorization of its own multidegree.  When
     the label-level matching rules strand a cell (interacting relations),
     that content falls back to the face-level engine, whose greedy pass
-    certifies pairs by explicit path enumeration.
+    certifies pairs by explicit path enumeration under path_cap.
     """
-    commutes = commutation_table(gb)
     out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(max_degree):
@@ -824,8 +793,8 @@ def survivor_words_by_content(
                 nxt.append(c + (i,))
         for c in nxt:
             try:
-                out[c] = fiber_survivor_words(gb, cfg, c, commutes)
+                out[c] = fiber_survivor_words(gb, cfg, c)
             except UnmatchedUnsaturatedCell:
-                out[c] = face_level_survivor_words(pres, gb, cfg, c)
+                out[c] = face_level_survivor_words(pres, gb, cfg, c, path_cap)
         frontier = nxt
     return out

@@ -87,41 +87,60 @@ class CrossingReport:
         return self.ok
 
 
-def _overlap_ranks(facet: Facet, other: Facet) -> tuple[int, ...]:
-    shared = set(other.interior)
-    return tuple(r for r, e in enumerate(facet.interior, start=1) if e in shared)
+def maximal_overlaps(facets: list[Facet], j: int) -> dict[int, int]:
+    """Ranks of facets[j] skipped by its maximal overlaps with earlier facets.
+
+    The overlap with facets[i], i < j, is the set of interior ranks q of
+    facets[j] whose element facets[i] also passes through; it is maximal
+    when no overlap with another earlier facet strictly contains it.  Maps
+    each maximal overlap's skipped ranks, as a bitmask with bit q for rank
+    q, to the least i that produces it.
+    """
+    facet = facets[j]
+    rank_of = {e: q for q, e in enumerate(facet.interior, start=1)}
+    full = (1 << len(facet.interior) + 1) - 2
+    by_shared: dict[int, int] = {}
+    for i in range(j):
+        shared = 0
+        for e in facets[i].interior:
+            q = rank_of.get(e)
+            if q is not None:
+                shared |= 1 << q
+        by_shared.setdefault(shared, i)
+    kept: list[int] = []
+    out: dict[int, list[int]] = {}
+    # a strict superset has more ranks, so it is seen, and kept, first
+    for shared in sorted(by_shared, key=int.bit_count, reverse=True):
+        if not any(shared & other == shared for other in kept):
+            kept.append(shared)
+            out[full ^ shared] = by_shared[shared]
+    return out
 
 
-def _is_run(ranks: tuple[int, ...]) -> bool:
-    return all(b == a + 1 for a, b in zip(ranks, ranks[1:]))
+def skipped_ranks(mask: int) -> tuple[int, ...]:
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
+def is_run(mask: int) -> bool:
+    """Empty, or one block of consecutive ranks."""
+    low = mask >> (mask & -mask).bit_length() - 1 if mask else 0
+    return low & (low + 1) == 0
 
 
 def check_crossing_condition(facets: list[Facet]) -> CrossingReport:
-    """Exhaustive crossing-condition check for an explicit facet order.
+    """Crossing condition for an explicit facet order.
 
     For every facet F and earlier G whose shared face skips a disconnected
-    rank set, some earlier G' must share strictly more of F.  Returns the
-    first violation found.
+    rank set, some earlier G' must share strictly more of F: equivalently,
+    every maximal overlap skips a run.  Returns the first violation, by F
+    and then G in facet order.
     """
     for j, f in enumerate(facets):
-        r = len(f.interior)
-        full = set(range(1, r + 1))
-        for i in range(j):
-            shared = _overlap_ranks(f, facets[i])
-            skipped = tuple(sorted(full - set(shared)))
-            if _is_run(skipped):
-                continue
-            shared_set = set(shared)
-            witness = False
-            for k in range(j):
-                if k == i:
-                    continue
-                bigger = set(_overlap_ranks(f, facets[k]))
-                if shared_set < bigger:
-                    witness = True
-                    break
-            if not witness:
-                return CrossingReport(False, f, facets[i], skipped)
+        overlaps = maximal_overlaps(facets, j)
+        bad = [(i, skipped) for skipped, i in overlaps.items() if not is_run(skipped)]
+        if bad:
+            i, skipped = min(bad)
+            return CrossingReport(False, f, facets[i], skipped_ranks(skipped))
     return CrossingReport(True)
 
 

@@ -19,13 +19,8 @@ from .io import (
     canonical_json,
     parse_input,
     report_envelope,
-    thread_cap_from_env,
 )
-from .pipeline import (
-    cancel_interval,
-    full_consistency_suite,
-    sharpness_report,
-)
+from .pipeline import cancel_interval, full_consistency_suite, sharpness_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--state-budget", type=int, default=1_000_000)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cap", type=int, default=None, help="toric generator degree cap")
     parser.add_argument("--timing", action="store_true")
     return parser
@@ -202,11 +196,12 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
         }
     elif cfg.command == "verify-bounds":
         window = pres.degree_window(cfg.degree_window)
+        tables = tor_tables(pres, window, cfg.characteristics)
         payload = {
-            "vanishing": verify_vanishing(
-                pres, gb.degree, window, cfg.characteristics
+            "vanishing": verify_vanishing(tables, gb.degree, window),
+            "sharpness_witnesses": sharpness_report(
+                tables[cfg.characteristics[0]], gb.degree, window
             ),
-            "sharpness_witnesses": sharpness_report(pres, gb, window),
         }
     else:  # full
         payload = full_consistency_suite(
@@ -250,10 +245,8 @@ def main(argv=None) -> int:
             state_budget=args.state_budget,
             output_format=args.format,
             out_path=args.out,
-            seed=args.seed,
             cap=args.cap,
             timing=args.timing,
-            threads=thread_cap_from_env(),
         )
         with open(args.input, encoding="utf-8") as handle:
             text = handle.read()
@@ -272,7 +265,7 @@ def main(argv=None) -> int:
     except MorsegradedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.output_format == "tsv" and tsv is not None:
+    if cfg.output_format == "tsv":
         body = tsv
     else:
         body = canonical_json(report_envelope(cfg, payload, elapsed)) + "\n"

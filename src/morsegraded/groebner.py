@@ -8,6 +8,7 @@ binomial throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InvalidBasis, MorsegradedError
@@ -43,6 +44,20 @@ class GroebnerBasis:
 
     def leading_terms(self) -> tuple[Monomial, ...]:
         return tuple(b.plus for b in self.elements)
+
+    @cached_property
+    def commutes(self) -> tuple[tuple[bool, ...], ...]:
+        """commutes[a][b]: the product of labels a and b avoids the leading ideal."""
+        n = self.order.n
+        table = [[True] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                m = [0] * n
+                m[a] += 1
+                m[b] += 1
+                if leading_ideal_member(self, tuple(m)):
+                    table[a][b] = table[b][a] = False
+        return tuple(map(tuple, table))
 
 
 def orient(u: Monomial, v: Monomial, order: TermOrder) -> Binomial | None:

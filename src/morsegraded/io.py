@@ -8,8 +8,7 @@ identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 from . import __version__
@@ -116,10 +115,8 @@ class RunConfig:
     state_budget: int = 1_000_000
     output_format: str = "json"
     out_path: str | None = None
-    seed: int = 0
     cap: int | None = None
     timing: bool = False
-    threads: int = field(default=1)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -130,8 +127,14 @@ class RunConfig:
             raise ValidationError("caps must be positive")
         if self.output_format not in ("json", "tsv"):
             raise ValidationError("format must be json or tsv")
+        if self.output_format == "tsv" and self.command != "betti":
+            raise ValidationError("--format tsv is only available for the betti command")
         if not self.characteristics:
             raise ValidationError("at least one field characteristic is required")
+        if len(set(self.characteristics)) != len(self.characteristics):
+            raise ValidationError(
+                f"field characteristics {list(self.characteristics)} repeat a field"
+            )
         for p in self.characteristics:
             if p != 0 and not _is_prime(p):
                 raise ValidationError(
@@ -147,9 +150,7 @@ class RunConfig:
             "path_cap": self.path_cap,
             "state_budget": self.state_budget,
             "format": self.output_format,
-            "seed": self.seed,
             "cap": self.cap,
-            "threads": self.threads,
         }
 
 
@@ -158,19 +159,6 @@ MAX_CHARACTERISTIC = 2**31  # keeps the trial division below 46,341 steps
 
 def _is_prime(p: int) -> bool:
     return 2 <= p < MAX_CHARACTERISTIC and all(p % q for q in range(2, isqrt(p) + 1))
-
-
-def thread_cap_from_env() -> int:
-    raw = os.environ.get("MORSEGRADED_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError("MORSEGRADED_THREADS must be an integer") from exc
-    if value < 1:
-        raise ValidationError("MORSEGRADED_THREADS must be >= 1")
-    return value
 
 
 def canonical_json(obj) -> str:

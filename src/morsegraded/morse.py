@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chains import Facet, FacetOrderConfig, ordered_facets
+from .chains import (
+    Facet,
+    FacetOrderConfig,
+    is_run,
+    maximal_overlaps,
+    ordered_facets,
+    skipped_ranks,
+)
 from .errors import AcyclicityFailure, CrossingViolation, InternalInvariantError
 from .groebner import GroebnerBasis, leading_ideal_member
 from .orders import Monomial, content_monomial
@@ -140,14 +147,10 @@ def msi_characterization(
     return tuple(out)
 
 
-def label_system(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> tuple[RankInterval, ...]:
-    return msi_characterization(gb, cfg, tuple(labels))
-
-
 def labels_contribute(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> bool:
     """Would a facet with these labels contribute a critical cell?"""
     labels = tuple(labels)
-    return covers_all_ranks(label_system(gb, cfg, labels), len(labels) - 1)
+    return covers_all_ranks(msi_characterization(gb, cfg, labels), len(labels) - 1)
 
 
 # -- direct computation from earlier facets -----------------------------------
@@ -158,26 +161,19 @@ def direct_interval_system(facets: list[Facet], j: int) -> tuple[RankInterval, .
 
     This is the defining computation; msi_characterization must agree with
     it.  Raises CrossingViolation when a maximal overlap face skips a
-    disconnected rank set.
+    disconnected rank set, which is exactly the crossing condition.
     """
     facet = facets[j]
-    if j == 0:
-        return ()
-    r = len(facet.interior)
-    overlaps = {frozenset(facet.interior) & frozenset(g.interior) for g in facets[:j]}
-    maximal = [o for o in overlaps if not any(o < p for p in overlaps)]
-    full = set(range(1, r + 1))
-    rank_of = {e: i for i, e in enumerate(facet.interior, start=1)}
     out = []
-    for o in maximal:
-        skipped = sorted(full - {rank_of[e] for e in o})
+    for skipped in maximal_overlaps(facets, j):
         if not skipped:
             raise InternalInvariantError("duplicate facet in overlap computation")
-        if skipped != list(range(skipped[0], skipped[-1] + 1)):
+        ranks = skipped_ranks(skipped)
+        if not is_run(skipped):
             raise CrossingViolation(
-                f"facet {facet.labels} skips disconnected ranks {skipped}"
+                f"facet {facet.labels} skips disconnected ranks {list(ranks)}"
             )
-        out.append(RankInterval(skipped[0], skipped[-1], "overlap"))
+        out.append(RankInterval(ranks[0], ranks[-1], "overlap"))
     out.sort(key=lambda iv: iv.span())
     _assert_non_nested(out)
     return tuple(out)
@@ -289,19 +285,15 @@ def _facet_masks(ivl: IntervalData, facet: Facet) -> list[int]:
 
 
 def build_face_matching(
-    ivl: IntervalData,
-    cfg: FacetOrderConfig,
-    gb: GroebnerBasis,
-    systems: list[tuple[RankInterval, ...]] | None = None,
+    ivl: IntervalData, cfg: FacetOrderConfig, gb: GroebnerBasis
 ) -> FaceMatching:
     """The full facet-by-facet acyclic matching for one interval.
 
-    systems defaults to the Groebner characterization; pass explicitly to
-    drive the matching from directly computed overlaps instead.
+    Each facet's skipped-interval system is the Groebner characterization;
+    `_check_transversals` holds it to the faces the facet actually adds.
     """
     facets = ordered_facets(ivl, cfg)
-    if systems is None:
-        systems = [msi_characterization(gb, cfg, f) for f in facets]
+    systems = [msi_characterization(gb, cfg, f) for f in facets]
     j_systems = [truncate_to_j_intervals(s) for s in systems]
     fm = FaceMatching(ivl, cfg, facets, systems, j_systems)
     n = cfg.order.n

@@ -14,41 +14,31 @@ from .automaton import (
     rational_series,
 )
 from .cancellation import CancellationResult, cancel_interval, survivor_words_by_content
-from .chains import FacetOrderConfig, check_crossing_condition, ordered_facets
+from .chains import FacetOrderConfig
 from .groebner import GroebnerBasis
 from .homology import (
-    order_complex,
-    reduced_betti,
+    BettiTable,
     standard_grading_functional,
     tor_ranks,
+    tor_tables,
     verify_vanishing,
 )
-from .morse import direct_interval_system, msi_characterization
+from .morse import FaceMatching, direct_interval_system
 from .resolution import morse_boundary
 from .semigroup import SemigroupPresentation, Vector
 
 
-def interval_pipeline(
-    pres: SemigroupPresentation,
-    gb: GroebnerBasis,
-    cfg: FacetOrderConfig,
-    lam: Vector,
-    path_cap: int = 10_000,
-) -> CancellationResult:
-    return cancel_interval(pres, lam, cfg, gb, path_cap)
+def characterization_matches_direct(fm: FaceMatching) -> bool:
+    """Do the matching's Groebner-read systems equal the overlap-defined ones?
 
-
-def characterization_matches_direct(
-    pres: SemigroupPresentation, gb: GroebnerBasis, cfg: FacetOrderConfig, lam: Vector
-) -> bool:
-    zero = tuple([0] * pres.dimension)
-    facets = ordered_facets(pres.interval(zero, lam), cfg)
-    for j, facet in enumerate(facets):
-        direct = tuple(iv.span() for iv in direct_interval_system(facets, j))
-        implied = tuple(iv.span() for iv in msi_characterization(gb, cfg, facet))
-        if direct != implied:
-            return False
-    return True
+    direct_interval_system raises CrossingViolation where the facet order
+    breaks the crossing condition.
+    """
+    return all(
+        tuple(iv.span() for iv in direct_interval_system(fm.facets, j))
+        == tuple(iv.span() for iv in system)
+        for j, system in enumerate(fm.systems)
+    )
 
 
 def reduced_survivor_counts(res: CancellationResult) -> dict[int, int]:
@@ -89,25 +79,20 @@ def cm_koszul_witness(
     cfg: FacetOrderConfig,
     window: dict[Vector, int],
     characteristic: int = 0,
-    results: dict[Vector, CancellationResult] | None = None,
 ) -> dict:
     """Cohen-Macaulay witnesses per interval plus the Koszul diagonal check.
 
     An interval passes when homology is concentrated in top dimension and
     the cancelled Morse data kept one base vertex plus top cells only.
     """
-    zero = tuple([0] * pres.dimension)
-    results = dict(results or {})
+    table = tor_ranks(pres, window, characteristic)
     entries = []
     all_ok = True
     for lam in sorted(window):
-        cx = order_complex(pres, pres.interval(zero, lam))
-        betti = reduced_betti(cx, characteristic)
-        top = cx.dim
+        betti = table.interval_betti[lam]
+        top = len(betti) - 2  # the order complex's dimension
         concentrated = all(b == 0 for i, b in enumerate(betti, start=-1) if i < top)
-        if lam not in results:
-            results[lam] = cancel_interval(pres, lam, cfg, gb)
-        m = results[lam].morse_numbers()
+        m = cancel_interval(pres, lam, cfg, gb).morse_numbers()
         if top <= 0:
             witness = True  # zero-dimensional or empty: nothing to collapse
         else:
@@ -129,7 +114,6 @@ def cm_koszul_witness(
     if grading is None:
         notice = "NotStandardGraded: Koszul diagonal check skipped"
     else:
-        table = tor_ranks(pres, window, characteristic)
         koszul = all(
             window[lam] == i for (i, lam), v in table.ranks.items() if v and i >= 1
         )
@@ -142,20 +126,17 @@ def cm_koszul_witness(
     }
 
 
-def sharpness_report(
-    pres: SemigroupPresentation,
-    gb: GroebnerBasis,
-    window: dict[Vector, int],
-    characteristic: int = 0,
-) -> list[dict]:
-    """Multidegrees at the Groebner degree whose interval is disconnected."""
-    zero = tuple([0] * pres.dimension)
-    d = max(2, gb.degree)
+def sharpness_report(table: BettiTable, gb_degree: int, window: dict[Vector, int]) -> list[dict]:
+    """Multidegrees at the Groebner degree whose interval is disconnected.
+
+    b~_0 counts components, so a table over any field will do.
+    """
+    d = max(2, gb_degree)
     out = []
     for lam in sorted(window):
         if window[lam] != d:
             continue
-        betti = reduced_betti(order_complex(pres, pres.interval(zero, lam)), characteristic)
+        betti = table.interval_betti[lam]
         b0 = betti[1] if len(betti) > 1 else 0
         if b0 > 0:
             out.append({"multidegree": list(lam), "reduced_b0": b0})
@@ -176,36 +157,37 @@ def full_consistency_suite(
 
     Face-level work (matchings, cancellation, path certificates) runs on
     intervals up to deep_degree (default max_degree capped at 4); label and
-    homology level checks cover the whole window.
+    homology level checks cover the whole window.  Each multidegree's
+    Betti numbers come from one `tor_tables` pass over the requested fields
+    plus Q, and each deep multidegree is cancelled once.
     """
-    zero = tuple([0] * pres.dimension)
     window = pres.degree_window(max_degree)
     deep = deep_degree if deep_degree is not None else min(max_degree, 4)
     deep_window = {lam: d for lam, d in window.items() if d <= deep}
+    tables = tor_tables(pres, window, tuple(dict.fromkeys((*characteristics, 0))))
+    rational = tables[0]
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
 
     results: dict[Vector, CancellationResult] = {}
-    crossing_ok = True
     charact_ok = True
     ineq_ok = True
     euler_ok = True
     for lam in sorted(deep_window):
-        ivl = pres.interval(zero, lam)
-        facets = ordered_facets(ivl, cfg)
-        crossing_ok = crossing_ok and bool(check_crossing_condition(facets))
-        charact_ok = charact_ok and characterization_matches_direct(pres, gb, cfg, lam)
         res = cancel_interval(pres, lam, cfg, gb, path_cap)
         results[lam] = res
-        cmp = morse_vs_betti(res, reduced_betti(order_complex(pres, ivl), 0))
+        # direct_interval_system raises CrossingViolation if the crossing
+        # condition fails, so a completed loop also certifies it
+        charact_ok = charact_ok and characterization_matches_direct(res.matching)
+        cmp = morse_vs_betti(res, rational.interval_betti[lam])
         ineq_ok = ineq_ok and cmp["inequality_ok"]
         euler_ok = euler_ok and cmp["euler_ok"]
-    checks["crossing_condition"] = crossing_ok
+    checks["crossing_condition"] = True
     checks["characterization_equals_direct"] = charact_ok
     checks["morse_inequalities"] = ineq_ok
     checks["euler_identity"] = euler_ok
 
-    vanishing = verify_vanishing(pres, gb.degree, window, characteristics)
+    vanishing = verify_vanishing({c: tables[c] for c in characteristics}, gb.degree, window)
     checks["vanishing_bound"] = vanishing["ok"]
     details["vanishing"] = vanishing
 
@@ -218,7 +200,7 @@ def full_consistency_suite(
     }
     survivor_words: set[tuple[int, ...]] = set()
     bijection_ok = True
-    by_content = survivor_words_by_content(pres, gb, cfg, max_degree)
+    by_content = survivor_words_by_content(pres, gb, cfg, max_degree, path_cap)
     for content, words in by_content.items():
         survivor_words.update(tuple(reversed(w)) for w in words)
         if gb.degree <= 2:
@@ -252,24 +234,18 @@ def full_consistency_suite(
         details["fiber_level_survivors"] = len(deep_fiber)
     details["deep_accepted_words"] = len({w for w in accepted if len(w) <= deep})
 
-    resolution_ok = True
-    try:
-        data = morse_boundary(pres, gb, cfg, deep_window, results, path_cap)
-        table = tor_ranks(pres, deep_window, 0)
-        morse_side = {k: v for k, v in data.tor.items() if k[0] >= 1}
-        oracle_side = {k: v for k, v in table.ranks.items() if k[0] >= 1}
-        if gb.degree <= 2:
-            resolution_ok = morse_side == oracle_side
-        else:
-            resolution_ok = all(
-                morse_side.get(k, 0) >= v for k, v in oracle_side.items()
-            )
-    except Exception:  # pragma: no cover - surfaced as a failed check
-        resolution_ok = False
-        raise
+    data = morse_boundary(pres, gb, results)
+    morse_side = {k: v for k, v in data.tor.items() if k[0] >= 1}
+    oracle_side = {
+        (i, lam): v for (i, lam), v in rational.ranks.items() if i >= 1 and lam in deep_window
+    }
+    if gb.degree <= 2:
+        resolution_ok = morse_side == oracle_side
+    else:
+        resolution_ok = all(morse_side.get(k, 0) >= v for k, v in oracle_side.items())
     checks["resolution_" + ("minimal" if gb.degree <= 2 else "bounds")] = resolution_ok
 
-    details["sharpness_witnesses"] = sharpness_report(pres, gb, window)
+    details["sharpness_witnesses"] = sharpness_report(rational, gb.degree, window)
     return {"checks": checks, "ok": all(checks.values()), "details": details}
 
 

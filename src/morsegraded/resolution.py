@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cancellation import CancellationResult, cancel_interval
-from .chains import FacetOrderConfig
+from .cancellation import CancellationResult
 from .errors import InternalInvariantError
 from .groebner import GroebnerBasis
 from .morse import FaceMatching
@@ -52,29 +51,19 @@ def _grade(chain: Chain, zero: Vector) -> Vector:
 def morse_boundary(
     pres: SemigroupPresentation,
     gb: GroebnerBasis,
-    cfg: FacetOrderConfig,
-    window: dict[Vector, int],
-    results: dict[Vector, CancellationResult] | None = None,
-    path_cap: int = 10_000,
-    expect_minimal: bool | None = None,
+    results: dict[Vector, CancellationResult],
 ) -> ResolutionData:
-    """Assemble the window's cellular resolution from cancelled intervals.
+    """Assemble the cellular resolution of the cancelled intervals `results`.
 
-    results may carry precomputed per-interval cancellations; missing
-    entries are computed here.  Unit incidences are a hard error exactly
-    when minimality is promised (quadratic bases) and a recorded finding
-    otherwise.
+    results maps each multidegree of a degree window to its cancellation.
+    Unit incidences are a hard error exactly when minimality is promised
+    (quadratic bases) and a recorded finding otherwise.
     """
-    if expect_minimal is None:
-        expect_minimal = gb.degree <= 2
     zero = tuple([0] * pres.dimension)
     partner: dict[Chain, Chain] = {}
     critical: dict[Chain, Vector] = {(): zero}
-    results = dict(results or {})
 
-    for lam in sorted(window):
-        if lam not in results:
-            results[lam] = cancel_interval(pres, lam, cfg, gb, path_cap)
+    for lam in sorted(results):
         res = results[lam]
         fm: FaceMatching = res.matching
         for mask, other in fm.partner.items():
@@ -158,7 +147,7 @@ def morse_boundary(
                 differentials.setdefault(i, {})[(chain, tgt)] = coeff
 
     units = _unit_incidences(differentials, zero)
-    if units and expect_minimal:
+    if units and gb.degree <= 2:
         raise InternalInvariantError(
             f"unit incidence between equal multidegrees: {units[0][0]} -> {units[0][1]}"
         )

@@ -139,22 +139,20 @@ class SemigroupPresentation:
     def factorizations(self, lam: Vector) -> tuple[tuple[int, ...], ...]:
         """All multisets of generator indices summing to lam, as sorted tuples.
 
-        Empty for lam outside the semigroup.
+        Empty for lam outside the semigroup.  Depth-first with an explicit
+        stack, so deep multidegrees do not meet the recursion limit.
         """
         out: list[tuple[int, ...]] = []
-
-        def rec(target: Vector, start: int, acc: list[int]):
-            if all(c == 0 for c in target):
-                out.append(tuple(acc))
-                return
-            for i in range(start, self.n):
+        stack: list[tuple[Vector, tuple[int, ...]]] = [(lam, ())]
+        while stack:
+            target, acc = stack.pop()
+            if not any(target):
+                out.append(acc)
+                continue
+            for i in range(acc[-1] if acc else 0, self.n):
                 g = self.generators[i]
                 if vec_dominates(target, g) and self.member(vec_sub(target, g)):
-                    acc.append(i)
-                    rec(vec_sub(target, g), i, acc)
-                    acc.pop()
-
-        rec(lam, 0, [])
+                    stack.append((vec_sub(target, g), acc + (i,)))
         return tuple(sorted(out))
 
     def degree(self, lam: Vector) -> int:

@@ -9,8 +9,6 @@ from morsegraded.cancellation import (
     cancel_interval,
     cancel_quadratic,
     check_321_uniqueness,
-    commutation_table,
-    count_gradient_paths,
     enumerate_gradient_paths,
     fiber_survivor_words,
     is_321_avoiding,
@@ -236,7 +234,7 @@ def test_321_pairs_have_at_most_two_paths(cyclic3):
                     continue
                 if is_321_avoiding(transforming_permutation(hi, lo)):
                     continue
-                n = count_gradient_paths(fm, masks[hi], masks[lo])
+                n = len(enumerate_gradient_paths(fm, masks[hi], masks[lo]))
                 assert n <= 2, (lam, hi, lo, n)
                 if n:
                     found.append((lam, hi, lo, n))
@@ -248,7 +246,7 @@ def test_321_pairs_have_at_most_two_paths(cyclic3):
 def test_full_reversal_pair_has_two_paths(cyclic3):
     fm = cyclic3.matching((1, 1, 1, 1, 1, 1))
     masks = mask_map(fm)
-    assert count_gradient_paths(fm, masks[(5, 4, 3)], masks[(3, 4, 5)]) == 2
+    assert len(enumerate_gradient_paths(fm, masks[(5, 4, 3)], masks[(3, 4, 5)])) == 2
 
 
 def test_unique_by_theorem_pairs_verified_by_enumeration(squares, pair_swap):
@@ -289,6 +287,30 @@ def test_survivor_words_by_content_window(squares):
     assert table[(0, 1)] == [(1, 0)]
 
 
+def test_fallback_honours_path_cap(monkeypatch):
+    # relations sharing variables strand a cell at degree 4, so that content
+    # falls back to the face-level engine, which must get the caller's cap
+    import morsegraded.cancellation as cancellation
+    from morsegraded.chains import FacetOrderConfig
+    from morsegraded.groebner import buchberger, default_cap, toric_ideal_basis
+    from morsegraded.orders import TermOrder
+    from morsegraded.semigroup import SemigroupPresentation
+
+    pres = SemigroupPresentation(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
+    order = TermOrder(pres.n)
+    gb = buchberger(toric_ideal_basis(pres, default_cap(pres, 4)), order)
+    caps = []
+    original = cancellation.cancel_interval
+
+    def spy(pres, lam, cfg, gb, path_cap=cancellation.DEFAULT_PATH_CAP):
+        caps.append(path_cap)
+        return original(pres, lam, cfg, gb, path_cap)
+
+    monkeypatch.setattr(cancellation, "cancel_interval", spy)
+    survivor_words_by_content(pres, gb, FacetOrderConfig(order), 4, 777)
+    assert caps == [777]
+
+
 def test_label_cell_dimensions(squares):
     assert label_cell(squares.gb, squares.cfg, (1, 2, 3, 4)).dimension == 0
     assert label_cell(squares.gb, squares.cfg, (4, 3, 2, 1)).dimension == 2
@@ -297,7 +319,7 @@ def test_label_cell_dimensions(squares):
 
 
 def test_commutation_table(squares):
-    table = commutation_table(squares.gb)
+    table = squares.gb.commutes
     assert not table[1][4] and not table[4][1]
     assert table[0][0] and table[2][3] and table[1][2]
 

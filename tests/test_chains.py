@@ -3,13 +3,18 @@
 import random
 from math import factorial
 
+import pytest
+
 from morsegraded.chains import (
+    CrossingReport,
     Facet,
     check_crossing_condition,
     is_least_content_increasing,
     ordered_facets,
     saturated_chains,
 )
+from morsegraded.errors import CrossingViolation
+from morsegraded.morse import direct_interval_system
 
 
 def expected_chain_count(pres, lam):
@@ -102,6 +107,72 @@ def test_scrambled_order_violates_crossing(squares):
     assert found is not None
     assert found.facet is not None and found.earlier is not None
     assert len(found.skipped) >= 2
+
+
+def reference_crossing(facets):
+    """The exhaustive O(F^3) check: every disconnected overlap of a facet
+    with an earlier one must be strictly inside another earlier overlap."""
+
+    def overlap(f, g):
+        shared = set(g.interior)
+        return tuple(r for r, e in enumerate(f.interior, start=1) if e in shared)
+
+    for j, f in enumerate(facets):
+        full = set(range(1, len(f.interior) + 1))
+        for i in range(j):
+            shared = overlap(f, facets[i])
+            skipped = tuple(sorted(full - set(shared)))
+            if all(b == a + 1 for a, b in zip(skipped, skipped[1:])):
+                continue
+            if not any(
+                set(shared) < set(overlap(f, facets[k])) for k in range(j) if k != i
+            ):
+                return CrossingReport(False, f, facets[i], skipped)
+    return CrossingReport(True)
+
+
+def violates_direct(facets):
+    try:
+        for j in range(len(facets)):
+            direct_interval_system(facets, j)
+    except CrossingViolation:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("squares", (2, 2, 1, 1)),
+    ("minor", (2, 2, 2, 2)),
+    ("pair_swap", (2, 2, 1, 1, 0)),
+    ("cyclic3", (0, 0, 2, 1, 2, 3)),
+])
+def test_crossing_check_matches_exhaustive_reference(name, lam, request):
+    ring = request.getfixturevalue(name)
+    facets = ordered_facets(ring.interval(lam), ring.cfg)
+    rng = random.Random(f"crossing/{name}")
+    orders = [facets] + [rng.sample(facets, len(facets)) for _ in range(12)]
+    verdicts = set()
+    for order in orders:
+        report = check_crossing_condition(order)
+        assert report == reference_crossing(order), (name, [f.labels for f in order])
+        assert violates_direct(order) == (not report.ok)
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}
+
+
+def test_crossing_check_reports_earliest_violating_facet():
+    # two earlier facets, each sharing a disconnected rank set with the last
+    # and neither inside the other: the report names the earlier one
+    last = Facet((0,) * 6, ((1,), (2,), (3,), (4,), (5,)))
+    odd = Facet((1,) * 6, ((1,), (9,), (3,), (8,), (5,)))
+    even = Facet((2,) * 6, ((7,), (2,), (6,), (4,), (10,)))
+    for order, earlier, skipped in (
+        ([odd, even, last], odd, (2, 4)),
+        ([even, odd, last], even, (1, 3, 5)),
+    ):
+        report = check_crossing_condition(order)
+        assert report == reference_crossing(order) == CrossingReport(False, last, earlier, skipped)
+        assert violates_direct(order)
 
 
 def test_least_content_increasing_default_order(squares):

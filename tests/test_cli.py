@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from morsegraded.errors import InvalidBasis, ParseError
-from morsegraded.io import RunConfig, canonical_json, parse_input, thread_cap_from_env
+from morsegraded.io import RunConfig, canonical_json, parse_input
 from morsegraded.cli import main, run_command
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -54,16 +54,6 @@ def test_run_config_validation():
         RunConfig(input_path="x", command="gb", degree_window=0)
     cfg = RunConfig(input_path="x", command="gb")
     assert cfg.echo()["command"] == "gb"
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("MORSEGRADED_THREADS", raising=False)
-    assert thread_cap_from_env() == 1
-    monkeypatch.setenv("MORSEGRADED_THREADS", "4")
-    assert thread_cap_from_env() == 4
-    monkeypatch.setenv("MORSEGRADED_THREADS", "zero")
-    with pytest.raises(Exception):
-        thread_cap_from_env()
 
 
 def test_gb_command():
@@ -162,6 +152,40 @@ def test_exit_code_non_prime_field(field, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_exit_code_repeated_field(capsys):
+    # a repeated field would count every check, and list every violation, twice
+    argv = ["--input", str(FIXTURES / "minor.json"), "--command", "verify-bounds"]
+    code = main(argv + ["--field", "2", "--field", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_exit_code_tsv_outside_betti(capsys):
+    code = main(["--input", str(FIXTURES / "minor.json"), "--command", "gb", "--format", "tsv"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+def test_config_echo_keys():
+    cfg = RunConfig(input_path="x", command="gb")
+    assert sorted(cfg.echo()) == [
+        "cap", "command", "degree_window", "fields", "format", "input", "path_cap", "state_budget",
+    ]
+
+
+def test_deep_numerical_interval(tmp_path, capsys):
+    # 1500 cover steps: factorizations must not recurse once per step
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"dimension": 1, "generators": [[1]], "targets": [[1500]]}')
+    assert main(["--input", str(doc), "--command", "interval"]) == 0
+    entry = json.loads(capsys.readouterr().out)["report"]["intervals"][0]
+    assert entry["degree"] == 1500
+    assert entry["factorizations"] == [[0] * 1500]
+    assert entry["elements"] == 1501
 
 
 MALFORMED = {

@@ -10,7 +10,7 @@ from morsegraded.pipeline import (
     sharpness_report,
 )
 from morsegraded.cancellation import cancel_interval
-from morsegraded.homology import order_complex, reduced_betti
+from morsegraded.homology import order_complex, reduced_betti, tor_ranks
 
 
 def test_cm_koszul_witness_squares(squares):
@@ -44,7 +44,7 @@ def test_koszul_check_skipped_without_grading():
 def test_sharpness_report_entries(minor, cyclic3):
     for ring, lam in ((minor, (1, 1, 1, 1)), (cyclic3, (1, 1, 1, 1, 1, 1))):
         window = ring.pres.degree_window(ring.gb.degree)
-        entries = sharpness_report(ring.pres, ring.gb, window)
+        entries = sharpness_report(tor_ranks(ring.pres, window, 2), ring.gb.degree, window)
         assert any(tuple(e["multidegree"]) == lam for e in entries)
 
 
@@ -61,9 +61,27 @@ def test_full_suite_cyclic3(cyclic3):
     assert out["details"]["sharpness_witnesses"]
 
 
+def test_full_suite_builds_one_order_complex_per_multidegree(squares, monkeypatch):
+    import morsegraded.homology as homology
+    import morsegraded.pipeline as pipeline
+
+    built = []
+    original = homology.order_complex
+
+    def spy(*args):
+        built.append(args[-1].top)
+        return original(*args)
+
+    for module in (homology, pipeline):
+        if getattr(module, "order_complex", None) is original:
+            monkeypatch.setattr(module, "order_complex", spy)
+    full_consistency_suite(squares.pres, squares.gb, squares.cfg, 4)
+    assert sorted(built) == sorted(squares.pres.degree_window(4))
+
+
 def test_morse_vs_betti_shapes(squares):
     res = cancel_interval(squares.pres, (2, 2, 1, 1), squares.cfg, squares.gb)
-    betti = reduced_betti(order_complex(squares.pres, squares.interval((2, 2, 1, 1))), 0)
+    betti = reduced_betti(order_complex(squares.interval((2, 2, 1, 1))), 0)
     cmp = morse_vs_betti(res, betti)
     assert cmp["inequality_ok"] and cmp["euler_ok"]
     assert cmp["euler_morse"] == 3
@@ -71,7 +89,7 @@ def test_morse_vs_betti_shapes(squares):
 
 
 def test_characterization_helper(squares):
-    assert characterization_matches_direct(squares.pres, squares.gb, squares.cfg, (2, 2, 1, 1))
+    assert characterization_matches_direct(squares.matching((2, 2, 1, 1)))
 
 
 def test_witnessed_membership(squares):

@@ -80,7 +80,7 @@ def test_sampled_morse_inequalities(sampled):
             ivl = pres.interval(zero, lam)
             fm = build_face_matching(ivl, cfg, gb)
             m = morse_numbers(fm.cells())
-            betti = reduced_betti(order_complex(pres, ivl), 0)
+            betti = reduced_betti(order_complex(ivl), 0)
             padded = {i: b for i, b in enumerate(betti, start=-1)}
             # reduced comparison: the base cell stands in for the empty face
             assert m.get(-1, 0) >= padded.get(-1, 0)
@@ -94,7 +94,7 @@ def test_sampled_field_independence(sampled, reference_betti):
         zero = tuple([0] * pres.dimension)
         window = sorted(pres.degree_window(3))
         for lam in window[:15]:
-            cx = order_complex(pres, pres.interval(zero, lam))
+            cx = order_complex(pres.interval(zero, lam))
             b0 = reference_betti(cx, 0)
             assert b0 == reduced_betti(cx, 2) == reduced_betti(cx, 3)
 
@@ -134,7 +134,7 @@ def test_cleared_certified_betti_match_references(monkeypatch, reference_betti):
         zero = tuple([0] * pres.dimension)
         declined[name] = 0
         for lam in sorted(pres.degree_window(degree)):
-            cx = order_complex(pres, pres.interval(zero, lam))
+            cx = order_complex(pres.interval(zero, lam))
             got = betti_numbers(cx, fields)
             for p in fields:
                 assert got[p] == reference_betti(cx, p), (name, lam, p)

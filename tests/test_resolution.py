@@ -1,12 +1,18 @@
 """Boundary maps of the cancelled complex: minimality and exactness data."""
 
+from morsegraded.cancellation import cancel_interval
 from morsegraded.homology import tor_ranks
 from morsegraded.resolution import morse_boundary
 
 
+def resolve(ring, window):
+    results = {lam: cancel_interval(ring.pres, lam, ring.cfg, ring.gb) for lam in window}
+    return morse_boundary(ring.pres, ring.gb, results)
+
+
 def build(ring, depth):
     window = ring.pres.degree_window(depth)
-    return window, morse_boundary(ring.pres, ring.gb, ring.cfg, window)
+    return window, resolve(ring, window)
 
 
 def test_squares_resolution_matches_oracle(squares):
@@ -69,7 +75,7 @@ def test_cyclic3_resolution_dominates_oracle(cyclic3):
     window = {
         lam: d for lam, d in cyclic3.pres.degree_window(3).items()
     }
-    data = morse_boundary(cyclic3.pres, cyclic3.gb, cyclic3.cfg, window)
+    data = resolve(cyclic3, window)
     table = tor_ranks(cyclic3.pres, window, 0)
     for k, v in table.ranks.items():
         if k[0] >= 1:
@@ -80,7 +86,7 @@ def test_degree3_equal_content_pairs_cancel_in_boundary(cyclic3):
     # two gradient paths with opposite signs: net incidence zero between
     # equal-content survivors (their grades coincide, so minimality covers it)
     window = {lam: d for lam, d in cyclic3.pres.degree_window(3).items() if d <= 3}
-    data = morse_boundary(cyclic3.pres, cyclic3.gb, cyclic3.cfg, window)
+    data = resolve(cyclic3, window)
     zero = cyclic3.zero
     for rows in data.differentials.values():
         for (hi, lo), coeff in rows.items():
