@@ -59,9 +59,8 @@ from .cancellation import (
     CriticalMultigraph,
     GradientPath,
     NonEssentialSet,
-    cancel_degree_d,
+    cancel_cells,
     cancel_interval,
-    cancel_quadratic,
     check_321_uniqueness,
     critical_multigraph,
     enumerate_gradient_paths,

@@ -20,12 +20,14 @@ from .errors import (
     UnmatchedUnsaturatedCell,
 )
 from .groebner import GroebnerBasis
+from .homology import below_vanishing_bound
 from .morse import (
     CriticalCell,
     FaceMatching,
     build_face_matching,
     covers_all_ranks,
     labels_contribute,
+    morse_numbers,
     msi_characterization,
     truncate_to_j_intervals,
     verify_acyclic,
@@ -46,13 +48,18 @@ class GradientPath:
     cells: tuple[int, ...]
 
 
-def enumerate_gradient_paths(
-    fm: FaceMatching, tau_mask: int, sigma_mask: int, cap: int = DEFAULT_PATH_CAP
-) -> list[GradientPath]:
-    """Exhaustive DFS over the modified Hasse digraph; complete below cap."""
-    if fm.dim(tau_mask) != fm.dim(sigma_mask) + 1:
-        raise InternalInvariantError("gradient paths need consecutive dimensions")
-    paths: list[GradientPath] = []
+def gradient_paths_from(
+    fm: FaceMatching, tau_mask: int, targets, cap: int = DEFAULT_PATH_CAP
+) -> dict[int, list[GradientPath]]:
+    """Gradient paths from tau to each target mask, sorted per target.
+
+    Exhaustive DFS over the modified Hasse digraph: drop one element, then
+    climb the matching edge of the face below if it has one.  A target ends
+    its branch.  Critical cells are unmatched, so they end every branch
+    anyway, and one traversal finds the paths to all critical targets at
+    once.  Complete below cap paths per target.
+    """
+    found: dict[int, list[GradientPath]] = {}
     stack: list[tuple[int, tuple[int, ...]]] = [(tau_mask, (tau_mask,))]
     while stack:
         x, trail = stack.pop()
@@ -63,16 +70,27 @@ def enumerate_gradient_paths(
             y = x ^ bit
             if not y:
                 continue
-            if y == sigma_mask:
+            if y in targets:
+                paths = found.setdefault(y, [])
                 paths.append(GradientPath(trail + (y,)))
                 if len(paths) > cap:
-                    raise PathCapExceeded(cap, tau_mask, sigma_mask)
+                    raise PathCapExceeded(cap, tau_mask, y)
                 continue
             up = fm.partner.get(y)
             if up is not None and fm.dim(up) == fm.dim(y) + 1 and up != x:
                 stack.append((up, trail + (y, up)))
-    paths.sort(key=lambda p: p.cells)
-    return paths
+    for paths in found.values():
+        paths.sort(key=lambda p: p.cells)
+    return found
+
+
+def enumerate_gradient_paths(
+    fm: FaceMatching, tau_mask: int, sigma_mask: int, cap: int = DEFAULT_PATH_CAP
+) -> list[GradientPath]:
+    """Every gradient path from tau down to sigma; complete below cap."""
+    if fm.dim(tau_mask) != fm.dim(sigma_mask) + 1:
+        raise InternalInvariantError("gradient paths need consecutive dimensions")
+    return gradient_paths_from(fm, tau_mask, (sigma_mask,), cap).get(sigma_mask, [])
 
 
 # -- 321-avoidance and theorem-backed uniqueness -------------------------------
@@ -317,17 +335,20 @@ def witnessed_non_essential_sets(
     return out
 
 
-def expanding_interval(sets: list[NonEssentialSet]) -> NonEssentialSet | None:
-    """The highest window with a nonempty non-essential set."""
-    live = [s for s in sets if s.members]
+def pivot_partner(gb: GroebnerBasis, cfg: FacetOrderConfig, word) -> tuple[int, ...] | None:
+    """The word the pivot rule pairs with word, or None.
+
+    The expanding interval is the highest window with a nonempty
+    non-essential set.  Its pivot is the member with the smallest label,
+    which sits highest among the stacked-out positions, and the partner is
+    word with the pivot shifted across the window boundary.
+    """
+    live = [s for s in non_essential_sets(gb, cfg, word) if s.members]
     if not live:
         return None
-    return max(live, key=lambda s: (s.window.start, s.window.end))
-
-
-def pivot_member(nes: NonEssentialSet, cfg: FacetOrderConfig) -> ShiftMember:
-    # smallest label sits highest among the stacked-out positions
-    return min(nes.members, key=lambda m: cfg.order.label_rank[m.label])
+    expanding = max(live, key=lambda s: (s.window.start, s.window.end))
+    rank = cfg.order.label_rank
+    return min(expanding.members, key=lambda m: rank[m.label]).partner_labels
 
 
 # -- label-level critical cells -------------------------------------------------
@@ -415,10 +436,7 @@ class CancellationResult:
         return sorted(out)
 
     def morse_numbers(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for c in self.survivors:
-            out[c.dimension] = out.get(c.dimension, 0) + 1
-        return dict(sorted(out.items()))
+        return morse_numbers(self.survivors)
 
 
 def _cell_sort_key(cfg: FacetOrderConfig):
@@ -433,17 +451,41 @@ def _cell_sort_key(cfg: FacetOrderConfig):
     return key
 
 
-def _fiber_acyclic(matched: dict, edges: dict) -> bool:
+Pair = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _path_table(fm: FaceMatching, cells, path_cap: int) -> dict[Pair, list[GradientPath]]:
+    """Gradient paths between critical cells of equal content one dimension
+    apart, keyed by (upper labels, lower labels); pairs without a path are
+    left out.  One traversal per upper cell reaches all its lower cells."""
+    mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
+    by_content: dict[tuple[int, ...], list[CriticalCell]] = {}
+    for c in cells:
+        by_content.setdefault(tuple(sorted(c.facet.labels)), []).append(c)
+    table: dict[Pair, list[GradientPath]] = {}
+    for group in by_content.values():
+        for hi in group:
+            below = {
+                mask_of[lo.facet.labels]: lo for lo in group if lo.dimension + 1 == hi.dimension
+            }
+            if not below:
+                continue
+            found = gradient_paths_from(fm, mask_of[hi.facet.labels], below, path_cap)
+            for lm, lo in below.items():
+                if lm in found:
+                    table[(hi.facet.labels, lo.facet.labels)] = found[lm]
+    return table
+
+
+def _fiber_acyclic(matched: dict, table: dict[Pair, list[GradientPath]]) -> bool:
     """Toposort the critical multigraph with matched edges reversed."""
     nodes = set()
-    for hi, lo in edges:
+    for hi, lo in table:
         nodes.add(hi)
         nodes.add(lo)
     succ = {v: [] for v in nodes}
     indeg = {v: 0 for v in nodes}
-    for (hi, lo), count in edges.items():
-        if count == 0:
-            continue
+    for hi, lo in table:
         if matched.get(lo) == hi:
             succ[lo].append(hi)
             indeg[hi] += 1
@@ -462,7 +504,7 @@ def _fiber_acyclic(matched: dict, edges: dict) -> bool:
     return seen == len(nodes)
 
 
-def _apply_reversals(fm: FaceMatching, chosen: list[tuple[int, int, GradientPath]]):
+def _apply_reversals(fm: FaceMatching, chosen: list[GradientPath]):
     partner = dict(fm.partner)
     removed: set[tuple[int, int]] = set()
     added: dict[int, int] = {}
@@ -481,7 +523,7 @@ def _apply_reversals(fm: FaceMatching, chosen: list[tuple[int, int, GradientPath
         added[a] = b
         added[b] = a
 
-    for tau, sigma, path in chosen:
+    for path in chosen:
         cells = path.cells
         k = len(cells) // 2
         for i in range(1, k):
@@ -493,38 +535,44 @@ def _apply_reversals(fm: FaceMatching, chosen: list[tuple[int, int, GradientPath
         fm.ivl, fm.cfg, fm.facets, fm.systems, fm.j_systems, dict(fm.owner), partner,
         dict(fm.critical), fm.empty_cell,
     )
-    cancelled = {c[0] for c in chosen} | {c[1] for c in chosen}
+    cancelled = {p.cells[0] for p in chosen} | {p.cells[-1] for p in chosen}
     out.critical = {m: c for m, c in fm.critical.items() if m not in cancelled}
     return out
 
 
 def cancel_cells(
-    fm: FaceMatching,
-    gb: GroebnerBasis,
-    path_cap: int = DEFAULT_PATH_CAP,
-    dim_bound_num: tuple[int, int] | None = None,
-    require_complete: bool = False,
+    fm: FaceMatching, gb: GroebnerBasis, path_cap: int = DEFAULT_PATH_CAP
 ) -> CancellationResult:
-    """Shared cancellation engine over a built face matching.
+    """The cancellation engine over a built face matching.
 
-    dim_bound_num carries (deg(lambda) - 1, d - 1) so the degree-d residual
-    test 'dimension < -1 + (deg-1)/(d-1)' stays in exact arithmetic; the
-    quadratic caller instead sets require_complete and expects no
-    unsaturated survivor at all.
+    The pivot rule pairs what it can, then a certified greedy pass pairs the
+    cells the basis calls stranded.  For a basis of degree <= 2 a stranded
+    cell keeps a syzygy window with interior, and none may survive.  For
+    degree d >= 3 it sits below the vanishing bound -1 + (deg - 1)/(d - 1),
+    deg the length of a shortest saturated chain, and survivors of that
+    kind are reported as residual low cells.
     """
     cfg = fm.cfg
+    complete = gb.degree <= 2
+    d = max(2, gb.degree)
+    deg = min((len(f) for f in fm.facets), default=0)
+
+    def stranded(cell: CriticalCell) -> bool:
+        if complete:
+            return _has_interior_window(gb, cfg, cell.facet.labels)
+        return below_vanishing_bound(cell.dimension, deg, d)
+
     notes: list[str] = []
     cells = [c for c in fm.critical.values() if not c.is_base and c.dimension >= 0]
     cells.sort(key=_cell_sort_key(cfg))
-    mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
+    table = _path_table(fm, cells, path_cap)
     by_labels = {c.facet.labels: c for c in cells}
     matched: dict[tuple[int, ...], tuple[int, ...]] = {}
-    chosen: list[tuple[int, int, GradientPath]] = []
+    chosen: list[GradientPath] = []
     pairs: list[MatchedPair] = []
 
     def certify(hi: CriticalCell, lo: CriticalCell, rule: str):
-        hm, lm = mask_of[hi.facet.labels], mask_of[lo.facet.labels]
-        found = enumerate_gradient_paths(fm, hm, lm, path_cap)
+        found = table.get((hi.facet.labels, lo.facet.labels), [])
         if len(found) != 1:
             raise InternalInvariantError(
                 f"matched pair {hi.facet.labels} / {lo.facet.labels} has "
@@ -533,7 +581,7 @@ def cancel_cells(
         status = check_321_uniqueness(cfg, hi.facet.labels, lo.facet.labels)
         matched[hi.facet.labels] = lo.facet.labels
         matched[lo.facet.labels] = hi.facet.labels
-        chosen.append((hm, lm, found[0]))
+        chosen.append(found[0])
         pairs.append(
             MatchedPair(hi.facet.labels, lo.facet.labels, rule, 1, status, found[0])
         )
@@ -542,17 +590,14 @@ def cancel_cells(
     for cell in cells:
         if cell.facet.labels in matched:
             continue
-        nes = non_essential_sets(gb, cfg, cell.facet.labels)
-        target = expanding_interval(nes)
-        if target is None:
+        other = pivot_partner(gb, cfg, cell.facet.labels)
+        if other is None:
             continue
-        pivot = pivot_member(target, cfg)
-        partner = by_labels.get(pivot.partner_labels)
-        if partner is None or partner.facet.labels in matched:
+        partner = by_labels.get(other)
+        if partner is None or other in matched:
             notes.append(f"pivot partner unavailable for {cell.facet.labels}")
             continue
-        back = expanding_interval(non_essential_sets(gb, cfg, partner.facet.labels))
-        if back is None or pivot_member(back, cfg).partner_labels != cell.facet.labels:
+        if pivot_partner(gb, cfg, other) != cell.facet.labels:
             notes.append(f"pivot not mutual for {cell.facet.labels}")
             continue
         if abs(cell.dimension - partner.dimension) != 1:
@@ -563,18 +608,8 @@ def cancel_cells(
         certify(hi, lo, "expanding-interval pivot")
 
     # fallback: certified greedy pairing for whatever the rules left behind
-    edges = _fiber_edges(fm, cells, mask_of, path_cap)
-
-    def wanted(cell: CriticalCell) -> bool:
-        if require_complete:
-            return _has_interior_window(gb, cfg, cell.facet.labels)
-        if dim_bound_num is None:
-            return False
-        num, den = dim_bound_num
-        return (cell.dimension + 1) * den < num
-
     for cell in cells:
-        if cell.facet.labels in matched or not wanted(cell):
+        if cell.facet.labels in matched or not stranded(cell):
             continue
         for partner in cells:
             if (
@@ -585,14 +620,11 @@ def cancel_cells(
             ):
                 continue
             hi, lo = (cell, partner) if cell.dimension > partner.dimension else (partner, cell)
-            found = enumerate_gradient_paths(
-                fm, mask_of[hi.facet.labels], mask_of[lo.facet.labels], path_cap
-            )
-            if len(found) != 1:
+            if len(table.get((hi.facet.labels, lo.facet.labels), [])) != 1:
                 continue
             trial = dict(matched)
             trial[lo.facet.labels] = hi.facet.labels
-            if not _fiber_acyclic(trial, edges):
+            if not _fiber_acyclic(trial, table):
                 continue
             certify(hi, lo, "greedy certified")
             break
@@ -600,26 +632,18 @@ def cancel_cells(
     low_matched = {
         lo: hi for lo, hi in matched.items() if by_labels[lo].dimension < by_labels[hi].dimension
     }
-    if not _fiber_acyclic(low_matched, edges):
+    if not _fiber_acyclic(low_matched, table):
         raise InternalInvariantError("critical multigraph matching has a cycle")
 
     new_fm = _apply_reversals(fm, chosen)
     if not verify_acyclic(new_fm):
         raise InternalInvariantError("reversed matching is not acyclic")
     survivors = new_fm.cells()
-
-    residual = []
-    for c in survivors:
-        if c.is_base or c.dimension < 0:
-            continue
-        if require_complete and _has_interior_window(gb, cfg, c.facet.labels):
-            raise UnmatchedUnsaturatedCell(
-                f"cell {c.facet.labels} kept a syzygy interval with interior"
-            )
-        if dim_bound_num is not None:
-            num, den = dim_bound_num
-            if (c.dimension + 1) * den < num:
-                residual.append(c)
+    residual = [c for c in survivors if not c.is_base and c.dimension >= 0 and stranded(c)]
+    if complete and residual:
+        raise UnmatchedUnsaturatedCell(
+            f"cell {residual[0].facet.labels} kept a syzygy interval with interior"
+        )
     return CancellationResult(new_fm, survivors, pairs, residual, notes)
 
 
@@ -629,7 +653,7 @@ class CriticalMultigraph:
     dimensions of equal content."""
 
     vertices: tuple[tuple[int, ...], ...]
-    edges: dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+    edges: dict[Pair, int]
 
     def multiplicity(self, hi, lo) -> int:
         return self.edges.get((tuple(hi), tuple(lo)), 0)
@@ -637,49 +661,11 @@ class CriticalMultigraph:
 
 def critical_multigraph(fm: FaceMatching, path_cap: int = DEFAULT_PATH_CAP) -> CriticalMultigraph:
     cells = [c for c in fm.critical.values() if not c.is_base and c.dimension >= 0]
-    mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
-    edges = _fiber_edges(fm, cells, mask_of, path_cap)
-    return CriticalMultigraph(tuple(sorted(c.facet.labels for c in cells)), dict(edges))
-
-
-def _fiber_edges(fm, cells, mask_of, path_cap):
-    """Path counts between same-content consecutive-dimension cells."""
-    edges: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    by_content: dict[tuple[int, ...], list[CriticalCell]] = {}
-    for c in cells:
-        by_content.setdefault(tuple(sorted(c.facet.labels)), []).append(c)
-    for group in by_content.values():
-        for hi in group:
-            for lo in group:
-                if hi.dimension != lo.dimension + 1:
-                    continue
-                count = len(
-                    enumerate_gradient_paths(
-                        fm, mask_of[hi.facet.labels], mask_of[lo.facet.labels], path_cap
-                    )
-                )
-                if count:
-                    edges[(hi.facet.labels, lo.facet.labels)] = count
-    return edges
-
-
-def cancel_quadratic(
-    fm: FaceMatching, gb: GroebnerBasis, path_cap: int = DEFAULT_PATH_CAP
-) -> CancellationResult:
-    if gb.degree > 2:
-        raise InternalInvariantError("cancel_quadratic needs a basis of degree <= 2")
-    return cancel_cells(fm, gb, path_cap, require_complete=True)
-
-
-def cancel_degree_d(
-    fm: FaceMatching,
-    gb: GroebnerBasis,
-    pres: SemigroupPresentation,
-    path_cap: int = DEFAULT_PATH_CAP,
-) -> CancellationResult:
-    d = max(2, gb.degree)
-    deg = pres.degree(fm.ivl.top) if fm.ivl.top != fm.ivl.bottom else 0
-    return cancel_cells(fm, gb, path_cap, dim_bound_num=(deg - 1, d - 1))
+    table = _path_table(fm, cells, path_cap)
+    return CriticalMultigraph(
+        tuple(sorted(c.facet.labels for c in cells)),
+        {pair: len(paths) for pair, paths in table.items()},
+    )
 
 
 def cancel_interval(
@@ -690,11 +676,8 @@ def cancel_interval(
     path_cap: int = DEFAULT_PATH_CAP,
 ) -> CancellationResult:
     zero = tuple([0] * pres.dimension)
-    ivl = pres.interval(zero, lam)
-    fm = build_face_matching(ivl, cfg, gb)
-    if gb.degree <= 2:
-        return cancel_quadratic(fm, gb, path_cap)
-    return cancel_degree_d(fm, gb, pres, path_cap)
+    fm = build_face_matching(pres.interval(zero, lam), cfg, gb)
+    return cancel_cells(fm, gb, path_cap)
 
 
 # -- fiber-local survivors (fast path for wide windows) -------------------------
@@ -719,15 +702,10 @@ def fiber_survivor_words(
     for word in sorted(cells):
         if word in matched:
             continue
-        target = expanding_interval(non_essential_sets(gb, cfg, word))
-        if target is None:
+        other = pivot_partner(gb, cfg, word)
+        if other is None or other not in cells or other in matched:
             continue
-        pivot = pivot_member(target, cfg)
-        other = pivot.partner_labels
-        if other not in cells or other in matched:
-            continue
-        back = expanding_interval(non_essential_sets(gb, cfg, other))
-        if back is None or pivot_member(back, cfg).partner_labels != word:
+        if pivot_partner(gb, cfg, other) != word:
             continue
         if abs(cells[word].dimension - cells[other].dimension) != 1:
             raise InternalInvariantError("fiber pivot pair dimensions differ by != 1")

@@ -52,7 +52,7 @@ def _setup(doc: InputDocument, cfg: RunConfig):
     if doc.supplied_basis is not None:
         gb = doc.supplied_basis  # verified at parse time
     else:
-        cap = cfg.cap or default_cap(pres, cfg.degree_window)
+        cap = cfg.cap if cfg.cap is not None else default_cap(pres, cfg.degree_window)
         gb = groebner_for(pres, order, cap)
     return pres, FacetOrderConfig(order), gb
 
@@ -212,17 +212,8 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
             cfg.characteristics,
             cfg.path_cap,
             cfg.state_budget,
+            targets=doc.targets,
         )
-        targets = {}
-        for lam in doc.targets:
-            res = cancel_interval(pres, lam, fcfg, gb, cfg.path_cap)
-            targets[",".join(map(str, lam))] = {
-                "morse_numbers": {str(k): v for k, v in res.morse_numbers().items()},
-                "survivors": sorted(
-                    list(c.facet.labels) for c in res.survivors if not c.is_base
-                ),
-            }
-        payload["targets"] = targets
     return payload, tsv
 
 

@@ -125,6 +125,8 @@ class RunConfig:
             raise ValidationError("degree window must be >= 1")
         if self.path_cap <= 0 or self.state_budget <= 0:
             raise ValidationError("caps must be positive")
+        if self.cap is not None and self.cap < 2:
+            raise ValidationError(f"toric generator degree cap must be >= 2, got {self.cap}")
         if self.output_format not in ("json", "tsv"):
             raise ValidationError("format must be json or tsv")
         if self.output_format == "tsv" and self.command != "betti":

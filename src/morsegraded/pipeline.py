@@ -41,16 +41,6 @@ def characterization_matches_direct(fm: FaceMatching) -> bool:
     )
 
 
-def reduced_survivor_counts(res: CancellationResult) -> dict[int, int]:
-    """Survivor counts with the base vertex folded away (resolution view)."""
-    out: dict[int, int] = {}
-    for c in res.survivors:
-        if c.is_base:
-            continue
-        out[c.dimension] = out.get(c.dimension, 0) + 1
-    return dict(sorted(out.items()))
-
-
 def morse_vs_betti(res: CancellationResult, betti: tuple[int, ...]) -> dict:
     """Morse inequality and Euler identity data for one interval."""
     m = res.morse_numbers()
@@ -152,6 +142,7 @@ def full_consistency_suite(
     path_cap: int = 10_000,
     state_budget: int = 1_000_000,
     deep_degree: int | None = None,
+    targets: tuple[Vector, ...] = (),
 ) -> dict:
     """Run every cross-check the package knows on one presentation.
 
@@ -159,7 +150,10 @@ def full_consistency_suite(
     intervals up to deep_degree (default max_degree capped at 4); label and
     homology level checks cover the whole window.  Each multidegree's
     Betti numbers come from one `tor_tables` pass over the requested fields
-    plus Q, and each deep multidegree is cancelled once.
+    plus Q, and each deep multidegree is cancelled once.  The report's
+    targets block gives the Morse numbers and survivors of each target,
+    reusing the deep window's cancellations and cancelling only targets
+    outside it.
     """
     window = pres.degree_window(max_degree)
     deep = deep_degree if deep_degree is not None else min(max_degree, 4)
@@ -246,6 +240,18 @@ def full_consistency_suite(
     checks["resolution_" + ("minimal" if gb.degree <= 2 else "bounds")] = resolution_ok
 
     details["sharpness_witnesses"] = sharpness_report(rational, gb.degree, window)
-    return {"checks": checks, "ok": all(checks.values()), "details": details}
+    target_reports = {}
+    for lam in targets:
+        res = results[lam] if lam in results else cancel_interval(pres, lam, cfg, gb, path_cap)
+        target_reports[",".join(map(str, lam))] = {
+            "morse_numbers": {str(k): v for k, v in res.morse_numbers().items()},
+            "survivors": sorted(list(c.facet.labels) for c in res.survivors if not c.is_base),
+        }
+    return {
+        "checks": checks,
+        "ok": all(checks.values()),
+        "details": details,
+        "targets": target_reports,
+    }
 
 

@@ -17,7 +17,7 @@ from morsegraded.automaton import (
 )
 from morsegraded.cancellation import (
     cancel_interval,
-    cancel_quadratic,
+    cancel_cells,
     enumerate_gradient_paths,
     is_321_avoiding,
     non_essential_sets,
@@ -59,7 +59,7 @@ def test_criterion_01_worked_quadratic_interval(squares):
     ok = ok and cells[(2, 1, 3, 4)].ranks == (1, 2) and cells[(2, 1, 3, 4)].dimension == 1
     masks = mask_map(fm)
     ok = ok and len(enumerate_gradient_paths(fm, masks[(3, 2, 1, 4)], masks[(2, 1, 3, 4)])) == 1
-    res = cancel_quadratic(fm, squares.gb)
+    res = cancel_cells(fm, squares.gb)
     m = res.morse_numbers()
     ok = ok and (m.get(0, 0), m.get(1, 0), m.get(2, 0)) == (1, 0, 2)
     betti = reduced_betti(order_complex(squares.interval((2, 2, 1, 1))), 0)
@@ -239,7 +239,7 @@ def test_criterion_10_path_uniqueness(squares, pair_swap, cyclic3):
     ok = True
     for ring, lam in ((squares, (2, 2, 1, 1)), (pair_swap, (2, 2, 1, 1, 1))):
         fm = ring.matching(lam)
-        res = cancel_quadratic(fm, ring.gb)
+        res = cancel_cells(fm, ring.gb)
         for p in res.pairs:
             if p.theorem_status == "unique-by-theorem":
                 ok = ok and p.path_count == 1

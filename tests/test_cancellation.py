@@ -1,13 +1,15 @@
-"""Gradient paths, non-essential sets, and the two cancellation engines."""
+"""Gradient paths, non-essential sets, and the cancellation engine."""
 
 from itertools import combinations
 
 import pytest
 
+import morsegraded.cancellation as cancellation
 from morsegraded.cancellation import (
-    cancel_degree_d,
+    DEFAULT_PATH_CAP,
+    GradientPath,
+    cancel_cells,
     cancel_interval,
-    cancel_quadratic,
     check_321_uniqueness,
     enumerate_gradient_paths,
     fiber_survivor_words,
@@ -17,7 +19,7 @@ from morsegraded.cancellation import (
     survivor_words_by_content,
     transforming_permutation,
 )
-from morsegraded.errors import InternalInvariantError, PathCapExceeded
+from morsegraded.errors import PathCapExceeded
 from morsegraded.morse import verify_acyclic
 
 
@@ -53,6 +55,118 @@ def test_path_cap(squares):
     masks = mask_map(fm)
     with pytest.raises(PathCapExceeded):
         enumerate_gradient_paths(fm, masks[(3, 2, 1, 4)], masks[(2, 1, 3, 4)], cap=0)
+
+
+def reference_paths(fm, tau_mask, sigma_mask, cap=DEFAULT_PATH_CAP):
+    """The per-pair DFS: one search from tau for every lower cell sigma."""
+    paths = []
+    stack = [(tau_mask, (tau_mask,))]
+    while stack:
+        x, trail = stack.pop()
+        m = x
+        while m:
+            bit = m & -m
+            m ^= bit
+            y = x ^ bit
+            if not y:
+                continue
+            if y == sigma_mask:
+                paths.append(GradientPath(trail + (y,)))
+                if len(paths) > cap:
+                    raise PathCapExceeded(cap, tau_mask, sigma_mask)
+                continue
+            up = fm.partner.get(y)
+            if up is not None and fm.dim(up) == fm.dim(y) + 1 and up != x:
+                stack.append((up, trail + (y, up)))
+    paths.sort(key=lambda p: p.cells)
+    return paths
+
+
+def unsaturated_cells(fm):
+    return [c for c in fm.critical.values() if not c.is_base and c.dimension >= 0]
+
+
+def reference_table(fm):
+    masks = mask_map(fm)
+    cells = unsaturated_cells(fm)
+    table = {}
+    for hi in cells:
+        for lo in cells:
+            if hi.dimension != lo.dimension + 1 or sorted(hi.facet.labels) != sorted(lo.facet.labels):
+                continue
+            paths = reference_paths(fm, masks[hi.facet.labels], masks[lo.facet.labels])
+            if paths:
+                table[(hi.facet.labels, lo.facet.labels)] = paths
+    return table
+
+
+def test_path_table_equals_per_pair_search(squares, pair_swap, minor, cyclic3):
+    compared = 0
+    for ring in (squares, pair_swap, minor, cyclic3):
+        for lam in sorted(ring.pres.degree_window(4)):
+            fm = ring.matching(lam)
+            table = cancellation._path_table(fm, unsaturated_cells(fm), DEFAULT_PATH_CAP)
+            assert table == reference_table(fm), (ring.name, lam)
+            compared += len(table)
+    assert compared > 100
+    # the largest degree-7 squares interval, and the first cyclic3 interval
+    # where an upper cell with two lower cells reaches one of them twice
+    for ring, lam in ((squares, (5, 5, 1, 1)), (cyclic3, (2, 2, 2, 2, 2, 2))):
+        fm = ring.matching(lam)
+        table = cancellation._path_table(fm, unsaturated_cells(fm), DEFAULT_PATH_CAP)
+        assert table and table == reference_table(fm), (ring.name, lam)
+    assert any(len(paths) > 1 for paths in table.values())
+
+
+def test_one_traversal_per_upper_cell(squares, pair_swap, cyclic3, monkeypatch):
+    # every critical cell is a dead end, so the search from an upper cell
+    # serves all its lower cells, and certified pairs, greedy ones included,
+    # are looked up, not searched again
+    from morsegraded.chains import FacetOrderConfig
+    from morsegraded.groebner import buchberger, default_cap, toric_ideal_basis
+    from morsegraded.morse import build_face_matching
+    from morsegraded.orders import TermOrder
+    from morsegraded.semigroup import SemigroupPresentation
+
+    # the twisted cubic's relations share variables, which strands a cell
+    # that only the greedy pass pairs
+    twisted = SemigroupPresentation(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
+    order = TermOrder(twisted.n)
+    twisted_gb = buchberger(toric_ideal_basis(twisted, default_cap(twisted, 4)), order)
+    cases = [
+        (squares.matching((2, 2, 1, 1)), squares.gb),
+        (pair_swap.matching((2, 2, 1, 1, 1)), pair_swap.gb),
+        (cyclic3.matching((2, 2, 2, 2, 2, 2)), cyclic3.gb),
+        (
+            build_face_matching(twisted.interval((0, 0), (6, 6)), FacetOrderConfig(order), twisted_gb),
+            twisted_gb,
+        ),
+    ]
+    searched = []
+    original = cancellation.gradient_paths_from
+
+    def spy(fm, tau_mask, targets, cap=DEFAULT_PATH_CAP):
+        searched.append(tau_mask)
+        return original(fm, tau_mask, targets, cap)
+
+    monkeypatch.setattr(cancellation, "gradient_paths_from", spy)
+    rules = set()
+    for fm, gb in cases:
+        masks = mask_map(fm)
+        cells = unsaturated_cells(fm)
+        upper = sorted(
+            masks[hi.facet.labels]
+            for hi in cells
+            if any(
+                lo.dimension + 1 == hi.dimension and sorted(lo.facet.labels) == sorted(hi.facet.labels)
+                for lo in cells
+            )
+        )
+        searched.clear()
+        res = cancel_cells(fm, gb)
+        rules.update(p.rule for p in res.pairs)
+        assert upper and sorted(searched) == upper, fm.ivl.top
+    assert rules == {"expanding-interval pivot", "greedy certified"}
 
 
 def test_pair_swap_reduced_expression_path(pair_swap):
@@ -146,7 +260,7 @@ def test_nes_upward_member_witnessed_by_path(squares):
 
 
 def test_relation_interval_survivors(squares):
-    res = cancel_quadratic(squares.matching((2, 2, 1, 1)), squares.gb)
+    res = cancel_cells(squares.matching((2, 2, 1, 1)), squares.gb)
     assert res.morse_numbers() == {0: 1, 2: 2}
     words = res.survivor_words()
     assert words == [(2, 3, 4, 1), (1, 2, 3, 4)] or set(words) == {(2, 3, 4, 1), (1, 2, 3, 4)}
@@ -154,7 +268,7 @@ def test_relation_interval_survivors(squares):
 
 
 def test_every_pair_certified(squares):
-    res = cancel_quadratic(squares.matching((2, 2, 1, 1)), squares.gb)
+    res = cancel_cells(squares.matching((2, 2, 1, 1)), squares.gb)
     assert len(res.pairs) == 4
     for p in res.pairs:
         assert p.path_count == 1
@@ -162,20 +276,20 @@ def test_every_pair_certified(squares):
 
 
 def test_single_facet_interval_nothing_to_cancel(squares):
-    res = cancel_quadratic(squares.matching((4, 0, 0, 0)), squares.gb)
+    res = cancel_cells(squares.matching((4, 0, 0, 0)), squares.gb)
     assert not res.pairs
     assert res.morse_numbers() == {0: 1}  # just the base vertex
 
 
 def test_two_point_interval_keeps_both_cells(squares):
-    res = cancel_quadratic(squares.matching((2, 0, 1, 0)), squares.gb)
+    res = cancel_cells(squares.matching((2, 0, 1, 0)), squares.gb)
     assert not res.pairs
     assert res.morse_numbers() == {0: 2}
 
 
 def test_boolean_algebra_cancels_completely(pair_swap):
     fm = pair_swap.matching((2, 2, 1, 1, 1))
-    res = cancel_quadratic(fm, pair_swap.gb)
+    res = cancel_cells(fm, pair_swap.gb)
     assert res.morse_numbers() == {0: 1, 3: 2}
     S = (2, 3, 4)
     cancelled = {p.high_labels for p in res.pairs} | {p.low_labels for p in res.pairs}
@@ -186,27 +300,11 @@ def test_boolean_algebra_cancels_completely(pair_swap):
             assert word in cancelled
 
 
-def test_quadratic_equals_degree_engine(squares):
-    fm = squares.matching((2, 2, 1, 1))
-    a = cancel_quadratic(fm, squares.gb)
-    b = cancel_degree_d(fm, squares.gb, squares.pres)
-    assert a.morse_numbers() == b.morse_numbers()
-    assert a.survivor_words() == b.survivor_words()
-
-
-def test_rejects_quadratic_engine_on_cubic_basis(cyclic3):
-    fm = cyclic3.matching((1, 1, 1, 1, 1, 1))
-    with pytest.raises(InternalInvariantError):
-        cancel_quadratic(fm, cyclic3.gb)
-
-
 # -- degree-d cancellation ----------------------------------------------------------------
 
 
 def test_cyclic3_relation_interval(cyclic3):
-    res = cancel_degree_d(
-        cyclic3.matching((1, 1, 1, 1, 1, 1)), cyclic3.gb, cyclic3.pres
-    )
+    res = cancel_cells(cyclic3.matching((1, 1, 1, 1, 1, 1)), cyclic3.gb)
     assert res.morse_numbers() == {0: 2, 1: 2}
     assert not res.residual_low_cells  # bound is i < 0: the 0-cell may stay
     words = set(res.survivor_words())
@@ -214,7 +312,7 @@ def test_cyclic3_relation_interval(cyclic3):
 
 
 def test_cyclic3_free_fiber_untouched(cyclic3):
-    res = cancel_degree_d(cyclic3.matching((2, 2, 0, 0, 0, 0)), cyclic3.gb, cyclic3.pres)
+    res = cancel_cells(cyclic3.matching((2, 2, 0, 0, 0, 0)), cyclic3.gb)
     assert not res.pairs  # no syzygy windows in a relation-free interval
 
 
@@ -252,7 +350,7 @@ def test_full_reversal_pair_has_two_paths(cyclic3):
 def test_unique_by_theorem_pairs_verified_by_enumeration(squares, pair_swap):
     for ring, lam in ((squares, (2, 2, 1, 1)), (pair_swap, (2, 2, 1, 1, 1))):
         fm = ring.matching(lam)
-        res = cancel_quadratic(fm, ring.gb)
+        res = cancel_cells(fm, ring.gb)
         for p in res.pairs:
             if p.theorem_status == "unique-by-theorem":
                 assert p.path_count == 1
@@ -336,7 +434,7 @@ def test_degree_bound_on_survivor_dimensions(cyclic3):
     # survivors never sit below the degree bound: residual lists stay empty
     d = cyclic3.gb.degree
     for lam in sorted(cyclic3.pres.degree_window(5)):
-        res = cancel_degree_d(cyclic3.matching(lam), cyclic3.gb, cyclic3.pres)
+        res = cancel_cells(cyclic3.matching(lam), cyclic3.gb)
         assert not res.residual_low_cells, lam
         deg = cyclic3.pres.degree(lam)
         for c in res.survivors:

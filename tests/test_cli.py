@@ -154,6 +154,15 @@ def test_exit_code_non_prime_field(field, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("cap", ["0", "1"])
+def test_exit_code_toric_cap_below_two(cap, capsys):
+    # a cap of 0 must not fall back to the default cap
+    code = main(["--input", str(FIXTURES / "minor.json"), "--command", "gb", "--cap", cap])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_exit_code_repeated_field(capsys):
     # a repeated field would count every check, and list every violation, twice
     argv = ["--input", str(FIXTURES / "minor.json"), "--command", "verify-bounds"]
@@ -287,3 +296,26 @@ def test_full_report_embeds_target_survivors(tmp_path):
     entry = doc["report"]["targets"]["2,2,1,1"]
     assert entry["morse_numbers"] == {"0": 1, "2": 2}
     assert entry["survivors"] == [[1, 4, 3, 2], [4, 3, 2, 1]]
+
+
+def test_full_cancels_each_target_once(tmp_path, monkeypatch):
+    # the suite's targets block reuses the deep window's cancellations
+    import morsegraded.cli as cli
+    import morsegraded.pipeline as pipeline
+
+    cancelled = []
+    original = pipeline.cancel_interval
+
+    def spy(pres, lam, *args):
+        cancelled.append(tuple(lam))
+        return original(pres, lam, *args)
+
+    for module in (pipeline, cli):
+        if getattr(module, "cancel_interval", None) is original:
+            monkeypatch.setattr(module, "cancel_interval", spy)
+    out = tmp_path / "full.json"
+    argv = ["--input", str(FIXTURES / "squares.json"), "--command", "full"]
+    assert main(argv + ["--degree-window", "4", "--out", str(out)]) == 0
+    assert cancelled.count((2, 2, 1, 1)) == 1
+    assert len(cancelled) == len(set(cancelled))
+    assert "2,2,1,1" in json.loads(out.read_text())["report"]["targets"]

@@ -6,11 +6,11 @@ from morsegraded.pipeline import (
     cm_koszul_witness,
     full_consistency_suite,
     morse_vs_betti,
-    reduced_survivor_counts,
     sharpness_report,
 )
 from morsegraded.cancellation import cancel_interval
 from morsegraded.homology import order_complex, reduced_betti, tor_ranks
+from morsegraded.morse import morse_numbers
 
 
 def test_cm_koszul_witness_squares(squares):
@@ -85,7 +85,7 @@ def test_morse_vs_betti_shapes(squares):
     cmp = morse_vs_betti(res, betti)
     assert cmp["inequality_ok"] and cmp["euler_ok"]
     assert cmp["euler_morse"] == 3
-    assert reduced_survivor_counts(res) == {2: 2}
+    assert morse_numbers([c for c in res.survivors if not c.is_base]) == {2: 2}
 
 
 def test_characterization_helper(squares):
