@@ -595,6 +595,21 @@ class CommutationClass:
     stuttering: bool
 
 
+def _distinct_permutations(items):
+    """Distinct arrangements of items, in lexicographic order."""
+    values = sorted(set(items))
+    n = len(items)
+    stack = [((), tuple(list(items).count(v) for v in values))]
+    while stack:
+        word, left = stack.pop()
+        if len(word) == n:
+            yield word
+            continue
+        for i in reversed(range(len(values))):
+            if left[i]:
+                stack.append((word + (values[i],), left[:i] + (left[i] - 1,) + left[i + 1 :]))
+
+
 def commutation_classes(
     gb: GroebnerBasis, cfg: FacetOrderConfig, content
 ) -> list[CommutationClass]:
@@ -605,8 +620,6 @@ def commutation_classes(
     avoids the leading ideal.  Representatives are the lexicographically
     least members under the label order.
     """
-    from .cancellation import _distinct_permutations
-
     rank = cfg.order.label_rank
     commutes = gb.commutes
     content = tuple(sorted(content, key=lambda i: rank[i]))

@@ -25,6 +25,7 @@ from .morse import (
     CriticalCell,
     FaceMatching,
     build_face_matching,
+    covering_words,
     covers_all_ranks,
     labels_contribute,
     morse_numbers,
@@ -381,30 +382,6 @@ def _has_interior_window(gb, cfg, labels) -> bool:
     return any(w.end - w.start > 1 for w in windows_of(gb, cfg, labels))
 
 
-def _distinct_permutations(items):
-    items = sorted(items)
-    n = len(items)
-    used = [False] * n
-    word: list[int] = []
-
-    def rec():
-        if len(word) == n:
-            yield tuple(word)
-            return
-        prev = None
-        for i in range(n):
-            if used[i] or items[i] == prev:
-                continue
-            prev = items[i]
-            used[i] = True
-            word.append(items[i])
-            yield from rec()
-            word.pop()
-            used[i] = False
-
-    yield from rec()
-
-
 # -- cancellation over a built face matching -----------------------------------
 
 
@@ -691,13 +668,18 @@ def fiber_survivor_words(
     Uses only label arithmetic (no face complex): the matching is the pivot
     rule, and uniqueness of each reversed path is by the 321 theorem.  The
     face-level engine must agree on bounded intervals; tests enforce that.
+    The critical cells are the words covering_words yields; label_cell
+    still decides each one.
     """
     content = tuple(sorted(content))
     cells: dict[tuple[int, ...], LabelCell] = {}
-    for word in _distinct_permutations(content):
+    for word in covering_words(gb, cfg, content):
         c = label_cell(gb, cfg, word)
-        if c is not None:
-            cells[word] = c
+        if c is None:
+            raise InternalInvariantError(
+                f"content {content}: covering search found {word}, which is not a critical cell"
+            )
+        cells[word] = c
     matched: set[tuple[int, ...]] = set()
     for word in sorted(cells):
         if word in matched:

@@ -99,41 +99,52 @@ def _lead_extremes(cfg: FacetOrderConfig, lead: Monomial) -> tuple[int, int]:
     return min(vars_, key=lambda i: rank[i]), max(vars_, key=lambda i: rank[i])
 
 
+def syzygy_window_test(gb: GroebnerBasis, cfg: FacetOrderConfig):
+    """The syzygy window predicate: window labels -> leading term or None.
+
+    A weakly increasing window of at least two labels is a syzygy window
+    when its product carries a leading term whose extremal divisors sit at
+    the window's endpoints, and dropping either endpoint label leaves a
+    product no leading term divides (minimality).  The caller keeps the
+    window weakly increasing; the answer depends on the window alone.
+    """
+    n = cfg.order.n
+    extremes = [(_lead_extremes(cfg, b.plus), b.plus) for b in gb.elements]
+
+    def lead_of(window) -> Monomial | None:
+        prod = content_monomial(window, n)
+        for (lo_var, hi_var), lead in extremes:
+            if lo_var == window[0] and hi_var == window[-1] and all(
+                e <= p for e, p in zip(lead, prod)
+            ):
+                break
+        else:
+            return None
+        prefix = content_monomial(window[:-1], n)
+        suffix = content_monomial(window[1:], n)
+        if leading_ideal_member(gb, prefix) or leading_ideal_member(gb, suffix):
+            return None
+        return lead
+
+    return lead_of
+
+
 def syzygy_intervals(
     gb: GroebnerBasis, cfg: FacetOrderConfig, facet
 ) -> list[RankInterval]:
-    """Minimal weakly increasing runs whose label product carries a leading
-    term with extremal divisors at the run's endpoints.
-
-    Minimality: dropping either endpoint label leaves a product no leading
-    term divides.
-    """
+    """Minimal weakly increasing runs that are syzygy windows."""
     labels = _labels_of(facet)
-    n = cfg.order.n
     rank = cfg.order.label_rank
-    extremes = [(_lead_extremes(cfg, b.plus), b.plus) for b in gb.elements]
+    lead_of = syzygy_window_test(gb, cfg)
     out = []
     m = len(labels)
     for a in range(m - 1):
         for b in range(a + 1, m):
-            window = labels[a : b + 1]
-            if any(rank[window[t]] > rank[window[t + 1]] for t in range(len(window) - 1)):
+            if rank[labels[b - 1]] > rank[labels[b]]:
                 break  # longer windows from a are not weakly increasing either
-            prod = content_monomial(window, n)
-            hit = False
-            for (lo_var, hi_var), lead in extremes:
-                if lo_var == window[0] and hi_var == window[-1] and all(
-                    e <= p for e, p in zip(lead, prod)
-                ):
-                    hit = True
-                    break
-            if not hit:
-                continue
-            prefix = content_monomial(window[:-1], n)
-            suffix = content_monomial(window[1:], n)
-            if leading_ideal_member(gb, prefix) or leading_ideal_member(gb, suffix):
-                continue
-            out.append(RankInterval(a + 1, b, "syzygy", lead))
+            lead = lead_of(labels[a : b + 1])
+            if lead is not None:
+                out.append(RankInterval(a + 1, b, "syzygy", lead))
     return out
 
 
@@ -145,6 +156,64 @@ def msi_characterization(
     out.sort(key=lambda iv: iv.span())
     _assert_non_nested(out)
     return tuple(out)
+
+
+def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, content):
+    """The arrangements of content whose skipped intervals cover every gap.
+
+    Gap g (1 <= g < m) lies between labels g-1 and g, as rank g of
+    msi_characterization.  A depth-first search appends one label at a
+    time, in the lexicographic order of the distinct arrangements, and
+    tracks the covered gaps and the start of the current weakly increasing
+    run.  A descent covers its own gap and closes the run; a weak ascent at
+    position b covers the gaps of every syzygy window (a, b) with a at or
+    after the run start.  Words of full length that cover every gap are
+    yielded.
+
+    The search cuts a branch when a descent closes a run with a gap left
+    uncovered.  That is sound: a syzygy window is weakly increasing, so it
+    lies inside one run, and whether it is a window depends on its labels
+    alone.  No extension can add a window over a closed run's gaps, and
+    descents cover only the gaps where they occur.  The still-open run is
+    never cut, since a later window may yet cover its gaps.
+    """
+    rank = cfg.order.label_rank
+    lead_of = syzygy_window_test(gb, cfg)
+    values = sorted(set(content))
+    m = len(content)
+    full = (1 << m) - 2 if m else 0  # gaps 1 .. m-1
+    leads: dict[tuple[int, ...], bool] = {}  # window -> is a syzygy window
+    # (word, remaining count per value, covered gap mask, run start)
+    stack = [((), tuple(list(content).count(v) for v in values), 0, 0)]
+    while stack:
+        word, left, covered, start = stack.pop()
+        b = len(word)
+        if b == m:
+            if covered == full:
+                yield word
+            continue
+        children = []
+        for i, x in enumerate(values):
+            if not left[i]:
+                continue
+            grown = word + (x,)
+            cov, run = covered, start
+            if b and rank[word[-1]] > rank[x]:
+                closed = (1 << b) - (1 << (start + 1))  # gaps start+1 .. b-1
+                if covered & closed != closed:
+                    continue
+                cov |= 1 << b
+                run = b
+            else:
+                for a in range(start, b):
+                    window = grown[a:]
+                    hit = leads.get(window)
+                    if hit is None:
+                        hit = leads[window] = lead_of(window) is not None
+                    if hit:
+                        cov |= (1 << (b + 1)) - (1 << (a + 1))  # gaps a+1 .. b
+            children.append((grown, left[:i] + (left[i] - 1,) + left[i + 1 :], cov, run))
+        stack.extend(reversed(children))
 
 
 def labels_contribute(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> bool:

@@ -1,11 +1,13 @@
 """Language construction, rational series, commutation classes."""
 
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from morsegraded.automaton import (
     CommutationClass,
+    _distinct_permutations,
     MorseAutomaton,
     build_degree_d_automaton,
     build_quadratic_automaton,
@@ -23,6 +25,13 @@ def survivor_word_set(ring, depth):
 
 def accepted_word_set(auto, depth):
     return {w for ws in auto.words_up_to(depth).values() for w in ws}
+
+
+def test_distinct_permutations_lexicographic():
+    for items in [(), (2,), (1, 1), (3, 0, 2, 0), (2, 1, 2, 0, 1, 2), tuple(range(6))]:
+        assert list(_distinct_permutations(items)) == sorted(set(permutations(items)))
+    # iterative: a word far longer than the recursion limit is fine
+    assert next(_distinct_permutations([0] * 5000)) == (0,) * 5000
 
 
 def test_squares_counts(squares):

@@ -1,10 +1,16 @@
 """Gradient paths, non-essential sets, and the cancellation engine."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 
 import morsegraded.cancellation as cancellation
+from morsegraded.chains import FacetOrderConfig
+from morsegraded.groebner import default_cap, groebner_for
+from morsegraded.io import parse_input
+from morsegraded.orders import TermOrder
+from morsegraded.semigroup import SemigroupPresentation
 from morsegraded.cancellation import (
     DEFAULT_PATH_CAP,
     GradientPath,
@@ -19,8 +25,10 @@ from morsegraded.cancellation import (
     survivor_words_by_content,
     transforming_permutation,
 )
-from morsegraded.errors import PathCapExceeded
-from morsegraded.morse import verify_acyclic
+from morsegraded.errors import InternalInvariantError, PathCapExceeded
+from morsegraded.morse import covering_words, verify_acyclic
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def mask_map(fm):
@@ -376,6 +384,65 @@ def test_fiber_local_single_letter(squares):
 
 def test_fiber_local_stuttering_content(squares):
     assert fiber_survivor_words(squares.gb, squares.cfg, (0, 0, 2, 3)) == []
+
+
+def _ring_from(generators, degree):
+    pres = SemigroupPresentation(len(generators[0]), generators)
+    order = TermOrder(pres.n)
+    return pres, groebner_for(pres, order, default_cap(pres, degree)), FacetOrderConfig(order)
+
+
+def reference_cell_words(gb, cfg, content):
+    """Every distinct arrangement, in lexicographic order, kept when
+    label_cell calls it a critical cell."""
+    return [w for w in sorted(set(permutations(content))) if label_cell(gb, cfg, w) is not None]
+
+
+def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cyclic3):
+    split = parse_input((FIXTURES / "cyclic_split3.json").read_text()).presentation
+    rings = [(r.pres, r.gb, r.cfg, 6) for r in (squares, pair_swap, minor, cyclic3)]
+    rings.append((*_ring_from(split.generators, 6), 6))
+    rings.append((*_ring_from([(1, 2), (3, 0), (0, 3), (2, 1), (1, 3)], 5), 5))  # skew2d
+    rings.append(  # ring5_seed22
+        (*_ring_from([(1, 0, 1), (2, 0, 0), (0, 1, 1), (0, 2, 0), (1, 1, 0)], 5), 5)
+    )
+    assert [r[1].degree for r in rings[3:5]] == [3, 3]
+    for pres, gb, cfg, degree in rings:
+        for d in range(degree + 1):
+            for content in combinations_with_replacement(range(pres.n), d):
+                want = reference_cell_words(gb, cfg, content)
+                assert list(covering_words(gb, cfg, content)) == want, content
+    # the empty word is a cell; so is every one-letter word
+    assert list(covering_words(squares.gb, squares.cfg, ())) == [()]
+    assert list(covering_words(squares.gb, squares.cfg, (3,))) == [(3,)]
+
+
+def test_fiber_survivors_label_only_covering_words(pair_swap, monkeypatch):
+    emitted, labelled = [], []
+    search, original = cancellation.covering_words, cancellation.label_cell
+
+    def spy_search(gb, cfg, content):
+        for word in search(gb, cfg, content):
+            emitted.append(word)
+            yield word
+
+    def spy_label(gb, cfg, labels):
+        cell = original(gb, cfg, labels)
+        labelled.append((tuple(labels), cell is not None))
+        return cell
+
+    monkeypatch.setattr(cancellation, "covering_words", spy_search)
+    monkeypatch.setattr(cancellation, "label_cell", spy_label)
+    survivor_words_by_content(pair_swap.pres, pair_swap.gb, pair_swap.cfg, 6)
+    assert [w for w, _ in labelled] == emitted
+    assert all(ok for _, ok in labelled)
+    assert len(labelled) == 1279  # the exhaustive filter labelled 55,986 words
+
+
+def test_non_cell_from_covering_search_is_an_invariant_breach(squares, monkeypatch):
+    monkeypatch.setattr(cancellation, "covering_words", lambda gb, cfg, c: iter([(1, 3, 2, 4)]))
+    with pytest.raises(InternalInvariantError, match=r"\(1, 2, 3, 4\).*\(1, 3, 2, 4\)"):
+        fiber_survivor_words(squares.gb, squares.cfg, (1, 2, 3, 4))
 
 
 def test_survivor_words_by_content_window(squares):
