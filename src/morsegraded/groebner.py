@@ -85,20 +85,18 @@ def toric_ideal_basis(pres: SemigroupPresentation, cap: int) -> list[tuple[Monom
     if cap < 2:
         raise MorsegradedError("cap must be >= 2")
     by_image: dict[tuple, list[Monomial]] = {}
-    level = [tuple([0] * pres.n)]
-    seen = {level[0]}
+    # (monomial, its image, its last raised variable): raising only that
+    # variable or a later one reaches each monomial once, and a child's
+    # image is its parent's plus one generator, so phi never runs here
+    level = [(tuple([0] * pres.n), tuple([0] * pres.dimension), 0)]
     for _ in range(cap):
         nxt = []
-        for m in level:
-            for i in range(pres.n):
-                w = list(m)
-                w[i] += 1
-                w = tuple(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        for m in nxt:
-            by_image.setdefault(phi(pres, m), []).append(m)
+        for m, image, start in level:
+            for i in range(start, pres.n):
+                w = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                w_image = vec_add(image, pres.generators[i])
+                by_image.setdefault(w_image, []).append(w)
+                nxt.append((w, w_image, i))
         level = nxt
     found = set()
     for group in by_image.values():

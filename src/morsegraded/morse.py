@@ -346,11 +346,16 @@ class FaceMatching:
         )
 
     def dim(self, mask: int) -> int:
-        return bin(mask).count("1") - 1
+        return mask.bit_count() - 1
 
 
 def _facet_masks(ivl: IntervalData, facet: Facet) -> list[int]:
     return [1 << ivl.index(e) for e in facet.interior]
+
+
+def _breach(fm: FaceMatching, j: int, what: str, kind=InternalInvariantError):
+    """An invariant error naming the stage, the multidegree and facet j."""
+    return kind(f"face matching at {fm.ivl.top}: facet {fm.facets[j].labels}: {what}")
 
 
 def build_face_matching(
@@ -358,8 +363,12 @@ def build_face_matching(
 ) -> FaceMatching:
     """The full facet-by-facet acyclic matching for one interval.
 
-    Each facet's skipped-interval system is the Groebner characterization;
-    `_check_transversals` holds it to the faces the facet actually adds.
+    Each facet's skipped-interval system is the Groebner characterization,
+    and the faces the facet adds must be exactly its transversals.  One
+    pass over the subsets sub of the facet's interior (bit k is rank k+1)
+    builds each face from an earlier one, sub with its lowest bit cleared,
+    and compares "not yet owned" with "meets every skipped interval",
+    where each interval [lo, hi] is the rank mask of bits lo-1 .. hi-1.
     """
     facets = ordered_facets(ivl, cfg)
     systems = [msi_characterization(gb, cfg, f) for f in facets]
@@ -371,38 +380,33 @@ def build_face_matching(
         fm.empty_cell = critical_cell_of(facets[0], (), ivl.top, n)
         return fm
 
+    owner = fm.owner
     for j, facet in enumerate(facets):
         bits = _facet_masks(ivl, facet)
-        r = len(bits)
+        spans = [(1 << iv.hi) - (1 << (iv.lo - 1)) for iv in systems[j]]
+        masks = [0] * (1 << len(bits))
         new_faces = []
-        for sub in range(1, 1 << r):
-            mask = 0
-            for k in range(r):
-                if sub >> k & 1:
-                    mask |= bits[k]
-            if mask not in fm.owner:
-                fm.owner[mask] = j
-                new_faces.append((sub, mask))
-        _check_transversals(facet, systems[j], new_faces, r, j)
+        for sub in range(1, len(masks)):
+            low = sub & -sub
+            mask = masks[sub] = masks[sub ^ low] | bits[low.bit_length() - 1]
+            for span in spans:
+                if not sub & span:
+                    transversal = False
+                    break
+            else:
+                transversal = True
+            if (mask not in owner) != transversal:
+                raise _breach(
+                    fm, j, "new faces do not match the transversals of its "
+                    "skipped-interval system"
+                )
+            if transversal:
+                owner[mask] = j
+                new_faces.append(mask)
         _match_within_facet(fm, j, facet, bits, new_faces)
 
     _verify_matching(fm)
     return fm
-
-
-def _check_transversals(facet, system, new_faces, r, j) -> None:
-    got = {sub for sub, _ in new_faces}
-    want = set()
-    spans = [iv.span() for iv in system]
-    for sub in range(1, 1 << r):
-        ranks = {k + 1 for k in range(r) if sub >> k & 1}
-        if all(any(lo <= q <= hi for q in ranks) for lo, hi in spans):
-            want.add(sub)
-    if got != want:
-        raise InternalInvariantError(
-            f"facet {facet.labels} (index {j}): new faces do not match the "
-            f"transversals of its skipped-interval system"
-        )
 
 
 def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
@@ -414,7 +418,7 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
     if not covered:
         uncovered = [q for q in range(1, r + 1) if not any(q in iv.ranks() for iv in system)]
         cone_bit = bits[uncovered[0] - 1]
-        for sub, mask in new_faces:
+        for mask in new_faces:
             other = mask ^ cone_bit
             if other == 0:
                 # lowest vertex of the least facet: the base critical cell
@@ -440,7 +444,7 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
         for q in iv.ranks():
             m |= bits[q - 1]
         span_masks.append(m)
-    for sub, mask in new_faces:
+    for mask in new_faces:
         if mask == cell_mask:
             fm.critical[mask] = cell
             continue
@@ -449,54 +453,84 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
                 fm.partner[mask] = mask ^ lo_bits[k]
                 break
         else:
-            raise InternalInvariantError(
-                f"facet {facet.labels}: new face differs from the critical cell "
-                f"in no truncated interval"
+            raise _breach(
+                fm, j, "new face differs from the critical cell in no truncated interval"
             )
 
 
 def _verify_matching(fm: FaceMatching) -> None:
-    for mask, other in fm.partner.items():
-        if fm.partner.get(other) != mask:
-            raise InternalInvariantError("matching is not an involution")
-        if abs(fm.dim(mask) - fm.dim(other)) != 1:
-            raise InternalInvariantError("matched pair dimensions differ by != 1")
-        if fm.owner[mask] != fm.owner[other]:
-            raise InternalInvariantError("matched pair crosses facet ownership")
-    for mask in fm.owner:
-        if mask not in fm.partner and mask not in fm.critical:
-            raise InternalInvariantError("face neither matched nor critical")
+    owner, partner = fm.owner, fm.partner
+    for mask, other in partner.items():
+        if partner.get(other) != mask:
+            raise _breach(fm, owner[mask], "matching is not an involution")
+        x = mask ^ other
+        if not x or x & (x - 1):
+            raise _breach(fm, owner[mask], "matched faces differ in other than one element")
+        if owner[mask] != owner[other]:
+            raise _breach(
+                fm, owner[mask],
+                f"matched pair crosses facet ownership (partner owned by facet "
+                f"{fm.facets[owner[other]].labels})",
+            )
+    for mask in owner:
+        if mask not in partner and mask not in fm.critical:
+            raise _breach(fm, owner[mask], "face neither matched nor critical")
     if not verify_acyclic(fm):
-        raise AcyclicityFailure("face matching has a directed cycle")
+        # Down-edges never reach a later facet and matched edges stay in
+        # one, so every cycle lies in one facet's new faces, and the latest
+        # facet owning a face the sort left behind carries a cycle.
+        j = max(owner[m] for m in _unsorted_faces(fm))
+        raise _breach(fm, j, "the matching has a directed cycle", AcyclicityFailure)
 
 
 def verify_acyclic(fm: FaceMatching) -> bool:
     """Topological sort of the modified Hasse digraph (matched edges up)."""
-    succ: dict[int, list[int]] = {m: [] for m in fm.owner}
-    indeg = {m: 0 for m in fm.owner}
-    for mask in fm.owner:
-        up = fm.partner.get(mask)
-        if up is not None and fm.dim(up) == fm.dim(mask) + 1:
-            succ[mask].append(up)
+    return not _unsorted_faces(fm)
+
+
+def _unsorted_faces(fm: FaceMatching) -> list[int]:
+    """Faces Kahn's sort of the modified Hasse digraph cannot reach.
+
+    Every face points at each of its faces one dimension down, except that a
+    matched pair's edge points up.  In-degrees are counted in one pass and
+    each face's successors are regenerated when it is popped.  The list is
+    empty exactly when the digraph is acyclic.
+    """
+    owner, partner = fm.owner, fm.partner
+    indeg = dict.fromkeys(owner, 0)
+    for x in owner:
+        up = partner.get(x)
+        if up is not None and up.bit_count() == x.bit_count() + 1:
             indeg[up] += 1
-        m = mask
+        m = x
         while m:
             bit = m & -m
             m ^= bit
-            sub = mask ^ bit
-            if sub and fm.partner.get(mask) != sub:
-                succ[mask].append(sub)
-                indeg[sub] += 1
+            y = x ^ bit
+            if y and y != up:
+                indeg[y] += 1
     queue = [m for m, d in indeg.items() if d == 0]
     seen = 0
     while queue:
         x = queue.pop()
         seen += 1
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    return seen == len(fm.owner)
+        up = partner.get(x)
+        if up is not None and up.bit_count() == x.bit_count() + 1:
+            indeg[up] -= 1
+            if not indeg[up]:
+                queue.append(up)
+        m = x
+        while m:
+            bit = m & -m
+            m ^= bit
+            y = x ^ bit
+            if y and y != up:
+                indeg[y] -= 1
+                if not indeg[y]:
+                    queue.append(y)
+    if seen == len(owner):
+        return []
+    return [m for m, d in indeg.items() if d]
 
 
 def morse_numbers(cells) -> dict[int, int]:

@@ -319,3 +319,24 @@ def test_full_cancels_each_target_once(tmp_path, monkeypatch):
     assert cancelled.count((2, 2, 1, 1)) == 1
     assert len(cancelled) == len(set(cancelled))
     assert "2,2,1,1" in json.loads(out.read_text())["report"]["targets"]
+
+
+def test_face_matching_breach_names_multidegree_and_facet(tmp_path, capsys):
+    """An invariant breach exits 2 with one line naming stage, λ and facet.
+
+    On the numerical semigroup <3,4,5> at window 6 the interval [0, 20] has
+    facets of lengths 4 and 5, and the face matching breaks its invariant
+    at facet (1, 1, 1, 1, 1).  Whether the facet-ordered matching applies
+    to such an interval at all is open (ROADMAP, certified toric ideal);
+    this test pins only how the breach is reported, not the breach.
+    """
+    doc = tmp_path / "n345.json"
+    doc.write_text(json.dumps({"dimension": 1, "generators": [[3], [4], [5]], "targets": [[20]]}))
+    code = main(["--input", str(doc), "--command", "cancel", "--degree-window", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "face matching at (20,)" in lines[0]
+    assert "facet (1, 1, 1, 1, 1)" in lines[0]

@@ -182,3 +182,53 @@ def test_two_by_three_minor_ideal_basis():
     verify_groebner(gb, pres, completeness_cap=3)
     for b in gb.elements:
         assert sum(b.plus) == 2 and sum(b.minus) == 2
+
+
+def reference_toric_ideal_basis(pres, cap):
+    """Every monomial up to cap, each image computed from scratch by phi."""
+    from itertools import combinations
+
+    from morsegraded.orders import monomial_div, monomial_gcd
+
+    by_image = {}
+    level = [tuple([0] * pres.n)]
+    seen = {level[0]}
+    for _ in range(cap):
+        nxt = []
+        for m in level:
+            for i in range(pres.n):
+                w = list(m)
+                w[i] += 1
+                w = tuple(w)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        for m in nxt:
+            by_image.setdefault(phi(pres, m), []).append(m)
+        level = nxt
+    found = set()
+    for group in by_image.values():
+        for u, v in combinations(group, 2):
+            g = monomial_gcd(u, v)
+            uu, vv = monomial_div(u, g), monomial_div(v, g)
+            if uu != vv:
+                found.add(frozenset((uu, vv)))
+    return sorted(tuple(sorted(pair)) for pair in found)
+
+
+@pytest.mark.parametrize(
+    "dimension, generators, cap",
+    [
+        (4, [(1, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 2, 0, 0)], 6),
+        (4, [(1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)], 6),
+        (2, [(3, 0), (2, 1), (1, 2), (0, 3)], 5),
+        (2, [(1, 2), (3, 0), (0, 3), (2, 1), (1, 3)], 5),  # not standard-graded
+        (1, [(3,), (4,), (5,)], 8),  # numerical semigroup
+        (3, [(1, 0, 1), (2, 0, 0), (0, 1, 1), (0, 2, 0), (1, 1, 0)], 5),
+    ],
+    ids=["squares", "minor", "twisted_cubic", "skew2d", "n345", "ring5_seed22"],
+)
+def test_toric_ideal_basis_equals_phi_reference(dimension, generators, cap):
+    pres = SemigroupPresentation(dimension, generators)
+    for c in range(2, cap + 1):
+        assert toric_ideal_basis(pres, c) == reference_toric_ideal_basis(pres, c)

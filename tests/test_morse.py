@@ -1,7 +1,13 @@
 """Interval systems, truncation, critical cells, the face matching."""
 
+import pytest
+
+from morsegraded import morse
+from morsegraded.cancellation import cancel_cells
 from morsegraded.chains import ordered_facets
+from morsegraded.errors import AcyclicityFailure, InternalInvariantError
 from morsegraded.morse import (
+    FaceMatching,
     RankInterval,
     assert_euler,
     build_face_matching,
@@ -207,6 +213,8 @@ def test_verify_acyclic_detects_cyclic_matching(squares):
     fm.partner = {v1: e12, e12: v1, v2: e23, e23: v2, v3: e31, e31: v3}
     fm.critical = {}
     assert not verify_acyclic(fm)
+    with pytest.raises(AcyclicityFailure, match=r"^face matching at \(2, 2, 0, 0\): facet \("):
+        morse._verify_matching(fm)
     # breaking one pair breaks the only cycle
     del fm.partner[v3], fm.partner[e31]
     assert verify_acyclic(fm)
@@ -252,3 +260,152 @@ def test_pure_lead_window_height_bound(squares, pair_swap, cyclic3):
                     window = facet.labels[iv.lo - 1 : iv.hi + 1]
                     if content_monomial(window, ring.pres.n) in leads:
                         assert iv.height <= d - 1
+
+
+# -- the bitmask kernel against the set- and list-based reference ---------------
+
+
+def editable_copy(fm):
+    return FaceMatching(
+        fm.ivl, fm.cfg, fm.facets, fm.systems, fm.j_systems,
+        dict(fm.owner), dict(fm.partner), dict(fm.critical), fm.empty_cell,
+    )
+
+
+def reference_check_transversals(facet, system, new_faces, r, j):
+    """A facet's new faces, as subsets of its interior, are its transversals."""
+    got = {sub for sub, _ in new_faces}
+    want = set()
+    spans_ = [iv.span() for iv in system]
+    for sub in range(1, 1 << r):
+        ranks = {k + 1 for k in range(r) if sub >> k & 1}
+        if all(any(lo <= q <= hi for q in ranks) for lo, hi in spans_):
+            want.add(sub)
+    if got != want:
+        raise InternalInvariantError(
+            f"facet {facet.labels} (index {j}): new faces do not match the "
+            f"transversals of its skipped-interval system"
+        )
+
+
+def reference_verify_acyclic(fm):
+    """Kahn's sort over stored successor lists of the modified Hasse digraph."""
+    succ = {m: [] for m in fm.owner}
+    indeg = {m: 0 for m in fm.owner}
+    for mask in fm.owner:
+        up = fm.partner.get(mask)
+        if up is not None and bin(up).count("1") == bin(mask).count("1") + 1:
+            succ[mask].append(up)
+            indeg[up] += 1
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            sub = mask ^ bit
+            if sub and fm.partner.get(mask) != sub:
+                succ[mask].append(sub)
+                indeg[sub] += 1
+    queue = [m for m, d in indeg.items() if d == 0]
+    seen = 0
+    while queue:
+        x = queue.pop()
+        seen += 1
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                queue.append(y)
+    return seen == len(fm.owner)
+
+
+def reference_face_matching(ivl, cfg, gb):
+    """Every face rebuilt from scratch, held to the reference checks."""
+    facets = ordered_facets(ivl, cfg)
+    systems = [morse.msi_characterization(gb, cfg, f) for f in facets]
+    fm = FaceMatching(ivl, cfg, facets, systems, [truncate_to_j_intervals(s) for s in systems])
+    if len(facets) == 1 and not facets[0].interior:
+        fm.empty_cell = critical_cell_of(facets[0], (), ivl.top, cfg.order.n)
+        return fm
+    for j, facet in enumerate(facets):
+        bits = [1 << ivl.index(e) for e in facet.interior]
+        r = len(bits)
+        new_faces = []
+        for sub in range(1, 1 << r):
+            mask = 0
+            for k in range(r):
+                if sub >> k & 1:
+                    mask |= bits[k]
+            if mask not in fm.owner:
+                fm.owner[mask] = j
+                new_faces.append((sub, mask))
+        reference_check_transversals(facet, systems[j], new_faces, r, j)
+        morse._match_within_facet(fm, j, facet, bits, [mask for _, mask in new_faces])
+    assert reference_verify_acyclic(fm)
+    return fm
+
+
+def assert_kernel_equals_reference(ring, lam):
+    fm = ring.matching(lam)
+    ref = reference_face_matching(ring.interval(lam), ring.cfg, ring.gb)
+    assert list(fm.owner.items()) == list(ref.owner.items()), (ring.name, lam)
+    assert list(fm.partner.items()) == list(ref.partner.items()), (ring.name, lam)
+    assert list(fm.critical.items()) == list(ref.critical.items()), (ring.name, lam)
+    assert fm.empty_cell == ref.empty_cell
+    assert verify_acyclic(fm) and reference_verify_acyclic(fm)
+    reversed_fm = cancel_cells(fm, ring.gb).matching
+    assert verify_acyclic(reversed_fm) == reference_verify_acyclic(reversed_fm) is True
+
+
+def test_face_kernel_equals_reference_across_window(squares, pair_swap, minor, cyclic3):
+    for ring in (squares, pair_swap, minor, cyclic3):
+        for lam in sorted(ring.pres.degree_window(4)):
+            assert_kernel_equals_reference(ring, lam)
+
+
+def test_face_kernel_equals_reference_deep_interval(squares):
+    assert_kernel_equals_reference(squares, (5, 5, 1, 1))
+
+
+def test_dropped_skipped_interval_breaks_transversal_check(squares, monkeypatch):
+    honest = morse.msi_characterization
+    monkeypatch.setattr(morse, "msi_characterization", lambda *a: honest(*a)[1:])
+    ivl = squares.interval((2, 2, 1, 1))
+    with pytest.raises(InternalInvariantError, match="transversals") as err:
+        build_face_matching(ivl, squares.cfg, squares.gb)
+    assert str(err.value).startswith("face matching at (2, 2, 1, 1): facet (")
+    with pytest.raises(InternalInvariantError, match="transversals"):
+        reference_face_matching(ivl, squares.cfg, squares.gb)
+
+
+def test_planted_cycle_fails_both_acyclicity_checks(squares):
+    fm = editable_copy(squares.matching((2, 2, 1, 1)))
+    assert verify_acyclic(fm) and reference_verify_acyclic(fm)
+    triangle = next(m for m in fm.owner if m.bit_count() == 3)
+    p, q, r = (1 << i for i in range(triangle.bit_length()) if triangle >> i & 1)
+    cycle = {p: p | q, q: q | r, r: r | p}
+    for face in [*cycle, *cycle.values()]:
+        other = fm.partner.pop(face, None)
+        if other is not None:
+            fm.partner.pop(other, None)
+    for lo, hi in cycle.items():
+        fm.partner[lo], fm.partner[hi] = hi, lo
+    assert not verify_acyclic(fm)
+    assert not reference_verify_acyclic(fm)
+
+
+def test_matched_pair_must_be_face_and_coface(squares):
+    # swap the partners of two pairs in one facet and dimension so that a
+    # face is matched one dimension up to a face that does not contain it
+    fm = editable_copy(squares.matching((2, 2, 1, 1)))
+    ups = [(a, b) for a, b in fm.partner.items() if a.bit_count() < b.bit_count()]
+    a, big_a, b, big_b = next(
+        (a, big_a, b, big_b)
+        for a, big_a in ups
+        for b, big_b in ups
+        if fm.owner[a] == fm.owner[b]
+        and a.bit_count() == b.bit_count()
+        and a & big_b != a
+    )
+    fm.partner.update({a: big_b, big_b: a, b: big_a, big_a: b})
+    assert abs(fm.dim(a) - fm.dim(big_b)) == 1  # the dimension test alone passes
+    with pytest.raises(InternalInvariantError, match="other than one element"):
+        morse._verify_matching(fm)
