@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .semigroup import IntervalData, SemigroupPresentation, Vector
+from .semigroup import IntervalData, SemigroupPresentation, Vector, bit_indices
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,6 @@ class OrderComplex:
         return sum((-1) ** d * len(fs) for d, fs in enumerate(self.faces))
 
 
-def _bit_indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
 def order_complex(ivl: IntervalData) -> OrderComplex:
     """The order complex of the open interval (bottom, top).
 
@@ -85,7 +76,7 @@ def order_complex(ivl: IntervalData) -> OrderComplex:
         reach[i] = bits
     vertices = ivl.elements[1:-1]
     mask = (1 << len(vertices)) - 1
-    above = [_bit_indices(reach[v + 1] >> 1 & mask) for v in range(len(vertices))]
+    above = [bit_indices(reach[v + 1] >> 1 & mask) for v in range(len(vertices))]
     by_dim: list[list[tuple[int, ...]]] = []
     layer = [(v,) for v in range(len(vertices))]
     while layer:

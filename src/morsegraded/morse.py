@@ -295,11 +295,14 @@ def critical_cell_of(facet: Facet, i_intervals, top: Vector, n: int, is_base: bo
     Empty-interior facets (one cover step) yield the empty cell of
     dimension -1 under the reduced convention.
     """
-    r = len(facet.interior)
-    if not covers_all_ranks(i_intervals, r):
+    if not covers_all_ranks(i_intervals, len(facet.interior)):
         return None
-    j_intervals = truncate_to_j_intervals(i_intervals)
-    ranks = tuple(iv.lo for iv in j_intervals)
+    ranks = tuple(iv.lo for iv in truncate_to_j_intervals(i_intervals))
+    return _cell(facet, ranks, top, n, is_base)
+
+
+def _cell(facet: Facet, ranks, top: Vector, n: int, is_base: bool = False) -> CriticalCell:
+    """The cell of facet's interior elements at the given ranks."""
     return CriticalCell(
         facet=facet,
         ranks=ranks,
@@ -377,13 +380,16 @@ def build_face_matching(
     n = cfg.order.n
 
     if len(facets) == 1 and not facets[0].interior:
-        fm.empty_cell = critical_cell_of(facets[0], (), ivl.top, n)
+        fm.empty_cell = _cell(facets[0], (), ivl.top, n)
         return fm
 
     owner = fm.owner
     for j, facet in enumerate(facets):
         bits = _facet_masks(ivl, facet)
         spans = [(1 << iv.hi) - (1 << (iv.lo - 1)) for iv in systems[j]]
+        covered = 0
+        for span in spans:
+            covered |= span
         masks = [0] * (1 << len(bits))
         new_faces = []
         for sub in range(1, len(masks)):
@@ -403,37 +409,29 @@ def build_face_matching(
             if transversal:
                 owner[mask] = j
                 new_faces.append(mask)
-        _match_within_facet(fm, j, facet, bits, new_faces)
+        _match_within_facet(fm, j, facet, bits, covered, new_faces)
 
     _verify_matching(fm)
     return fm
 
 
-def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
-    system = fm.systems[j]
+def _match_within_facet(fm: FaceMatching, j, facet, bits, covered, new_faces) -> None:
+    """Match facet j's new faces; covered is the rank mask its system covers."""
     j_sys = fm.j_systems[j]
-    r = len(bits)
     n = fm.cfg.order.n
-    covered = covers_all_ranks(system, r)
-    if not covered:
-        uncovered = [q for q in range(1, r + 1) if not any(q in iv.ranks() for iv in system)]
-        cone_bit = bits[uncovered[0] - 1]
+    uncovered = ~covered & ((1 << len(bits)) - 1)
+    if uncovered:
+        q = (uncovered & -uncovered).bit_length()  # the lowest uncovered rank
+        cone_bit = bits[q - 1]
         for mask in new_faces:
             other = mask ^ cone_bit
             if other == 0:
                 # lowest vertex of the least facet: the base critical cell
-                fm.critical[mask] = CriticalCell(
-                    facet,
-                    (uncovered[0],),
-                    (facet.interior[uncovered[0] - 1],),
-                    fm.ivl.top,
-                    content_monomial(facet.labels, n),
-                    is_base=True,
-                )
+                fm.critical[mask] = _cell(facet, (q,), fm.ivl.top, n, is_base=True)
                 continue
             fm.partner[mask] = other
         return
-    cell = critical_cell_of(facet, system, fm.ivl.top, n)
+    cell = _cell(facet, tuple(iv.lo for iv in j_sys), fm.ivl.top, n)
     cell_mask = 0
     for q in cell.ranks:
         cell_mask |= bits[q - 1]

@@ -2,12 +2,15 @@
 
 A presentation is a list of n distinct nonzero generator vectors.  The
 divisibility order is mu <= lam iff lam - mu is an N-combination of the
-generators; pointedness inside N^e keeps every interval finite.
+generators; pointedness inside N^e keeps every interval finite.  Each
+presentation grows one down-closed poset of this order on demand, and every
+interval is a slice of it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import NotComparable, ValidationError
@@ -26,6 +29,16 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
 def vec_dominates(a: Vector, b: Vector) -> bool:
     """Componentwise b <= a."""
     return all(x >= y for x, y in zip(a, b))
+
+
+def bit_indices(bits: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,17 @@ class SemigroupPresentation:
         self.dimension = dimension
         self.generators = gens
         self.n = len(gens)
-        # Membership memo; inserts are idempotent so concurrent reads are safe.
-        self._member: dict[Vector, bool] = {tuple([0] * dimension): True}
+        zero = tuple([0] * dimension)
+        self._member: dict[Vector, bool] = {zero: True}
+        # The divisibility poset grown so far, down-closed: element -> index,
+        # and per index the element, its (sum, e) sort key, the bitmask of
+        # its down-set and its upper covers (generator index, index) in
+        # generator order.
+        self._poset: dict[Vector, int] = {zero: 0}
+        self._elements: list[Vector] = [zero]
+        self._keys: list[tuple[int, Vector]] = [(0, zero)]
+        self._down: list[int] = [1]
+        self._up: list[list[tuple[int, int]]] = [[]]
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
                 if i != j and vec_dominates(gi, gj) and self.member(vec_sub(gi, gj)):
@@ -171,37 +193,62 @@ class SemigroupPresentation:
     # -- intervals -----------------------------------------------------------
 
     def interval(self, mu: Vector, lam: Vector) -> IntervalData:
-        """All gamma with mu <= gamma <= lam plus single-generator edges."""
-        if not self.leq(mu, lam):
-            raise NotComparable(f"{mu} !<= {lam}")
+        """All gamma with mu <= gamma <= lam plus single-generator edges.
+
+        The slice [0, lam - mu] of the down-closed poset, translated by mu:
+        elements in (sum, e) order, cover edges in generator order.
+        """
         diff = vec_sub(lam, mu)
-        zero = tuple([0] * self.dimension)
-        found = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in self.generators:
-                    w = vec_add(v, g)
-                    if w in found or not vec_dominates(diff, w):
-                        continue
-                    if self.member(vec_sub(diff, w)):
-                        found.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        elements = tuple(
-            sorted((vec_add(mu, v) for v in found), key=lambda e: (sum(e), e))
+        top = self._poset.get(diff)
+        if top is None:
+            if not self.leq(mu, lam):
+                raise NotComparable(f"{mu} !<= {lam}")
+            top = self._grow(diff)
+        order = bit_indices(self._down[top])
+        order.sort(key=self._keys.__getitem__)
+        local = {p: j for j, p in enumerate(order)}
+        up = self._up
+        edges = tuple(
+            tuple((gi, local[w]) for gi, w in up[p] if w in local) for p in order
         )
-        index = {e: i for i, e in enumerate(elements)}
-        edges = []
-        for e in elements:
-            row = []
+        elements = tuple(map(self._elements.__getitem__, order))
+        if any(mu):  # translating by 0 is the identity
+            elements = tuple(vec_add(mu, e) for e in elements)
+        return IntervalData(mu, lam, elements, edges)
+
+    def _grow(self, lam: Vector) -> int:
+        """Add the down-set of the member lam to the poset; return lam's index.
+
+        Walks down from lam by generator steps, stopping at held elements,
+        whose down-sets are held already.  New elements go in by (sum, e),
+        so every lower cover w - g of a new w is present when w is added.
+        """
+        poset = self._poset
+        new = {lam}
+        stack = [lam]
+        while stack:
+            v = stack.pop()
+            for g in self.generators:
+                if vec_dominates(v, g):
+                    u = vec_sub(v, g)
+                    if u not in poset and u not in new and self.member(u):
+                        new.add(u)
+                        stack.append(u)
+        for key in sorted((sum(e), e) for e in new):
+            w = key[1]
+            i = len(self._elements)
+            down = 1 << i
             for gi, g in enumerate(self.generators):
-                j = index.get(vec_add(e, g))
+                j = poset.get(vec_sub(w, g))
                 if j is not None:
-                    row.append((gi, j))
-            edges.append(tuple(row))
-        return IntervalData(mu, lam, elements, tuple(edges))
+                    down |= self._down[j]
+                    insort(self._up[j], (gi, i))
+            poset[w] = i
+            self._elements.append(w)
+            self._keys.append(key)
+            self._down.append(down)
+            self._up.append([])
+        return poset[lam]
 
     def degree_window(self, max_degree: int) -> dict[Vector, int]:
         """All nonzero lam with degree(lam) <= max_degree, with their degrees.

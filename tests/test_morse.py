@@ -338,7 +338,8 @@ def reference_face_matching(ivl, cfg, gb):
                 fm.owner[mask] = j
                 new_faces.append((sub, mask))
         reference_check_transversals(facet, systems[j], new_faces, r, j)
-        morse._match_within_facet(fm, j, facet, bits, [mask for _, mask in new_faces])
+        covered = sum(1 << (q - 1) for q in {q for iv in systems[j] for q in iv.ranks()})
+        morse._match_within_facet(fm, j, facet, bits, covered, [mask for _, mask in new_faces])
     assert reference_verify_acyclic(fm)
     return fm
 

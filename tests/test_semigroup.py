@@ -8,9 +8,17 @@ internals they check.
 import random
 
 import pytest
+from conftest import RINGS
 
 from morsegraded.errors import NotComparable, ValidationError
-from morsegraded.semigroup import SemigroupPresentation, random_presentation, vec_sub
+from morsegraded.homology import tor_tables
+from morsegraded.semigroup import (
+    SemigroupPresentation,
+    random_presentation,
+    vec_add,
+    vec_dominates,
+    vec_sub,
+)
 
 
 def oracle_member(gens, target):
@@ -41,6 +49,111 @@ def oracle_interval_elements(gens, lam):
 
     scan([])
     return sorted(out)
+
+
+def reference_interval(pres, mu, lam):
+    """The breadth-first interval search that poset slices replaced.
+
+    Returns (elements, cover_edges) as IntervalData holds them.
+    """
+    diff = vec_sub(lam, mu)
+    zero = tuple([0] * pres.dimension)
+    found = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in pres.generators:
+                w = vec_add(v, g)
+                if w in found or not vec_dominates(diff, w):
+                    continue
+                if pres.member(vec_sub(diff, w)):
+                    found.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    elements = tuple(sorted((vec_add(mu, v) for v in found), key=lambda e: (sum(e), e)))
+    index = {e: i for i, e in enumerate(elements)}
+    edges = []
+    for e in elements:
+        row = []
+        for gi, g in enumerate(pres.generators):
+            j = index.get(vec_add(e, g))
+            if j is not None:
+                row.append((gi, j))
+        edges.append(tuple(row))
+    return elements, tuple(edges)
+
+
+def assert_slice_equals_reference(pres, mu, lam):
+    ivl = pres.interval(mu, lam)
+    assert (ivl.bottom, ivl.top) == (mu, lam)
+    assert (ivl.elements, ivl.cover_edges) == reference_interval(pres, mu, lam), (mu, lam)
+
+
+# (dimension, generators, window): the conftest rings, and presentations that
+# are not standard-graded; in <2,7> the window of degree 4 holds 28 = 7*4
+# but not 26 <= 28, whose shortest factorization has 8 generators
+SLICE_CASES = {
+    **{name: (dim, gens, 5) for name, (dim, gens, _) in RINGS.items()},
+    "n345": (1, [(3,), (4,), (5,)], 6),
+    "skew2d": (2, [(1, 2), (3, 0), (0, 3), (2, 1), (1, 3)], 4),
+    "n27": (1, [(2,), (7,)], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_CASES))
+def test_interval_slices_equal_reference_in_hostile_order(name):
+    dim, gens, window = SLICE_CASES[name]
+    pres = SemigroupPresentation(dim, gens)  # a fresh, empty poset
+    zero = tuple([0] * dim)
+    assert_slice_equals_reference(pres, zero, zero)
+    tops = sorted(pres.degree_window(window), key=lambda e: (sum(e), e), reverse=True)
+    # the largest top first grows the whole poset; the rest are slices of it
+    for lam in tops:
+        assert_slice_equals_reference(pres, zero, lam)
+    held = len(pres._elements)
+    # prefer a pair whose difference is nonnegative but not in the semigroup
+    incomparable = [(a, b) for a in tops for b in tops if not pres.leq(a, b)]
+    mu, lam = min(incomparable, key=lambda p: not vec_dominates(p[1], p[0]))
+    with pytest.raises(NotComparable):
+        pres.interval(mu, lam)
+    assert len(pres._elements) == held
+    outside = vec_add(tops[0], gens[-1])
+    assert outside not in pres._poset
+    assert_slice_equals_reference(pres, zero, outside)
+    assert_slice_equals_reference(pres, gens[0], outside)
+
+
+@pytest.mark.parametrize(
+    "name, lam", [("squares", (2, 2, 1, 1)), ("cyclic3", (1, 1, 1, 1, 1, 1))]
+)
+def test_subinterval_slices_equal_reference(name, lam):
+    dim, gens, _ = RINGS[name]
+    pres = SemigroupPresentation(dim, gens)
+    elements = reference_interval(pres, tuple([0] * dim), lam)[0]
+    pairs = [(x, y) for x in elements for y in elements if pres.leq(x, y)]
+    assert len(pairs) > len(elements)
+    for x, y in reversed(pairs):
+        assert_slice_equals_reference(pres, x, y)
+
+
+def test_window_poset_is_built_once(monkeypatch):
+    dim, gens, _ = RINGS["squares"]
+    pres = SemigroupPresentation(dim, gens)
+    zero = tuple([0] * dim)
+    window = pres.degree_window(4)
+    tor_tables(pres, window, (0,))
+    calls = []
+    member = pres.member
+    monkeypatch.setattr(pres, "member", lambda v: calls.append(v) or member(v))
+    for lam in window:
+        pres.interval(zero, lam)
+    assert calls == []
+    monkeypatch.undo()
+    closure = {e for lam in window for e in reference_interval(pres, zero, lam)[0]}
+    assert len(pres._elements) == len(closure)
+    assert set(pres._elements) == closure
+    assert pres._poset == {e: i for i, e in enumerate(pres._elements)}
 
 
 def test_leq_relation_multidegree(squares):
