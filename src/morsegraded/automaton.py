@@ -87,18 +87,34 @@ class MorseAutomaton:
         }
 
 
-# -- quadratic construction -----------------------------------------------------
+# -- construction ----------------------------------------------------------------
 
 
-class _QuadraticRules:
-    """Transition logic for a fixed degree-2 basis."""
+class _Rules:
+    """Transition logic for a fixed basis of any degree.
+
+    A window is a leading term's labels in label order: a pair lead (two
+    letters that do not commute) or the labels of a lead of degree > 2.  A
+    lead of degree > 2 is consumed as one collection transition, whose
+    labels are read in descending order through intermediate ``C`` states,
+    so words stay plain letter strings.  Only a pair lead can enter the
+    pending ``U`` state; a collection cannot.
+    """
 
     def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig):
         self.gb = gb
         self.commutes = gb.commutes
-        self.cfg = cfg
         self.rank = cfg.order.label_rank
         self.n = cfg.order.n
+        self._fit_rows: dict[tuple[int, ...], tuple[bool, ...]] = {}
+        self.high_leads: list[tuple[int, ...]] = []
+        for b in gb.elements:
+            labels = []
+            for i, e in enumerate(b.plus):
+                labels.extend([i] * e)
+            if len(labels) > 2:
+                labels.sort(key=lambda i: self.rank[i])
+                self.high_leads.append(tuple(labels))
 
     def pair_kind(self, lam: int, mu: int) -> str | None:
         # mu was read first (sits above lam in the chain)
@@ -111,12 +127,26 @@ class _QuadraticRules:
     def _labels_after(self, items, pos) -> list[int]:
         return [it[1] for it in items[pos + 1 :] if it[0] == "L"]
 
+    def _fits(self, window) -> tuple[bool, ...]:
+        """Per letter lam: does lam rank strictly inside the window, and do
+        the window less its last label and the window less its first label,
+        each times lam, avoid the leading ideal?  For a pair (a1, a2) that
+        is commutes[a1][lam] and commutes[a2][lam]."""
+        row = self._fit_rows.get(window)
+        if row is None:
+            lo, hi = self.rank[window[0]], self.rank[window[-1]]
+            row = tuple(
+                lo < self.rank[lam] < hi
+                and not leading_ideal_member(self.gb, content_monomial(window[:-1] + (lam,), self.n))
+                and not leading_ideal_member(self.gb, content_monomial(window[1:] + (lam,), self.n))
+                for lam in range(self.n)
+            )
+            self._fit_rows[window] = row
+        return row
+
     def in_nes(self, items, window_pos: int, lam: int) -> bool:
         """Is lam in the non-essential set of the window at window_pos?"""
-        a1, a2 = items[window_pos][1]
-        if not (self.rank[a1] < self.rank[lam] < self.rank[a2]):
-            return False
-        if not self.commutes[lam][a1] or not self.commutes[lam][a2]:
+        if not self._fits(items[window_pos][1])[lam]:
             return False
         for nu in self._labels_after(items, window_pos):
             if not self.commutes[lam][nu]:
@@ -162,23 +192,50 @@ class _QuadraticRules:
         """Next state or None; states are hashable description tuples."""
         if state == INIT:
             return ("F", (("L", letter),), letter)
-        kind_tag = state[0]
-        if kind_tag == "F":
-            _, items, last = state
-            kind = self.pair_kind(letter, last)
-            if kind is None:
+        if state[0] == "C":
+            _, base, lead, consumed = state
+            if letter != lead[-2 - consumed]:
                 return None
-            if kind == "lead":
-                if self.letter_can_drop_into(items, letter, last):
-                    return None
-                new = self.append(items, (("L", letter), ("I", (letter, last))))
-                if self.nes_violation(items, letter):
-                    return ("U", new, letter, last)
-                return ("F", new, letter)
+            return self._collect(base, lead, consumed + 1, letter)
+        if state[0] == "U":
+            return self._rescue(state, letter)
+        _, items, last = state
+        kind = self.pair_kind(letter, last)
+        if kind == "descent":
             if self.nes_violation(items, letter):
                 return ("U", self.append(items, (("L", letter),)), letter, last)
             return ("F", self.append(items, (("L", letter),)), letter)
-        # non-final: only rescue letters forming a window under the pending label
+        if kind == "lead" and not self.letter_can_drop_into(items, letter, last):
+            new = self.append(items, (("L", letter), ("I", (letter, last))))
+            if self.nes_violation(items, letter):
+                return ("U", new, letter, last)
+            return ("F", new, letter)
+        # a blocked or missing pair lead: try to open a collection
+        candidates = [
+            lead
+            for lead in self.high_leads
+            if lead[-1] == last
+            and lead[-2] == letter
+            and not self.letter_can_drop_into(items, lead[0], last)
+        ]
+        if not candidates:
+            return None
+        if len(candidates) > 1:
+            raise CollectionEnumerationOverflow(
+                "ambiguous overlapping collection transitions; basis not supported"
+            )
+        return self._collect(state, candidates[0], 1, letter)
+
+    def _collect(self, base, lead, consumed: int, letter: int):
+        """State once consumed labels of lead below its largest are read,
+        the last of them letter, in a collection opened at F state base."""
+        if consumed < len(lead) - 1:
+            return ("C", base, lead, consumed)
+        _, items, _ = base
+        return ("F", self.append(items, (("L", letter), ("I", lead))), letter)
+
+    def _rescue(self, state, letter: int):
+        """Only a letter forming a window under the pending label leaves U."""
         _, items, lam, mu = state
         if self.rank[letter] > self.rank[lam] or self.commutes[letter][lam]:
             return None
@@ -256,107 +313,17 @@ def _explore(rules, n_labels: int, state_budget: int) -> MorseAutomaton:
 def build_quadratic_automaton(
     gb: GroebnerBasis, cfg: FacetOrderConfig, state_budget: int = 1_000_000
 ) -> MorseAutomaton:
+    """The automaton of a basis of degree <= 2; refuses higher degrees."""
     if gb.degree > 2:
         raise MorsegradedError("quadratic automaton needs a basis of degree <= 2")
-    return _explore(_QuadraticRules(gb, cfg), cfg.order.n, state_budget)
-
-
-# -- degree-d construction -------------------------------------------------------
-
-
-class _DegreeRules(_QuadraticRules):
-    """General-degree transitions: pair logic plus collection completions.
-
-    A collection transition consumes the remaining labels of a high-degree
-    leading term in descending order through intermediate states, so words
-    stay plain letter strings.
-    """
-
-    def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig):
-        super().__init__(gb, cfg)
-        self.high_leads: list[tuple[int, ...]] = []
-        for b in gb.elements:
-            labels = []
-            for i, e in enumerate(b.plus):
-                labels.extend([i] * e)
-            if len(labels) > 2:
-                labels.sort(key=lambda i: self.rank[i])
-                self.high_leads.append(tuple(labels))
-
-    def in_nes_window(self, items, pos, window, lam: int) -> bool:
-        a1, a2 = window[0], window[-1]
-        if not (self.rank[a1] < self.rank[lam] < self.rank[a2]):
-            return False
-        n = self.n
-        without_last = content_monomial(window[:-1] + (lam,), n)
-        without_first = content_monomial(window[1:] + (lam,), n)
-        if leading_ideal_member(self.gb, without_last) or leading_ideal_member(
-            self.gb, without_first
-        ):
-            return False
-        for nu in self._labels_after(items, pos):
-            if not self.commutes[lam][nu] or self.rank[nu] >= self.rank[lam]:
-                return False
-        return True
-
-    def in_nes(self, items, window_pos: int, lam: int) -> bool:
-        window = items[window_pos][1]
-        if len(window) == 2:
-            return super().in_nes(items, window_pos, lam)
-        return self.in_nes_window(items, window_pos, window, lam)
-
-    def collection_starts(self, items, last: int):
-        """Leads of degree > 2 completable below the last-read letter."""
-        out = []
-        for lead in self.high_leads:
-            if lead[-1] != last:
-                continue
-            rest = tuple(reversed(lead[:-1]))  # read descending, top-down
-            if self.letter_can_drop_into(items, lead[0], last):
-                continue
-            out.append((lead, rest))
-        return out
-
-    def step(self, state, letter: int):
-        if state and state[0] == "C":
-            _, base, lead, consumed = state
-            rest = tuple(reversed(lead[:-1]))
-            want = rest[consumed]
-            if letter != want:
-                return None
-            consumed += 1
-            if consumed < len(rest):
-                return ("C", base, lead, consumed)
-            _, items, last = base
-            new = self.append(items, (("L", letter), ("I", lead)))
-            return ("F", new, letter)
-        nxt = super().step(state, letter)
-        if nxt is not None or state == INIT or state[0] != "F":
-            return nxt
-        _, items, last = state
-        candidates = []
-        for lead, rest in self.collection_starts(items, last):
-            if rest[0] == letter:
-                candidates.append(lead)
-        if not candidates:
-            return None
-        if len(candidates) > 1:
-            raise CollectionEnumerationOverflow(
-                "ambiguous overlapping collection transitions; basis not supported"
-            )
-        lead = candidates[0]
-        rest = tuple(reversed(lead[:-1]))
-        if len(rest) == 1:
-            _, items, last = state
-            new = self.append(items, (("L", letter), ("I", lead)))
-            return ("F", new, letter)
-        return ("C", state, lead, 1)
+    return _explore(_Rules(gb, cfg), cfg.order.n, state_budget)
 
 
 def build_degree_d_automaton(
     gb: GroebnerBasis, cfg: FacetOrderConfig, state_budget: int = 1_000_000
 ) -> MorseAutomaton:
-    return _explore(_DegreeRules(gb, cfg), cfg.order.n, state_budget)
+    """The automaton of a basis of any degree."""
+    return _explore(_Rules(gb, cfg), cfg.order.n, state_budget)
 
 
 # -- rational generating series ---------------------------------------------------

@@ -6,7 +6,7 @@ import argparse
 import sys
 import time
 
-from .automaton import build_degree_d_automaton, build_quadratic_automaton, rational_series
+from .automaton import build_degree_d_automaton, rational_series
 from .chains import FacetOrderConfig, ordered_facets
 from .errors import InternalInvariantError, MorsegradedError, ValidationError
 from .groebner import default_cap, groebner_for, verify_groebner
@@ -46,15 +46,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup(doc: InputDocument, cfg: RunConfig):
-    pres = doc.presentation
-    order = doc.order
+# commands whose reports never read the Groebner basis
+_BASIS_FREE = ("interval", "chains", "betti")
+
+
+def _basis(doc: InputDocument, cfg: RunConfig):
     if doc.supplied_basis is not None:
-        gb = doc.supplied_basis  # verified at parse time
-    else:
-        cap = cfg.cap if cfg.cap is not None else default_cap(pres, cfg.degree_window)
-        gb = groebner_for(pres, order, cap)
-    return pres, FacetOrderConfig(order), gb
+        return doc.supplied_basis  # verified at parse time
+    pres = doc.presentation
+    cap = cfg.cap if cfg.cap is not None else default_cap(pres, cfg.degree_window)
+    return groebner_for(pres, doc.order, cap)
+
+
+def _cells_json(cells) -> list[dict]:
+    """Critical cells by dimension, then facet labels."""
+    return [
+        {
+            "facet": list(c.facet.labels),
+            "ranks": list(c.ranks),
+            "dimension": c.dimension,
+            "base": c.is_base,
+        }
+        for c in sorted(cells, key=lambda c: (c.dimension, c.facet.labels))
+    ]
 
 
 def _targets(doc: InputDocument, pres, cfg: RunConfig):
@@ -67,7 +81,9 @@ def _targets(doc: InputDocument, pres, cfg: RunConfig):
 def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
     """Dispatch one command; returns (report payload, optional tsv body)."""
     doc = parse_input(text)
-    pres, fcfg, gb = _setup(doc, cfg)
+    pres = doc.presentation
+    fcfg = FacetOrderConfig(doc.order)
+    gb = None if cfg.command in _BASIS_FREE else _basis(doc, cfg)
     zero = tuple([0] * pres.dimension)
     tsv = None
     if cfg.command == "gb":
@@ -118,17 +134,7 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
                 {
                     "multidegree": list(lam),
                     "interval_systems": cells,
-                    "critical_cells": [
-                        {
-                            "facet": list(c.facet.labels),
-                            "ranks": list(c.ranks),
-                            "dimension": c.dimension,
-                            "base": c.is_base,
-                        }
-                        for c in sorted(
-                            fm.cells(), key=lambda c: (c.dimension, c.facet.labels)
-                        )
-                    ],
+                    "critical_cells": _cells_json(fm.cells()),
                 }
             )
         payload = {"morse": entries}
@@ -140,17 +146,7 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
                 {
                     "multidegree": list(lam),
                     "morse_numbers": {str(k): v for k, v in res.morse_numbers().items()},
-                    "survivors": [
-                        {
-                            "facet": list(c.facet.labels),
-                            "ranks": list(c.ranks),
-                            "dimension": c.dimension,
-                            "base": c.is_base,
-                        }
-                        for c in sorted(
-                            res.survivors, key=lambda c: (c.dimension, c.facet.labels)
-                        )
-                    ],
+                    "survivors": _cells_json(res.survivors),
                     "matched_pairs": [
                         {
                             "high": list(p.high_labels),
@@ -180,13 +176,13 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
         }
         tsv = betti_tsv(tables[cfg.characteristics[0]].to_rows())
     elif cfg.command == "automaton":
-        auto = _automaton(gb, fcfg, cfg)
+        auto = build_degree_d_automaton(gb, fcfg, cfg.state_budget)
         payload = {
             "automaton": auto.to_json(),
             "word_counts": auto.count_words(min(8, cfg.degree_window + 2)),
         }
     elif cfg.command == "series":
-        auto = _automaton(gb, fcfg, cfg)
+        auto = build_degree_d_automaton(gb, fcfg, cfg.state_budget)
         series = rational_series(auto, verify_len=min(8, cfg.degree_window + 2))
         payload = {
             "numerator": list(series.numerator),
@@ -215,12 +211,6 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
             targets=doc.targets,
         )
     return payload, tsv
-
-
-def _automaton(gb, fcfg, cfg: RunConfig):
-    if gb.degree <= 2:
-        return build_quadratic_automaton(gb, fcfg, cfg.state_budget)
-    return build_degree_d_automaton(gb, fcfg, cfg.state_budget)
 
 
 def main(argv=None) -> int:

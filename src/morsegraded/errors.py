@@ -55,4 +55,6 @@ class PathCapExceeded(MorsegradedError):
 
 
 class CollectionEnumerationOverflow(MorsegradedError):
-    """Degree-d automaton precomputation exceeded the state budget."""
+    """The automaton cannot be built: it would exceed the state budget, or
+    two collection transitions of a basis of degree > 2 start on the same
+    letter (ambiguous overlapping collections are not supported)."""

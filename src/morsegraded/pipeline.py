@@ -7,12 +7,7 @@ survivors against automaton language and commutation classes.
 
 from __future__ import annotations
 
-from .automaton import (
-    build_degree_d_automaton,
-    build_quadratic_automaton,
-    commutation_classes,
-    rational_series,
-)
+from .automaton import build_degree_d_automaton, commutation_classes, rational_series
 from .cancellation import CancellationResult, cancel_interval, survivor_words_by_content
 from .chains import FacetOrderConfig
 from .groebner import GroebnerBasis
@@ -185,10 +180,7 @@ def full_consistency_suite(
     checks["vanishing_bound"] = vanishing["ok"]
     details["vanishing"] = vanishing
 
-    if gb.degree <= 2:
-        auto = build_quadratic_automaton(gb, cfg, state_budget)
-    else:
-        auto = build_degree_d_automaton(gb, cfg, state_budget)
+    auto = build_degree_d_automaton(gb, cfg, state_budget)
     accepted = {
         w for ws in auto.words_up_to(max_degree).values() for w in ws
     }

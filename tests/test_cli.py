@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from morsegraded.errors import InvalidBasis, ParseError
-from morsegraded.io import RunConfig, canonical_json, parse_input
+from morsegraded.io import COMMANDS, RunConfig, canonical_json, parse_input
 from morsegraded.cli import main, run_command
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -340,3 +340,41 @@ def test_face_matching_breach_names_multidegree_and_facet(tmp_path, capsys):
     assert len(lines) == 1
     assert "face matching at (20,)" in lines[0]
     assert "facet (1, 1, 1, 1, 1)" in lines[0]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_groebner_basis_built_only_when_read(command, monkeypatch, capsys):
+    # interval, chains and betti never read the basis, so none is computed
+    import morsegraded.cli as cli
+
+    calls = []
+    original = cli.groebner_for
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "groebner_for", spy)
+    argv = ["--input", str(FIXTURES / "minor.json"), "--command", command]
+    assert main(argv + ["--degree-window", "3"]) == 0
+    assert len(calls) == (0 if command in ("interval", "chains", "betti") else 1)
+
+
+def test_automaton_state_budget_exits_1(capsys):
+    argv = ["--input", str(FIXTURES / "squares.json"), "--command", "automaton"]
+    code = main(argv + ["--state-budget", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: automaton construction exceeded 3 states\n"
+
+
+def test_ambiguous_collections_exit_1(tmp_path, capsys):
+    # two cubic leads open a collection on the same letter pair
+    doc = tmp_path / "ambiguous.json"
+    doc.write_text('{"dimension": 2, "generators": [[2, 2], [2, 1], [3, 0], [2, 0]]}')
+    code = main(["--input", str(doc), "--command", "automaton", "--degree-window", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: ambiguous overlapping collection transitions; basis not supported\n"
+    )
