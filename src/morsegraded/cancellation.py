@@ -5,8 +5,8 @@ highest syzygy window with shiftable labels picks a pivot label, and the
 partner is the cell with that pivot shifted across the window boundary.
 No pair is reversed on trust: every match is certified by exhaustive path
 enumeration (exactly one path), the critical-cell multigraph is checked
-acyclic fiber by fiber, and the reversed face matching is re-verified from
-scratch.
+acyclic fiber by fiber, and the reversed face matching is checked acyclic
+along every reversed path.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .chains import FacetOrderConfig
 from .errors import (
+    AcyclicityFailure,
     InternalInvariantError,
     PathCapExceeded,
     UnmatchedUnsaturatedCell,
@@ -24,6 +25,8 @@ from .homology import below_vanishing_bound
 from .morse import (
     CriticalCell,
     FaceMatching,
+    _breach,
+    alternating_cycle,
     build_face_matching,
     covering_words,
     covers_all_ranks,
@@ -31,7 +34,6 @@ from .morse import (
     morse_numbers,
     msi_characterization,
     truncate_to_j_intervals,
-    verify_acyclic,
 )
 from .orders import Monomial
 from .semigroup import SemigroupPresentation, Vector
@@ -481,7 +483,13 @@ def _fiber_acyclic(matched: dict, table: dict[Pair, list[GradientPath]]) -> bool
     return seen == len(nodes)
 
 
-def _apply_reversals(fm: FaceMatching, chosen: list[GradientPath]):
+def _apply_reversals(fm: FaceMatching, chosen: list[GradientPath]) -> FaceMatching:
+    """fm with every chosen gradient path reversed.
+
+    A path tau, y1, x1, ..., y_k = sigma drops the pairs (y_i, x_i) and
+    adds (tau, y1), (x1, y2), ..., (x_{k-1}, sigma).  The owner map is
+    shared with fm, which nothing changes after the build.
+    """
     partner = dict(fm.partner)
     removed: set[tuple[int, int]] = set()
     added: dict[int, int] = {}
@@ -508,13 +516,34 @@ def _apply_reversals(fm: FaceMatching, chosen: list[GradientPath]):
         for i in range(1, k + 1):
             add(cells[2 * i - 2], cells[2 * i - 1])
     partner.update(added)
-    out = FaceMatching(
-        fm.ivl, fm.cfg, fm.facets, fm.systems, fm.j_systems, dict(fm.owner), partner,
-        dict(fm.critical), fm.empty_cell,
-    )
     cancelled = {p.cells[0] for p in chosen} | {p.cells[-1] for p in chosen}
-    out.critical = {m: c for m, c in fm.critical.items() if m not in cancelled}
-    return out
+    return FaceMatching(
+        fm.ivl, fm.cfg, fm.facets, fm.systems, fm.j_systems, fm.owner, partner,
+        {m: c for m, c in fm.critical.items() if m not in cancelled}, fm.empty_cell,
+    )
+
+
+def _verify_reversals(fm: FaceMatching, chosen: list[GradientPath]) -> None:
+    """Raise AcyclicityFailure when reversing chosen closed a cycle in fm.
+
+    Precondition: the matching the paths were reversed in has passed
+    morse._verify_matching, as every matching build_face_matching returns
+    has, so its modified Hasse digraph is acyclic.  Reversing a path
+    tau, y1, x1, ..., y_k turns each up-edge y_i -> x_i into a down-edge
+    ending at y_i, and each down-edge x_{i-1} -> y_i (x_0 = tau) into an
+    up-edge leaving y_i; no other edge changes.  A cycle of fm's digraph
+    must use a changed edge, since the old digraph had none, so it passes
+    through some y_i.  Now matched upward to x_{i-1}, y_i is one of the
+    cycle's lower faces, a node of the alternating digraph that
+    morse.alternating_cycle searches.  The search therefore starts from the
+    lower cells of the reversed paths alone.  The facet owning the face it
+    returns is named in the error.
+    """
+    face = alternating_cycle(fm.partner, [y for p in chosen for y in p.cells[1::2]])
+    if face is not None:
+        raise _breach(
+            fm, fm.owner[face], "reversed matching has a directed cycle", AcyclicityFailure
+        )
 
 
 def cancel_cells(
@@ -528,6 +557,9 @@ def cancel_cells(
     degree d >= 3 it sits below the vanishing bound -1 + (deg - 1)/(d - 1),
     deg the length of a shortest saturated chain, and survivors of that
     kind are reported as residual low cells.
+
+    fm must have passed morse._verify_matching: every caller takes it from
+    build_face_matching.  The check of the reversed matching rests on that.
     """
     cfg = fm.cfg
     complete = gb.degree <= 2
@@ -613,8 +645,7 @@ def cancel_cells(
         raise InternalInvariantError("critical multigraph matching has a cycle")
 
     new_fm = _apply_reversals(fm, chosen)
-    if not verify_acyclic(new_fm):
-        raise InternalInvariantError("reversed matching is not acyclic")
+    _verify_reversals(new_fm, chosen)
     survivors = new_fm.cells()
     residual = [c for c in survivors if not c.is_base and c.dimension >= 0 and stranded(c)]
     if complete and residual:

@@ -48,27 +48,34 @@ class FacetOrderConfig:
 
 
 def saturated_chains(ivl: IntervalData) -> list[Facet]:
-    """Every maximal chain of the interval, once, in label-index DFS order."""
+    """Every maximal chain of the interval, once, in label-index DFS order.
+
+    The search keeps one cover-edge iterator per element of the current
+    chain on an explicit stack, so chains of any length need no recursion.
+    """
     bottom_idx = ivl.index(ivl.bottom)
     top_idx = ivl.index(ivl.top)
+    if bottom_idx == top_idx:
+        return [Facet((), ())]
+    cover, elements = ivl.cover_edges, ivl.elements
     out: list[Facet] = []
     labels: list[int] = []
     interior: list[Vector] = []
-
-    def walk(at: int):
-        if at == top_idx:
-            out.append(Facet(tuple(labels), tuple(interior[:-1])))
-            return
-        for gen, nxt in ivl.cover_edges[at]:
+    stack = [iter(cover[bottom_idx])]
+    while stack:
+        for gen, nxt in stack[-1]:
+            if nxt == top_idx:
+                out.append(Facet(tuple(labels) + (gen,), tuple(interior)))
+                continue
             labels.append(gen)
-            interior.append(ivl.elements[nxt])
-            walk(nxt)
-            labels.pop()
-            interior.pop()
-
-    if bottom_idx == top_idx:
-        return [Facet((), ())]
-    walk(bottom_idx)
+            interior.append(elements[nxt])
+            stack.append(iter(cover[nxt]))
+            break
+        else:
+            stack.pop()
+            if stack:
+                labels.pop()
+                interior.pop()
     return out
 
 

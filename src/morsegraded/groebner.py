@@ -136,6 +136,12 @@ def normal_form(u: Monomial, v: Monomial, basis: list[Binomial]) -> tuple[Monomi
     return u, v
 
 
+# Most S-pair reductions one buchberger run may make.  The test suite needs
+# at most 1,678, and the benchmark inputs at degree windows 4-7 at most
+# 7,608 (skew2d at window 7).
+S_PAIR_BUDGET = 50_000
+
+
 def buchberger(
     gens,
     order: TermOrder,
@@ -144,7 +150,8 @@ def buchberger(
     """Reduced Groebner basis from binomial generators.
 
     gens may be Binomials or raw (u, v) pairs.  Raises on intermediate
-    degree explosion past degree_ceiling.
+    degree explosion past degree_ceiling, and after S_PAIR_BUDGET S-pair
+    reductions.
     """
     basis: list[Binomial] = []
     for g in gens:
@@ -163,11 +170,18 @@ def buchberger(
     for i in range(len(basis)):
         for j in range(i):
             push(heap, i, j)
+    reductions = 0
     while heap:
         _, lcm, i, j = heapq.heappop(heap)
         f, g = basis[i], basis[j]
         if monomial_gcd(f.plus, g.plus) == tuple([0] * order.n):
             continue  # coprime leads: S-pair reduces to zero
+        reductions += 1
+        if reductions > S_PAIR_BUDGET:
+            raise MorsegradedError(
+                f"Buchberger exceeded the budget of {S_PAIR_BUDGET} S-pair reductions "
+                f"with {len(basis)} basis elements"
+            )
         u = monomial_mul(monomial_div(lcm, f.plus), f.minus)
         v = monomial_mul(monomial_div(lcm, g.plus), g.minus)
         nf = normal_form(u, v, basis)

@@ -21,7 +21,12 @@ from .chains import (
     ordered_facets,
     skipped_ranks,
 )
-from .errors import AcyclicityFailure, CrossingViolation, InternalInvariantError
+from .errors import (
+    AcyclicityFailure,
+    CrossingViolation,
+    InternalInvariantError,
+    MorsegradedError,
+)
 from .groebner import GroebnerBasis, leading_ideal_member
 from .orders import Monomial, content_monomial
 from .semigroup import IntervalData, Vector
@@ -352,6 +357,12 @@ class FaceMatching:
         return mask.bit_count() - 1
 
 
+# Most interior subsets build_face_matching may enumerate for one interval,
+# summed over its facets.  The largest interval of the benchmark inputs at
+# degree window 7, pair_swap (4,4,1,1,1), needs 255,360.
+FACE_BUDGET = 1 << 21
+
+
 def _facet_masks(ivl: IntervalData, facet: Facet) -> list[int]:
     return [1 << ivl.index(e) for e in facet.interior]
 
@@ -372,8 +383,14 @@ def build_face_matching(
     builds each face from an earlier one, sub with its lowest bit cleared,
     and compares "not yet owned" with "meets every skipped interval",
     where each interval [lo, hi] is the rank mask of bits lo-1 .. hi-1.
+    Intervals whose facets have more than FACE_BUDGET interior subsets in
+    all are refused before any is built.
     """
     facets = ordered_facets(ivl, cfg)
+    if sum(1 << len(f.interior) for f in facets) > FACE_BUDGET:
+        raise MorsegradedError(
+            f"face matching at {ivl.top}: more than {FACE_BUDGET} faces to enumerate"
+        )
     systems = [msi_characterization(gb, cfg, f) for f in facets]
     j_systems = [truncate_to_j_intervals(s) for s in systems]
     fm = FaceMatching(ivl, cfg, facets, systems, j_systems)
@@ -475,60 +492,83 @@ def _verify_matching(fm: FaceMatching) -> None:
             raise _breach(fm, owner[mask], "face neither matched nor critical")
     if not verify_acyclic(fm):
         # Down-edges never reach a later facet and matched edges stay in
-        # one, so every cycle lies in one facet's new faces, and the latest
-        # facet owning a face the sort left behind carries a cycle.
-        j = max(owner[m] for m in _unsorted_faces(fm))
-        raise _breach(fm, j, "the matching has a directed cycle", AcyclicityFailure)
+        # one, so every cycle lies in one facet's new faces, and the facet
+        # owning any face on the cycle carries it.
+        face = alternating_cycle(partner, partner)
+        raise _breach(fm, owner[face], "the matching has a directed cycle", AcyclicityFailure)
 
 
 def verify_acyclic(fm: FaceMatching) -> bool:
-    """Topological sort of the modified Hasse digraph (matched edges up)."""
-    return not _unsorted_faces(fm)
+    """Is the modified Hasse digraph (matched edges up) free of cycles?
 
-
-def _unsorted_faces(fm: FaceMatching) -> list[int]:
-    """Faces Kahn's sort of the modified Hasse digraph cannot reach.
-
-    Every face points at each of its faces one dimension down, except that a
-    matched pair's edge points up.  In-degrees are counted in one pass and
-    each face's successors are regenerated when it is popped.  The list is
-    empty exactly when the digraph is acyclic.
+    Every up-matched face seeds alternating_cycle, which is exact for
+    any matching whose pairs differ in one element.
     """
-    owner, partner = fm.owner, fm.partner
-    indeg = dict.fromkeys(owner, 0)
-    for x in owner:
-        up = partner.get(x)
-        if up is not None and up.bit_count() == x.bit_count() + 1:
-            indeg[up] += 1
-        m = x
-        while m:
-            bit = m & -m
-            m ^= bit
-            y = x ^ bit
-            if y and y != up:
-                indeg[y] += 1
-    queue = [m for m, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        x = queue.pop()
-        seen += 1
-        up = partner.get(x)
-        if up is not None and up.bit_count() == x.bit_count() + 1:
-            indeg[up] -= 1
-            if not indeg[up]:
-                queue.append(up)
-        m = x
-        while m:
-            bit = m & -m
-            m ^= bit
-            y = x ^ bit
-            if y and y != up:
-                indeg[y] -= 1
-                if not indeg[y]:
-                    queue.append(y)
-    if seen == len(owner):
-        return []
-    return [m for m, d in indeg.items() if d]
+    return alternating_cycle(fm.partner, fm.partner) is None
+
+
+def alternating_cycle(partner: dict[int, int], seeds) -> int | None:
+    """A face on a directed cycle reachable from seeds, or None.
+
+    The modified Hasse digraph points every face at each of its faces one
+    dimension down, except that a matched pair's edge points up.  Its
+    directed cycles are exactly those of the alternating digraph searched
+    here, whose nodes are the up-matched faces (partner[x] > x, which is
+    containment when matched faces differ in one element): from x matched
+    to y = partner[x], an edge leads to every other face x' of y that is
+    itself matched upward.
+
+    Proof.  A face is matched to at most one other, so after the up-edge
+    x -> partner[x] the next edge cannot be another up-edge: two up-edges
+    are never consecutive.  Around a cycle the up-edges and the down-edges
+    are equal in number, since each changes the dimension by one, so they
+    strictly alternate and the cycle lies in two consecutive dimensions.
+    Its lower faces, read in order, form a cycle of the alternating
+    digraph, and every cycle of the alternating digraph expands, through
+    the matched faces above it, into one of the modified Hasse digraph.
+
+    Seeds not matched upward are skipped.  The search is an iterative
+    depth-first search with faces on the current path marked True and
+    finished faces False; an edge back to a marked face closes a cycle,
+    and that face is returned.  Each node is expanded once.
+    """
+    get = partner.get
+    state: dict[int, bool] = {}
+    for seed in seeds:
+        if seed in state or get(seed, 0) < seed:
+            continue
+        state[seed] = True
+        path = [seed]
+        todo = [_successors(seed, get)]
+        while todo:
+            succ = todo[-1]
+            if succ:
+                y = succ.pop()
+                mark = state.get(y)
+                if mark is None:
+                    state[y] = True
+                    path.append(y)
+                    todo.append(_successors(y, get))
+                elif mark:
+                    return y
+            else:
+                todo.pop()
+                state[path.pop()] = False
+    return None
+
+
+def _successors(x: int, get) -> list[int]:
+    """The up-matched faces of partner[x] other than x."""
+    up = get(x)
+    out = []
+    m = x  # the elements of up other than the one x lacks
+    while m:
+        bit = m & -m
+        m ^= bit
+        y = up ^ bit
+        if get(y, 0) > y:
+            out.append(y)
+    return out
 
 
 def morse_numbers(cells) -> dict[int, int]:

@@ -378,3 +378,45 @@ def test_ambiguous_collections_exit_1(tmp_path, capsys):
     assert captured.err == (
         "error: ambiguous overlapping collection transitions; basis not supported\n"
     )
+
+
+def _deep_chain(tmp_path):
+    # the interval [0, 1500] of the free semigroup <1> is one chain of 1500 steps
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"dimension": 1, "generators": [[1]], "targets": [[1500]]}')
+    return doc
+
+
+def test_deep_chain_lists_without_recursion(tmp_path, capsys):
+    code = main(["--input", str(_deep_chain(tmp_path)), "--command", "chains"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    (entry,) = json.loads(captured.out)["report"]["chains"]
+    assert entry["facets"] == [[0] * 1500]
+
+
+@pytest.mark.parametrize("command", ["morse", "cancel"])
+def test_deep_chain_exceeds_face_budget_exits_1(command, tmp_path, capsys):
+    code = main(["--input", str(_deep_chain(tmp_path)), "--command", command])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: face matching at (1500,): more than 2097152 faces to enumerate\n"
+    )
+
+
+def test_buchberger_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # a plane semigroup whose unreduced toric generators (879 binomials at
+    # cap 9) keep Buchberger busy for minutes
+    import morsegraded.groebner as groebner
+
+    monkeypatch.setattr(groebner, "S_PAIR_BUDGET", 200)
+    doc = tmp_path / "plane.json"
+    gens = [[2, 2], [2, 3], [3, 3], [2, 0], [3, 1], [2, 1]]
+    doc.write_text(json.dumps({"dimension": 2, "generators": gens}))
+    code = main(["--input", str(doc), "--command", "gb", "--degree-window", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: Buchberger exceeded the budget of 200 S-pair reductions")

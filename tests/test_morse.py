@@ -2,13 +2,19 @@
 
 import pytest
 
-from morsegraded import morse
-from morsegraded.cancellation import cancel_cells
+from morsegraded import cancellation, morse
+from morsegraded.cancellation import (
+    _apply_reversals,
+    _verify_reversals,
+    cancel_cells,
+    gradient_paths_from,
+)
 from morsegraded.chains import ordered_facets
 from morsegraded.errors import AcyclicityFailure, InternalInvariantError
 from morsegraded.morse import (
     FaceMatching,
     RankInterval,
+    alternating_cycle,
     assert_euler,
     build_face_matching,
     covers_all_ranks,
@@ -410,3 +416,104 @@ def test_matched_pair_must_be_face_and_coface(squares):
     assert abs(fm.dim(a) - fm.dim(big_b)) == 1  # the dimension test alone passes
     with pytest.raises(InternalInvariantError, match="other than one element"):
         morse._verify_matching(fm)
+
+
+# -- the alternating cycle search against Kahn's sort ------------------------------
+
+
+def plant_cycle(fm, face, d):
+    """Match faces of face around a cycle in dimensions d and d + 1.
+
+    With three elements a, b, c of face and a base of d others, the faces
+    base+a, base+b, base+c are matched up to base+a+b, base+b+c, base+c+a,
+    whatever they were matched to before.  Returns the planted pairs.
+    """
+    elements = [1 << i for i in range(face.bit_length()) if face >> i & 1]
+    a, b, c = elements[:3]
+    base = sum(elements[3 : 3 + d])
+    cycle = {base | a: base | a | b, base | b: base | b | c, base | c: base | c | a}
+    for f in [*cycle, *cycle.values()]:
+        other = fm.partner.pop(f, None)
+        if other is not None:
+            fm.partner.pop(other, None)
+    for lo, hi in cycle.items():
+        fm.partner[lo], fm.partner[hi] = hi, lo
+    return cycle
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_planted_cycle_in_each_dimension_pair(squares, d):
+    fm = editable_copy(squares.matching((4, 4, 1, 1)))
+    face = next(m for m in fm.owner if m.bit_count() == d + 3)
+    cycle = plant_cycle(fm, face, d)
+    assert not verify_acyclic(fm)
+    assert not reference_verify_acyclic(fm)
+    # seeded on the cycle alone, the search returns one of its lower faces
+    assert alternating_cycle(fm.partner, [next(iter(cycle))]) in cycle
+    # unmatching one planted pair opens the cycle, and both checks agree
+    lo = next(iter(cycle))
+    del fm.partner[lo], fm.partner[cycle[lo]]
+    assert verify_acyclic(fm) and reference_verify_acyclic(fm)
+
+
+def two_path_reversal(cyclic3):
+    """A certified cancellation path and one of two paths between two cells.
+
+    On cyclic3 (2,2,2,2,2,2) the upper cell (5, 4, 3, 2, 1, 0) reaches the
+    lower cell (3, 4, 5, 2, 1, 0) by two gradient paths, so reversing
+    either one closes a cycle with the other.  The certified path is the
+    one cancel_cells reverses.
+    """
+    fm = cyclic3.matching((2, 2, 2, 2, 2, 2))
+    mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
+    hi, lo = mask_of[(5, 4, 3, 2, 1, 0)], mask_of[(3, 4, 5, 2, 1, 0)]
+    paths = gradient_paths_from(fm, hi, {lo})[lo]
+    assert len(paths) == 2
+    (pair,) = cancel_cells(fm, cyclic3.gb).pairs
+    return fm, pair.path, paths
+
+
+def test_reversing_one_of_two_paths_closes_a_cycle(cyclic3):
+    fm, _, paths = two_path_reversal(cyclic3)
+    for path in paths:
+        out = _apply_reversals(fm, [path])
+        assert not reference_verify_acyclic(out)
+        assert not verify_acyclic(out)
+        assert alternating_cycle(out.partner, path.cells[1::2]) is not None
+        with pytest.raises(
+            AcyclicityFailure,
+            match=r"^face matching at \(2, 2, 2, 2, 2, 2\): facet \(.*\): "
+            r"reversed matching has a directed cycle$",
+        ):
+            _verify_reversals(out, [path])
+
+
+def test_reversal_check_seeds_every_reversed_path(cyclic3):
+    # the cycle runs through the second path only: a check seeded from the
+    # first reversed path alone would miss it
+    fm, certified, paths = two_path_reversal(cyclic3)
+    chosen = [certified, paths[0]]
+    out = _apply_reversals(fm, chosen)
+    assert not reference_verify_acyclic(out)
+    with pytest.raises(AcyclicityFailure, match="reversed matching has a directed cycle"):
+        _verify_reversals(out, chosen)
+    _verify_reversals(_apply_reversals(fm, chosen[:1]), chosen[:1])
+
+
+def test_reversal_check_visits_few_faces(squares, monkeypatch):
+    class Recording(dict):
+        def get(self, key, default=None):
+            touched.add(key)
+            return super().get(key, default)
+
+    touched: set[int] = set()
+    search = cancellation.alternating_cycle
+    monkeypatch.setattr(
+        cancellation, "alternating_cycle", lambda partner, seeds: search(Recording(partner), seeds)
+    )
+    fm = squares.matching((5, 5, 1, 1))
+    res = cancel_cells(fm, squares.gb)
+    assert res.pairs and len(fm.owner) == 20_153
+    # about 3,800 faces, where the check of the built matching reads 20,140
+    assert 0 < len(touched) < len(fm.owner) // 5
+    assert reference_verify_acyclic(res.matching)
