@@ -37,17 +37,14 @@ from .chains import (
     Facet,
     FacetOrderConfig,
     check_crossing_condition,
-    is_least_content_increasing,
     ordered_facets,
     saturated_chains,
 )
 from .morse import (
     CriticalCell,
     FaceMatching,
-    IntervalSystem,
     RankInterval,
     build_face_matching,
-    critical_cell_of,
     direct_interval_system,
     morse_numbers,
     msi_characterization,
@@ -56,13 +53,11 @@ from .morse import (
 )
 from .cancellation import (
     CancellationResult,
-    CriticalMultigraph,
     GradientPath,
     NonEssentialSet,
     cancel_cells,
     cancel_interval,
     check_321_uniqueness,
-    critical_multigraph,
     enumerate_gradient_paths,
     non_essential_sets,
     survivor_words_by_content,
@@ -86,7 +81,7 @@ from .automaton import (
     commutation_classes,
     rational_series,
 )
-from .pipeline import cm_koszul_witness, full_consistency_suite
+from .pipeline import full_consistency_suite
 from .io import InputDocument, RunConfig, parse_input
 
 __all__ = [name for name in dir() if not name.startswith("_")]

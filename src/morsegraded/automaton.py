@@ -97,8 +97,25 @@ class _Rules:
     letters that do not commute) or the labels of a lead of degree > 2.  A
     lead of degree > 2 is consumed as one collection transition, whose
     labels are read in descending order through intermediate ``C`` states,
-    so words stay plain letter strings.  Only a pair lead can enter the
-    pending ``U`` state; a collection cannot.
+    so words stay plain letter strings.  A collection is tried only when
+    the last two letters commute, and only a descent enters the pending
+    ``U`` state.
+
+    Why no window is blocked, and why a pair lead never enters ``U``.  In
+    every ``F`` state ("F", items, last), ("L", last) is the last ``L``
+    item, and the only item after it is the ``I`` window opened in the same
+    step, whose lowest label is last.  in_nes(items, pos, x) needs x to rank
+    strictly above the lowest label of the window at pos, and every ``L``
+    label after that window to rank below x and commute with it.
+    - No window admits last: one before ("L", last) has last itself after
+      it, and the one after it starts at last.  Removing an ``L`` item
+      other than last changes neither fact, so no earlier letter can drop
+      into a window, pair or collection, that the next letter opens under
+      last: that would put last in some window's non-essential set.
+    - When letter and last form a pair lead, letter does not commute with
+      last and rank[letter] <= rank[last], so no window admits letter: one
+      before ("L", last) is blocked by last, and the one after it starts
+      at last.  So nes_violation(items, letter) is False there.
     """
 
     def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig):
@@ -161,28 +178,6 @@ class _Rules:
             for pos, it in enumerate(items)
         )
 
-    def letter_can_drop_into(self, items, lam: int, mu: int) -> bool:
-        """Condition blocking a pair-lead transition: some earlier letter could
-        drop into the new window I(lam, mu)."""
-        for q, it in enumerate(items):
-            if it[0] != "L":
-                continue
-            mu_p = it[1]
-            if not (self.rank[lam] < self.rank[mu_p] < self.rank[mu]):
-                continue
-            later = self._labels_after(items, q)
-            if any(self.rank[x] <= self.rank[mu_p] for x in later):
-                continue
-            if any(not self.commutes[mu_p][x] for x in later):
-                continue
-            pruned = items[:q] + items[q + 1 :]
-            if any(
-                jt[0] == "I" and self.in_nes(pruned, r, mu)
-                for r, jt in enumerate(pruned)
-            ):
-                return True
-        return False
-
     def append(self, items, new_items):
         out = [it for it in items if it not in new_items]
         out.extend(new_items)
@@ -205,18 +200,11 @@ class _Rules:
             if self.nes_violation(items, letter):
                 return ("U", self.append(items, (("L", letter),)), letter, last)
             return ("F", self.append(items, (("L", letter),)), letter)
-        if kind == "lead" and not self.letter_can_drop_into(items, letter, last):
-            new = self.append(items, (("L", letter), ("I", (letter, last))))
-            if self.nes_violation(items, letter):
-                return ("U", new, letter, last)
-            return ("F", new, letter)
-        # a blocked or missing pair lead: try to open a collection
+        if kind == "lead":
+            return ("F", self.append(items, (("L", letter), ("I", (letter, last)))), letter)
+        # the last two letters commute: try to open a collection
         candidates = [
-            lead
-            for lead in self.high_leads
-            if lead[-1] == last
-            and lead[-2] == letter
-            and not self.letter_can_drop_into(items, lead[0], last)
+            lead for lead in self.high_leads if lead[-1] == last and lead[-2] == letter
         ]
         if not candidates:
             return None

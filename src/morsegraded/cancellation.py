@@ -180,10 +180,7 @@ class ShiftMember:
 
     label: int
     kind: str  # inside | outside
-    position: int
     partner_labels: tuple[int, ...]
-    landing: int  # rank-side slot of the label when outside the window
-    witness: "GradientPath | None" = None
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ def _down_slot(gb, cfg, labels, w: Window, p: int):
         if not labels_contribute(gb, cfg, word):
             continue
         if _not_window_interior(windows_of(gb, cfg, word), q):
-            return word, q
+            return word
     return None
 
 
@@ -285,10 +282,9 @@ def non_essential_sets(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> list
             x = labels[p]
             if x in seen_values:
                 continue
-            hit = _down_slot(gb, cfg, labels, w, p)
-            if hit is not None:
-                word, q = hit
-                members.append(ShiftMember(x, "inside", p, word, q))
+            word = _down_slot(gb, cfg, labels, w, p)
+            if word is not None:
+                members.append(ShiftMember(x, "inside", word))
                 seen_values.add(x)
         for p in range(w.start):
             if p in claimed_outside:
@@ -298,43 +294,11 @@ def non_essential_sets(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> list
                 continue
             word = _upward_shiftable(gb, cfg, labels, w, p)
             if word is not None:
-                members.append(ShiftMember(x, "outside", p, word, p))
+                members.append(ShiftMember(x, "outside", word))
                 seen_values.add(x)
                 claimed_outside.add(p)
         members.sort(key=lambda m: cfg.order.label_rank[m.label])
         out.append(NonEssentialSet(w, tuple(members)))
-    return out
-
-
-def witnessed_non_essential_sets(
-    fm: FaceMatching,
-    gb: GroebnerBasis,
-    cfg: FacetOrderConfig,
-    labels,
-    path_cap: int = DEFAULT_PATH_CAP,
-) -> list[NonEssentialSet]:
-    """Non-essential sets with each membership claim backed by the unique
-    gradient path between the cell and its shift partner."""
-    mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
-    labels = tuple(labels)
-    out = []
-    for nes in non_essential_sets(gb, cfg, labels):
-        members = []
-        for m in nes.members:
-            witness = None
-            if labels in mask_of and m.partner_labels in mask_of:
-                a, b = mask_of[labels], mask_of[m.partner_labels]
-                hi, lo = (a, b) if fm.dim(a) > fm.dim(b) else (b, a)
-                paths = enumerate_gradient_paths(fm, hi, lo, path_cap)
-                if len(paths) != 1:
-                    raise InternalInvariantError(
-                        f"membership of {m.label} lacks a unique witnessing path"
-                    )
-                witness = paths[0]
-            members.append(
-                ShiftMember(m.label, m.kind, m.position, m.partner_labels, m.landing, witness)
-            )
-        out.append(NonEssentialSet(nes.window, tuple(members)))
     return out
 
 
@@ -365,10 +329,6 @@ class LabelCell:
     @property
     def dimension(self) -> int:
         return len(self.ranks) - 1
-
-    @property
-    def saturated(self) -> bool:
-        return len(self.ranks) == len(self.labels) - 1
 
 
 def label_cell(gb, cfg, labels) -> LabelCell | None:
@@ -653,27 +613,6 @@ def cancel_cells(
             f"cell {residual[0].facet.labels} kept a syzygy interval with interior"
         )
     return CancellationResult(new_fm, survivors, pairs, residual, notes)
-
-
-@dataclass(frozen=True)
-class CriticalMultigraph:
-    """Critical cells with one edge per gradient path between consecutive
-    dimensions of equal content."""
-
-    vertices: tuple[tuple[int, ...], ...]
-    edges: dict[Pair, int]
-
-    def multiplicity(self, hi, lo) -> int:
-        return self.edges.get((tuple(hi), tuple(lo)), 0)
-
-
-def critical_multigraph(fm: FaceMatching, path_cap: int = DEFAULT_PATH_CAP) -> CriticalMultigraph:
-    cells = [c for c in fm.critical.values() if not c.is_base and c.dimension >= 0]
-    table = _path_table(fm, cells, path_cap)
-    return CriticalMultigraph(
-        tuple(sorted(c.facet.labels for c in cells)),
-        {pair: len(paths) for pair, paths in table.items()},
-    )
 
 
 def cancel_interval(

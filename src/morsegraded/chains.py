@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .orders import TermOrder, content_monomial
-from .semigroup import IntervalData, SemigroupPresentation, Vector
+from .semigroup import IntervalData, Vector
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class FacetOrderConfig:
 
     def facet_key(self):
         return cmp_to_key(self.compare_facets)
-
-    def sorted_label_word(self, labels) -> tuple[int, ...]:
-        return tuple(sorted(labels, key=lambda i: self.order.label_rank[i]))
 
 
 def saturated_chains(ivl: IntervalData) -> list[Facet]:
@@ -150,28 +147,3 @@ def check_crossing_condition(facets: list[Facet]) -> CrossingReport:
             return CrossingReport(False, f, facets[i], skipped_ranks(skipped))
     return CrossingReport(True)
 
-
-def subinterval_pairs(pres: SemigroupPresentation, ivl: IntervalData):
-    for x in ivl.elements:
-        for y in ivl.elements:
-            if x != y and pres.leq(x, y):
-                yield x, y
-
-
-def is_least_content_increasing(
-    pres: SemigroupPresentation, ivl: IntervalData, cfg: FacetOrderConfig
-) -> bool:
-    """Least chain of every subinterval weakly increasing, and its label
-    sequence equal to or preceding every other chain's content."""
-    for x, y in subinterval_pairs(pres, ivl):
-        sub = pres.interval(x, y)
-        chains = ordered_facets(sub, cfg)
-        least = chains[0]
-        ranks = [cfg.order.label_rank[i] for i in least.labels]
-        if ranks != sorted(ranks):
-            return False
-        for other in chains[1:]:
-            rearranged = Facet(cfg.sorted_label_word(other.labels), other.interior)
-            if cfg.compare_facets(least, rearranged) > 0:
-                return False
-    return True

@@ -23,8 +23,15 @@ from .io import (
 from .pipeline import cancel_interval, full_consistency_suite, sharpness_report
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is a validation error: one error line and exit 1."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="morsegraded",
         description="Exact discrete Morse engine for affine semigroup posets",
     )
@@ -214,9 +221,8 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig(
             input_path=args.input,
             command=args.command,

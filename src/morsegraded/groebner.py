@@ -42,9 +42,6 @@ class GroebnerBasis:
     def degree(self) -> int:
         return max((total_degree(b.plus) for b in self.elements), default=0)
 
-    def leading_terms(self) -> tuple[Monomial, ...]:
-        return tuple(b.plus for b in self.elements)
-
     @cached_property
     def commutes(self) -> tuple[tuple[bool, ...], ...]:
         """commutes[a][b]: the product of labels a and b avoids the leading ideal."""

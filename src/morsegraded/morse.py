@@ -41,10 +41,6 @@ class RankInterval:
     kind: str = "overlap"  # descent | syzygy | overlap
     lead: Monomial | None = None
 
-    @property
-    def height(self) -> int:
-        return self.hi - self.lo + 1
-
     def ranks(self) -> range:
         return range(self.lo, self.hi + 1)
 
@@ -64,13 +60,6 @@ class CriticalCell:
     @property
     def dimension(self) -> int:
         return len(self.ranks) - 1
-
-
-@dataclass(frozen=True)
-class IntervalSystem:
-    facet: Facet
-    i_intervals: tuple[RankInterval, ...]
-    j_intervals: tuple[RankInterval, ...]
 
 
 def _assert_non_nested(intervals) -> None:
@@ -294,18 +283,6 @@ def covers_all_ranks(intervals, r: int) -> bool:
     return covered == set(range(1, r + 1))
 
 
-def critical_cell_of(facet: Facet, i_intervals, top: Vector, n: int, is_base: bool = False):
-    """The critical cell the interval system induces, if the system covers.
-
-    Empty-interior facets (one cover step) yield the empty cell of
-    dimension -1 under the reduced convention.
-    """
-    if not covers_all_ranks(i_intervals, len(facet.interior)):
-        return None
-    ranks = tuple(iv.lo for iv in truncate_to_j_intervals(i_intervals))
-    return _cell(facet, ranks, top, n, is_base)
-
-
 def _cell(facet: Facet, ranks, top: Vector, n: int, is_base: bool = False) -> CriticalCell:
     """The cell of facet's interior elements at the given ranks."""
     return CriticalCell(
@@ -344,9 +321,6 @@ class FaceMatching:
         out = [] if self.empty_cell is None else [self.empty_cell]
         out.extend(self.critical.values())
         return out
-
-    def interval_system(self, j: int) -> IntervalSystem:
-        return IntervalSystem(self.facets[j], self.systems[j], self.j_systems[j])
 
     def face_elements(self, mask: int) -> tuple[Vector, ...]:
         return tuple(
@@ -577,17 +551,3 @@ def morse_numbers(cells) -> dict[int, int]:
         out[c.dimension] = out.get(c.dimension, 0) + 1
     return dict(sorted(out.items()))
 
-
-def euler_characteristic(fm: FaceMatching) -> int:
-    """Alternating face count of the open-interval complex, dims >= 0."""
-    chi = 0
-    for mask in fm.owner:
-        chi += -1 if fm.dim(mask) % 2 else 1
-    return chi
-
-
-def assert_euler(fm: FaceMatching, cells) -> None:
-    m = morse_numbers(cells)
-    lhs = sum((-1) ** d * k for d, k in m.items() if d >= 0)
-    if lhs != euler_characteristic(fm):
-        raise InternalInvariantError("Morse numbers violate the Euler identity")

@@ -141,18 +141,6 @@ class TermOrder:
                 return 1 if d > 0 else -1
         return 0
 
-    def less(self, a: Monomial, b: Monomial) -> bool:
-        return self.compare(a, b) < 0
-
-    def max(self, a: Monomial, b: Monomial) -> Monomial:
-        return a if self.compare(a, b) >= 0 else b
-
-    def sort_key(self):
-        return cmp_to_key(self.compare)
-
-    def label_less(self, i: int, j: int) -> bool:
-        return self.label_rank[i] < self.label_rank[j]
-
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "priority": list(self.priority)}
         if self.rows is not None:

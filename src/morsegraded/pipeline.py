@@ -11,13 +11,7 @@ from .automaton import build_degree_d_automaton, commutation_classes, rational_s
 from .cancellation import CancellationResult, cancel_interval, survivor_words_by_content
 from .chains import FacetOrderConfig
 from .groebner import GroebnerBasis
-from .homology import (
-    BettiTable,
-    standard_grading_functional,
-    tor_ranks,
-    tor_tables,
-    verify_vanishing,
-)
+from .homology import BettiTable, tor_tables, verify_vanishing
 from .morse import FaceMatching, direct_interval_system
 from .resolution import morse_boundary
 from .semigroup import SemigroupPresentation, Vector
@@ -55,59 +49,6 @@ def morse_vs_betti(res: CancellationResult, betti: tuple[int, ...]) -> dict:
         "euler_morse": euler_m,
         "euler_betti": euler_b,
         "euler_ok": euler_m == euler_b,
-    }
-
-
-def cm_koszul_witness(
-    pres: SemigroupPresentation,
-    gb: GroebnerBasis,
-    cfg: FacetOrderConfig,
-    window: dict[Vector, int],
-    characteristic: int = 0,
-) -> dict:
-    """Cohen-Macaulay witnesses per interval plus the Koszul diagonal check.
-
-    An interval passes when homology is concentrated in top dimension and
-    the cancelled Morse data kept one base vertex plus top cells only.
-    """
-    table = tor_ranks(pres, window, characteristic)
-    entries = []
-    all_ok = True
-    for lam in sorted(window):
-        betti = table.interval_betti[lam]
-        top = len(betti) - 2  # the order complex's dimension
-        concentrated = all(b == 0 for i, b in enumerate(betti, start=-1) if i < top)
-        m = cancel_interval(pres, lam, cfg, gb).morse_numbers()
-        if top <= 0:
-            witness = True  # zero-dimensional or empty: nothing to collapse
-        else:
-            witness = m.get(0, 0) == 1 and all(
-                k == 0 for i, k in m.items() if 0 < i < top
-            )
-        entries.append(
-            {
-                "multidegree": list(lam),
-                "top_dimension": top,
-                "homology_concentrated": concentrated,
-                "morse_witness": witness,
-            }
-        )
-        all_ok = all_ok and concentrated and witness
-    grading = standard_grading_functional(pres)
-    koszul = None
-    notice = None
-    if grading is None:
-        notice = "NotStandardGraded: Koszul diagonal check skipped"
-    else:
-        koszul = all(
-            window[lam] == i for (i, lam), v in table.ranks.items() if v and i >= 1
-        )
-    return {
-        "characteristic": characteristic,
-        "intervals": entries,
-        "cm_ok": all_ok,
-        "koszul_diagonal": koszul,
-        "notice": notice,
     }
 
 

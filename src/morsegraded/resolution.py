@@ -36,13 +36,6 @@ class ResolutionData:
     tor: dict[tuple[int, Vector], int]
     unit_incidences: list[tuple[Chain, Chain, int]]
 
-    def tor_rank(self, i: int, lam: Vector) -> int:
-        return self.tor.get((i, lam), 0)
-
-    @property
-    def minimal(self) -> bool:
-        return not self.unit_incidences
-
 
 def _grade(chain: Chain, zero: Vector) -> Vector:
     return chain[-1] if chain else zero

@@ -210,17 +210,73 @@ MALFORMED = {
         '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
         ' "groebner_basis": [{"plus": ["a", 0], "minus": [0, 1]}]}'
     ),
+    "not an object": "[1, 2]",
+    "missing generators": '{"dimension": 2}',
+    "basis element": '{"dimension": 2, "generators": [[1, 0], [0, 1]], "groebner_basis": [5]}',
+    "basis exponent length": (
+        '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
+        ' "groebner_basis": [{"plus": [1], "minus": [0]}]}'
+    ),
+    "target dimension": '{"dimension": 2, "generators": [[1, 0], [0, 1]], "targets": [[1]]}',
+    "zero dimension": '{"dimension": 0, "generators": [[1]]}',
+    "generator dimension": '{"dimension": 2, "generators": [[1, 0], [1]]}',
+    "negative coordinate": '{"dimension": 2, "generators": [[1, -1], [0, 1]]}',
+    "term order kind": (
+        '{"dimension": 2, "generators": [[1, 0], [0, 1]], "term_order": {"kind": "nope"}}'
+    ),
+    "weight rows missing": (
+        '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
+        ' "term_order": {"kind": "weight-matrix"}}'
+    ),
+    "weight row length": (
+        '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
+        ' "term_order": {"kind": "weight-matrix", "rows": [[1]]}}'
+    ),
+    "rows outside weight-matrix": (
+        '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
+        ' "term_order": {"kind": "lex", "rows": [[1, 0], [0, 1]]}}'
+    ),
 }
+
+
+def assert_one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_1_with_one_error_line(case, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(MALFORMED[case])
-    assert main(["--input", str(bad), "--command", "gb"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err
+    for command in COMMANDS:
+        assert main(["--input", str(bad), "--command", command]) == 1, command
+        assert_one_error_line(capsys)
+
+
+MINOR = str(FIXTURES / "minor.json")
+
+BAD_FLAGS = {
+    "degree window not an integer": ["--input", MINOR, "--command", "gb", "--degree-window", "x"],
+    "unknown command": ["--input", MINOR, "--command", "nope"],
+    "missing input": ["--command", "gb"],
+    "unknown flag": ["--input", MINOR, "--command", "gb", "--bogus"],
+    "zero path cap": ["--input", MINOR, "--command", "gb", "--path-cap", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_flags_exit_1_with_one_error_line(case, capsys):
+    assert main(BAD_FLAGS[case]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--degree-window" in capsys.readouterr().out
 
 
 def test_exit_code_missing_file():

@@ -8,19 +8,18 @@ from morsegraded.cancellation import (
     _verify_reversals,
     cancel_cells,
     gradient_paths_from,
+    label_cell,
 )
 from morsegraded.chains import ordered_facets
 from morsegraded.errors import AcyclicityFailure, InternalInvariantError
+from morsegraded.homology import order_complex
 from morsegraded.morse import (
     FaceMatching,
     RankInterval,
     alternating_cycle,
-    assert_euler,
     build_face_matching,
     covers_all_ranks,
-    critical_cell_of,
     direct_interval_system,
-    euler_characteristic,
     labels_contribute,
     morse_numbers,
     msi_characterization,
@@ -31,6 +30,11 @@ from morsegraded.morse import (
 
 def spans(system):
     return tuple(iv.span() for iv in system)
+
+
+def morse_euler(cells):
+    """Alternating count of the cells of dimension >= 0."""
+    return sum((-1) ** d * k for d, k in morse_numbers(cells).items() if d >= 0)
 
 
 # -- characterization on the worked facets ------------------------------------
@@ -120,8 +124,7 @@ def test_cell_of_descending_witness(squares):
         for f in ordered_facets(squares.interval((2, 2, 1, 1)), squares.cfg)
         if f.labels == (3, 2, 1, 4)
     )
-    system = msi_characterization(squares.gb, squares.cfg, facet)
-    cell = critical_cell_of(facet, system, (2, 2, 1, 1), 5)
+    cell = label_cell(squares.gb, squares.cfg, facet.labels)
     assert cell.ranks == (1, 2, 3) and cell.dimension == 2
 
 
@@ -131,8 +134,7 @@ def test_cell_of_interspersed_witness(squares):
         for f in ordered_facets(squares.interval((2, 2, 1, 1)), squares.cfg)
         if f.labels == (2, 1, 3, 4)
     )
-    system = msi_characterization(squares.gb, squares.cfg, facet)
-    cell = critical_cell_of(facet, system, (2, 2, 1, 1), 5)
+    cell = label_cell(squares.gb, squares.cfg, facet.labels)
     assert cell.ranks == (1, 2) and cell.dimension == 1
 
 
@@ -144,7 +146,7 @@ def test_non_covering_system_gives_no_cell(squares):
     )
     system = msi_characterization(squares.gb, squares.cfg, facet)
     assert not covers_all_ranks(system, 3)
-    assert critical_cell_of(facet, system, (2, 2, 1, 1), 5) is None
+    assert label_cell(squares.gb, squares.cfg, facet.labels) is None
 
 
 def test_labels_contribute(squares):
@@ -160,14 +162,14 @@ def test_matching_on_relation_interval(squares):
     numbers = morse_numbers(fm.cells())
     assert numbers == {0: 2, 1: 4, 2: 5}
     assert verify_acyclic(fm)
-    assert_euler(fm, fm.cells())
+    assert morse_euler(fm.cells()) == order_complex(fm.ivl).euler_characteristic()
 
 
 def test_matching_two_points(free_plane):
     ivl = free_plane.pres.interval((0, 0), (1, 1))
     fm = build_face_matching(ivl, free_plane.cfg, free_plane.gb)
     assert morse_numbers(fm.cells()) == {0: 2}
-    assert euler_characteristic(fm) == 2
+    assert order_complex(ivl).euler_characteristic() == 2
 
 
 def test_matching_atom_interval(squares):
@@ -229,13 +231,13 @@ def test_verify_acyclic_detects_cyclic_matching(squares):
 def test_euler_identity_across_window(squares):
     for lam in sorted(squares.pres.degree_window(4)):
         fm = squares.matching(lam)
-        assert_euler(fm, fm.cells())
+        assert morse_euler(fm.cells()) == order_complex(fm.ivl).euler_characteristic(), lam
 
 
 def test_cell_dimension_counts_j_intervals(squares):
     fm = squares.matching((2, 2, 1, 1))
     for j, facet in enumerate(fm.facets):
-        cell = critical_cell_of(facet, fm.systems[j], (2, 2, 1, 1), 5)
+        cell = label_cell(squares.gb, squares.cfg, facet.labels)
         if cell is not None and j > 0:
             assert cell.dimension == len(fm.j_systems[j]) - 1
 
@@ -243,10 +245,8 @@ def test_cell_dimension_counts_j_intervals(squares):
 def test_interval_system_accessor(squares):
     fm = squares.matching((2, 2, 1, 1))
     j = next(i for i, f in enumerate(fm.facets) if f.labels == (2, 1, 3, 4))
-    system = fm.interval_system(j)
-    assert system.facet.labels == (2, 1, 3, 4)
-    assert tuple(iv.span() for iv in system.i_intervals) == ((1, 1), (2, 3))
-    assert tuple(iv.span() for iv in system.j_intervals) == ((1, 1), (2, 3))
+    assert spans(fm.systems[j]) == ((1, 1), (2, 3))
+    assert spans(fm.j_systems[j]) == ((1, 1), (2, 3))
 
 
 def test_pure_lead_window_height_bound(squares, pair_swap, cyclic3):
@@ -265,7 +265,7 @@ def test_pure_lead_window_height_bound(squares, pair_swap, cyclic3):
                         continue
                     window = facet.labels[iv.lo - 1 : iv.hi + 1]
                     if content_monomial(window, ring.pres.n) in leads:
-                        assert iv.height <= d - 1
+                        assert iv.hi - iv.lo + 1 <= d - 1
 
 
 # -- the bitmask kernel against the set- and list-based reference ---------------
@@ -329,7 +329,7 @@ def reference_face_matching(ivl, cfg, gb):
     systems = [morse.msi_characterization(gb, cfg, f) for f in facets]
     fm = FaceMatching(ivl, cfg, facets, systems, [truncate_to_j_intervals(s) for s in systems])
     if len(facets) == 1 and not facets[0].interior:
-        fm.empty_cell = critical_cell_of(facets[0], (), ivl.top, cfg.order.n)
+        fm.empty_cell = morse._cell(facets[0], (), ivl.top, cfg.order.n)
         return fm
     for j, facet in enumerate(facets):
         bits = [1 << ivl.index(e) for e in facet.interior]

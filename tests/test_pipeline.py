@@ -1,44 +1,36 @@
 """Cross-module orchestration: witnesses, reports, the full suite."""
 
-from morsegraded.cancellation import critical_multigraph, witnessed_non_essential_sets
+from morsegraded.cancellation import (
+    cancel_interval,
+    enumerate_gradient_paths,
+    gradient_paths_from,
+    non_essential_sets,
+)
 from morsegraded.pipeline import (
     characterization_matches_direct,
-    cm_koszul_witness,
     full_consistency_suite,
     morse_vs_betti,
     sharpness_report,
 )
-from morsegraded.cancellation import cancel_interval
 from morsegraded.homology import order_complex, reduced_betti, tor_ranks
 from morsegraded.morse import morse_numbers
 
 
-def test_cm_koszul_witness_squares(squares):
-    window = squares.pres.degree_window(4)
-    report = cm_koszul_witness(squares.pres, squares.gb, squares.cfg, window)
-    assert report["cm_ok"]
-    assert report["koszul_diagonal"] is True
-    assert report["notice"] is None
+def tor_degrees(ring, degree):
+    """(i, window degree) of every nonzero Tor_i(k, k) with i >= 1, over Q."""
+    window = ring.pres.degree_window(degree)
+    table = tor_ranks(ring.pres, window, 0)
+    return {(i, window[lam]) for (i, lam), v in table.ranks.items() if v and i >= 1}
 
 
-def test_cm_koszul_witness_minor(minor):
-    window = minor.pres.degree_window(4)
-    report = cm_koszul_witness(minor.pres, minor.gb, minor.cfg, window)
-    assert report["cm_ok"] and report["koszul_diagonal"] is True
+def test_koszul_diagonal_squares(squares):
+    assert tor_degrees(squares, 4) == {(i, i) for i in range(1, 5)}
 
 
-def test_koszul_check_skipped_without_grading():
-    from morsegraded.chains import FacetOrderConfig
-    from morsegraded.groebner import buchberger, toric_ideal_basis
-    from morsegraded.orders import TermOrder
-    from morsegraded.semigroup import SemigroupPresentation
-
-    pres = SemigroupPresentation(1, [(2,), (3,)])
-    order = TermOrder(2)
-    gb = buchberger(toric_ideal_basis(pres, 6), order)
-    report = cm_koszul_witness(pres, gb, FacetOrderConfig(order), pres.degree_window(3))
-    assert report["koszul_diagonal"] is None
-    assert "NotStandardGraded" in report["notice"]
+def test_koszul_diagonal_minor(minor):
+    assert tor_degrees(minor, 4) == {(i, i) for i in range(1, 5)}
+    out = full_consistency_suite(minor.pres, minor.gb, minor.cfg, 4)
+    assert out["ok"], out["checks"]
 
 
 def test_sharpness_report_entries(minor, cyclic3):
@@ -93,26 +85,34 @@ def test_characterization_helper(squares):
 
 
 def test_witnessed_membership(squares):
+    # every non-essential member's partner is one gradient path away
     fm = squares.matching((2, 2, 1, 1))
-    sets = witnessed_non_essential_sets(fm, squares.gb, squares.cfg, (1, 2, 3, 4))
-    members = [m for s in sets for m in s.members]
-    assert members and all(m.witness is not None for m in members)
+    mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
+    labels = (1, 2, 3, 4)
+    members = [m for s in non_essential_sets(squares.gb, squares.cfg, labels) for m in s.members]
+    assert members
     for m in members:
-        assert m.witness.cells[0] != m.witness.cells[-1]
+        a, b = mask_of[labels], mask_of[m.partner_labels]
+        hi, lo = (a, b) if fm.dim(a) > fm.dim(b) else (b, a)
+        paths = enumerate_gradient_paths(fm, hi, lo)
+        assert len(paths) == 1, m
+        assert paths[0].cells[0] == hi and paths[0].cells[-1] == lo
 
 
 def test_critical_multigraph_structure(squares):
+    # edge multiplicities are gradient path counts, from the upper cell down
     fm = squares.matching((2, 2, 1, 1))
-    graph = critical_multigraph(fm)
-    assert graph.multiplicity((3, 2, 1, 4), (2, 1, 3, 4)) == 1
-    assert graph.multiplicity((2, 1, 3, 4), (3, 2, 1, 4)) == 0
-    assert (1, 2, 3, 4) in graph.vertices
+    mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
+    hi, lo = mask_of[(3, 2, 1, 4)], mask_of[(2, 1, 3, 4)]
+    assert len(enumerate_gradient_paths(fm, hi, lo)) == 1
+    assert gradient_paths_from(fm, lo, {hi}) == {}
+    assert not fm.critical[mask_of[(1, 2, 3, 4)]].is_base
 
 
 def test_free_semigroup_is_koszul(free_plane):
-    window = free_plane.pres.degree_window(3)
-    report = cm_koszul_witness(free_plane.pres, free_plane.gb, free_plane.cfg, window)
-    assert report["cm_ok"] and report["koszul_diagonal"] is True
+    assert tor_degrees(free_plane, 3) == {(1, 1), (2, 2)}
+    out = full_consistency_suite(free_plane.pres, free_plane.gb, free_plane.cfg, 3)
+    assert out["ok"], out["checks"]
 
 
 def test_full_suite_interacting_relations():

@@ -146,7 +146,8 @@ def test_cleared_certified_betti_match_references(monkeypatch, reference_betti):
             if sum(len(fs) for fs in cx.faces) <= 120:  # dense Smith form is cubic
                 integral = integral_homology(cx)
                 assert tuple(free for free, _ in integral) == got[0], (name, lam)
-                for p in (2, 3):
+                got.update(betti_numbers(cx, (5, 7)))  # the sparse modular route
+                for p in (2, 3, 5, 7):
                     assert _betti_from_integral(integral, p) == got[p], (name, lam, p)
     # the exact fallback ran on real intervals: homology in both parities
     assert declined["cyclic_split3"] == 13

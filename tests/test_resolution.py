@@ -57,18 +57,18 @@ def test_first_differential_coefficients(squares):
 
 def test_tor_zero_is_the_augmentation(squares):
     window, data = build(squares, 2)
-    assert data.tor_rank(0, squares.zero) == 1
+    assert data.tor[(0, squares.zero)] == 1
 
 
 def test_generator_cells_survive(squares):
     window, data = build(squares, 2)
     for g in squares.pres.generators:
-        assert data.tor_rank(1, g) == 1
+        assert data.tor[(1, g)] == 1
 
 
 def test_relation_contributes_tor_two(squares):
     window, data = build(squares, 2)
-    assert data.tor_rank(2, (2, 2, 0, 0)) == 2
+    assert data.tor[(2, (2, 2, 0, 0))] == 2
 
 
 def test_cyclic3_resolution_dominates_oracle(cyclic3):
