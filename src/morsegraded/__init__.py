@@ -55,6 +55,7 @@ from .cancellation import (
     CancellationResult,
     GradientPath,
     NonEssentialSet,
+    SystemTable,
     cancel_cells,
     cancel_interval,
     check_321_uniqueness,

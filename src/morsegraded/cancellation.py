@@ -30,12 +30,10 @@ from .morse import (
     build_face_matching,
     covering_words,
     covers_all_ranks,
-    labels_contribute,
     morse_numbers,
     msi_characterization,
     truncate_to_j_intervals,
 )
-from .orders import Monomial
 from .semigroup import SemigroupPresentation, Vector
 
 DEFAULT_PATH_CAP = 10_000
@@ -163,15 +161,22 @@ class Window:
 
     start: int
     end: int
-    lead: Monomial | None
 
 
-def windows_of(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> list[Window]:
-    return [
-        Window(iv.lo - 1, iv.hi, iv.lead)
-        for iv in msi_characterization(gb, cfg, tuple(labels))
-        if iv.kind == "syzygy"
-    ]
+class SystemTable(dict):
+    """Word -> skipped-interval system, each computed once, on first read."""
+
+    def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig, systems=()):
+        super().__init__(systems)
+        self.gb, self.cfg = gb, cfg
+
+    def __missing__(self, word):
+        system = self[word] = msi_characterization(self.gb, self.cfg, word)
+        return system
+
+
+def windows_of(systems: SystemTable, labels) -> list[Window]:
+    return [Window(iv.lo - 1, iv.hi) for iv in systems[labels] if iv.kind == "syzygy"]
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,12 @@ def _not_window_interior(windows: list[Window], pos: int) -> bool:
     return all(not (w.start < pos < w.end) for w in windows)
 
 
-def _down_slot(gb, cfg, labels, w: Window, p: int):
+def _down_slot(systems: SystemTable, labels, w: Window, p: int):
     """Shift labels[p] out of window w to the highest landing that leaves a
     critical cell with the label outside every window interior."""
     x = labels[p]
-    rank = cfg.order.label_rank
-    commutes = gb.commutes
+    rank = systems.cfg.order.label_rank
+    commutes = systems.gb.commutes
     # every label passed on the way down must sort past x and commute with it
     for y in labels[w.start + 1 : p]:
         if rank[y] >= rank[x] or not commutes[x][y]:
@@ -211,14 +216,14 @@ def _down_slot(gb, cfg, labels, w: Window, p: int):
         if rank[y] >= rank[x] or not commutes[x][y]:
             return None
         word = labels[:q] + (x,) + labels[q:p] + labels[p + 1 :]
-        if not labels_contribute(gb, cfg, word):
-            continue
-        if _not_window_interior(windows_of(gb, cfg, word), q):
+        if covers_all_ranks(systems[word], len(word) - 1) and _not_window_interior(
+            windows_of(systems, word), q
+        ):
             return word
     return None
 
 
-def _insert_sorted(gb, cfg, labels, w: Window, p: int):
+def _insert_sorted(cfg: FacetOrderConfig, labels, w: Window, p: int):
     """Shift labels[p] (below the window) up into the window interior."""
     rank = cfg.order.label_rank
     x = labels[p]
@@ -232,10 +237,10 @@ def _insert_sorted(gb, cfg, labels, w: Window, p: int):
     return tuple(rest), start + offset
 
 
-def _upward_shiftable(gb, cfg, labels, w: Window, p: int):
+def _upward_shiftable(systems: SystemTable, labels, w: Window, p: int):
     x = labels[p]
-    rank = cfg.order.label_rank
-    commutes = gb.commutes
+    rank = systems.cfg.order.label_rank
+    commutes = systems.gb.commutes
     a1, a2 = labels[w.start], labels[w.end]
     if not (rank[a1] < rank[x] < rank[a2]):
         return None
@@ -246,7 +251,7 @@ def _upward_shiftable(gb, cfg, labels, w: Window, p: int):
         if not commutes[x][y]:
             return None
     # the label may not top a window whose loss breaks criticality
-    for w2 in windows_of(gb, cfg, labels):
+    for w2 in windows_of(systems, labels):
         if w2.end != p:
             continue
         if w2.end - w2.start > 1:
@@ -256,15 +261,15 @@ def _upward_shiftable(gb, cfg, labels, w: Window, p: int):
         pair_lead = rank[mu] <= rank[nu] and not commutes[mu][nu]
         if not (descent or pair_lead):
             return None
-    word, at = _insert_sorted(gb, cfg, labels, w, p)
-    if not labels_contribute(gb, cfg, word):
+    word, at = _insert_sorted(systems.cfg, labels, w, p)
+    if not covers_all_ranks(systems[word], len(word) - 1):
         return None
-    if _not_window_interior(windows_of(gb, cfg, word), at):
+    if _not_window_interior(windows_of(systems, word), at):
         return None
     return word
 
 
-def non_essential_sets(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> list[NonEssentialSet]:
+def non_essential_sets(systems: SystemTable, labels) -> list[NonEssentialSet]:
     """Per-window shiftable labels of a critical cell's label sequence.
 
     Inside members carry the word with the label shifted out to its highest
@@ -275,14 +280,14 @@ def non_essential_sets(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> list
     labels = tuple(labels)
     out = []
     claimed_outside: set[int] = set()
-    for w in sorted(windows_of(gb, cfg, labels), key=lambda w: (w.start, w.end)):
+    for w in sorted(windows_of(systems, labels), key=lambda w: (w.start, w.end)):
         members: list[ShiftMember] = []
         seen_values: set[int] = set()
         for p in range(w.start + 1, w.end):
             x = labels[p]
             if x in seen_values:
                 continue
-            word = _down_slot(gb, cfg, labels, w, p)
+            word = _down_slot(systems, labels, w, p)
             if word is not None:
                 members.append(ShiftMember(x, "inside", word))
                 seen_values.add(x)
@@ -292,17 +297,17 @@ def non_essential_sets(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> list
             x = labels[p]
             if x in seen_values:
                 continue
-            word = _upward_shiftable(gb, cfg, labels, w, p)
+            word = _upward_shiftable(systems, labels, w, p)
             if word is not None:
                 members.append(ShiftMember(x, "outside", word))
                 seen_values.add(x)
                 claimed_outside.add(p)
-        members.sort(key=lambda m: cfg.order.label_rank[m.label])
+        members.sort(key=lambda m: systems.cfg.order.label_rank[m.label])
         out.append(NonEssentialSet(w, tuple(members)))
     return out
 
 
-def pivot_partner(gb: GroebnerBasis, cfg: FacetOrderConfig, word) -> tuple[int, ...] | None:
+def pivot_partner(systems: SystemTable, word) -> tuple[int, ...] | None:
     """The word the pivot rule pairs with word, or None.
 
     The expanding interval is the highest window with a nonempty
@@ -310,11 +315,11 @@ def pivot_partner(gb: GroebnerBasis, cfg: FacetOrderConfig, word) -> tuple[int, 
     which sits highest among the stacked-out positions, and the partner is
     word with the pivot shifted across the window boundary.
     """
-    live = [s for s in non_essential_sets(gb, cfg, word) if s.members]
+    live = [s for s in non_essential_sets(systems, word) if s.members]
     if not live:
         return None
     expanding = max(live, key=lambda s: (s.window.start, s.window.end))
-    rank = cfg.order.label_rank
+    rank = systems.cfg.order.label_rank
     return min(expanding.members, key=lambda m: rank[m.label]).partner_labels
 
 
@@ -331,17 +336,16 @@ class LabelCell:
         return len(self.ranks) - 1
 
 
-def label_cell(gb, cfg, labels) -> LabelCell | None:
+def label_cell(systems: SystemTable, labels) -> LabelCell | None:
     labels = tuple(labels)
-    system = msi_characterization(gb, cfg, labels)
+    system = systems[labels]
     if not covers_all_ranks(system, len(labels) - 1):
         return None
-    ranks = tuple(iv.lo for iv in truncate_to_j_intervals(system))
-    return LabelCell(labels, ranks)
+    return LabelCell(labels, tuple(iv.lo for iv in truncate_to_j_intervals(system)))
 
 
-def _has_interior_window(gb, cfg, labels) -> bool:
-    return any(w.end - w.start > 1 for w in windows_of(gb, cfg, labels))
+def _has_interior_window(systems: SystemTable, labels) -> bool:
+    return any(w.end - w.start > 1 for w in windows_of(systems, labels))
 
 
 # -- cancellation over a built face matching -----------------------------------
@@ -525,10 +529,11 @@ def cancel_cells(
     complete = gb.degree <= 2
     d = max(2, gb.degree)
     deg = min((len(f) for f in fm.facets), default=0)
+    systems = SystemTable(gb, cfg, ((f.labels, s) for f, s in zip(fm.facets, fm.systems)))
 
     def stranded(cell: CriticalCell) -> bool:
         if complete:
-            return _has_interior_window(gb, cfg, cell.facet.labels)
+            return _has_interior_window(systems, cell.facet.labels)
         return below_vanishing_bound(cell.dimension, deg, d)
 
     notes: list[str] = []
@@ -559,14 +564,14 @@ def cancel_cells(
     for cell in cells:
         if cell.facet.labels in matched:
             continue
-        other = pivot_partner(gb, cfg, cell.facet.labels)
+        other = pivot_partner(systems, cell.facet.labels)
         if other is None:
             continue
         partner = by_labels.get(other)
         if partner is None or other in matched:
             notes.append(f"pivot partner unavailable for {cell.facet.labels}")
             continue
-        if pivot_partner(gb, cfg, other) != cell.facet.labels:
+        if pivot_partner(systems, other) != cell.facet.labels:
             notes.append(f"pivot not mutual for {cell.facet.labels}")
             continue
         if abs(cell.dimension - partner.dimension) != 1:
@@ -638,13 +643,14 @@ def fiber_survivor_words(
     Uses only label arithmetic (no face complex): the matching is the pivot
     rule, and uniqueness of each reversed path is by the 321 theorem.  The
     face-level engine must agree on bounded intervals; tests enforce that.
-    The critical cells are the words covering_words yields; label_cell
-    still decides each one.
+    The critical cells are the words covering_words yields, each checked
+    against its system in one table per content.
     """
     content = tuple(sorted(content))
+    systems = SystemTable(gb, cfg)
     cells: dict[tuple[int, ...], LabelCell] = {}
     for word in covering_words(gb, cfg, content):
-        c = label_cell(gb, cfg, word)
+        c = label_cell(systems, word)
         if c is None:
             raise InternalInvariantError(
                 f"content {content}: covering search found {word}, which is not a critical cell"
@@ -654,10 +660,10 @@ def fiber_survivor_words(
     for word in sorted(cells):
         if word in matched:
             continue
-        other = pivot_partner(gb, cfg, word)
+        other = pivot_partner(systems, word)
         if other is None or other not in cells or other in matched:
             continue
-        if pivot_partner(gb, cfg, other) != word:
+        if pivot_partner(systems, other) != word:
             continue
         if abs(cells[word].dimension - cells[other].dimension) != 1:
             raise InternalInvariantError("fiber pivot pair dimensions differ by != 1")
@@ -670,7 +676,7 @@ def fiber_survivor_words(
     for word, cell in cells.items():
         if word in matched:
             continue
-        if gb.degree <= 2 and _has_interior_window(gb, cfg, word):
+        if gb.degree <= 2 and _has_interior_window(systems, word):
             raise UnmatchedUnsaturatedCell(
                 f"fiber-local cancellation stranded {word}"
             )

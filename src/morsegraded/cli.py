@@ -58,10 +58,14 @@ _BASIS_FREE = ("interval", "chains", "betti")
 
 
 def _basis(doc: InputDocument, cfg: RunConfig):
-    if doc.supplied_basis is not None:
-        return doc.supplied_basis  # verified at parse time
+    """The supplied basis, checked complete up to the cap a computed basis
+    would get (parsing checks it only up to its own degree), or one computed
+    up to that cap."""
     pres = doc.presentation
     cap = cfg.cap if cfg.cap is not None else default_cap(pres, cfg.degree_window)
+    if doc.supplied_basis is not None:
+        verify_groebner(doc.supplied_basis, pres, completeness_cap=cap)
+        return doc.supplied_basis
     return groebner_for(pres, doc.order, cap)
 
 

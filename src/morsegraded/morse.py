@@ -210,12 +210,6 @@ def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, content):
         stack.extend(reversed(children))
 
 
-def labels_contribute(gb: GroebnerBasis, cfg: FacetOrderConfig, labels) -> bool:
-    """Would a facet with these labels contribute a critical cell?"""
-    labels = tuple(labels)
-    return covers_all_ranks(msi_characterization(gb, cfg, labels), len(labels) - 1)
-
-
 # -- direct computation from earlier facets -----------------------------------
 
 

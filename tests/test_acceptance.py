@@ -16,6 +16,7 @@ from morsegraded.automaton import (
     rational_series,
 )
 from morsegraded.cancellation import (
+    SystemTable,
     cancel_interval,
     cancel_cells,
     enumerate_gradient_paths,
@@ -74,7 +75,8 @@ def test_criterion_02_boolean_algebra(pair_swap):
     masks = mask_map(fm)
     cell = fm.critical[masks[(3, 2, 1, 4, 5)]]
     ok = cell.ranks == (1, 2, 3)
-    live = [s for s in non_essential_sets(pair_swap.gb, pair_swap.cfg, (3, 2, 1, 4, 5)) if s.members]
+    systems = SystemTable(pair_swap.gb, pair_swap.cfg)
+    live = [s for s in non_essential_sets(systems, (3, 2, 1, 4, 5)) if s.members]
     ok = ok and len(live) == 1 and live[0].labels() == (2, 3, 4)
     S = (2, 3, 4)
 

@@ -14,6 +14,7 @@ from morsegraded.semigroup import SemigroupPresentation
 from morsegraded.cancellation import (
     DEFAULT_PATH_CAP,
     GradientPath,
+    SystemTable,
     cancel_cells,
     cancel_interval,
     check_321_uniqueness,
@@ -234,13 +235,13 @@ def test_different_content_needs_enumeration(squares):
 
 
 def test_nes_of_full_window(squares):
-    sets = non_essential_sets(squares.gb, squares.cfg, (1, 2, 3, 4))
+    sets = non_essential_sets(SystemTable(squares.gb, squares.cfg), (1, 2, 3, 4))
     assert len(sets) == 1
     assert sets[0].labels() == (2, 3)
 
 
 def test_nes_of_worked_pair_swap_facet(pair_swap):
-    sets = non_essential_sets(pair_swap.gb, pair_swap.cfg, (3, 2, 1, 4, 5))
+    sets = non_essential_sets(SystemTable(pair_swap.gb, pair_swap.cfg), (3, 2, 1, 4, 5))
     live = [s for s in sets if s.members]
     assert len(live) == 1
     assert live[0].labels() == (2, 3, 4)
@@ -248,13 +249,13 @@ def test_nes_of_worked_pair_swap_facet(pair_swap):
 
 def test_nes_empty_for_adjacent_window(squares):
     # (1,4,3,2): window has no interior and nothing can shift in
-    sets = non_essential_sets(squares.gb, squares.cfg, (1, 4, 3, 2))
+    sets = non_essential_sets(SystemTable(squares.gb, squares.cfg), (1, 4, 3, 2))
     assert all(not s.members for s in sets)
 
 
 def test_nes_upward_member_witnessed_by_path(squares):
     # label 3 sits below the window in (3,1,4,2) and shifts into it
-    sets = non_essential_sets(squares.gb, squares.cfg, (3, 1, 4, 2))
+    sets = non_essential_sets(SystemTable(squares.gb, squares.cfg), (3, 1, 4, 2))
     member = next(m for s in sets for m in s.members if m.label == 3)
     assert member.kind == "outside"
     assert member.partner_labels == (1, 3, 4, 2)
@@ -395,7 +396,8 @@ def _ring_from(generators, degree):
 def reference_cell_words(gb, cfg, content):
     """Every distinct arrangement, in lexicographic order, kept when
     label_cell calls it a critical cell."""
-    return [w for w in sorted(set(permutations(content))) if label_cell(gb, cfg, w) is not None]
+    systems = SystemTable(gb, cfg)
+    return [w for w in sorted(set(permutations(content))) if label_cell(systems, w) is not None]
 
 
 def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cyclic3):
@@ -426,8 +428,8 @@ def test_fiber_survivors_label_only_covering_words(pair_swap, monkeypatch):
             emitted.append(word)
             yield word
 
-    def spy_label(gb, cfg, labels):
-        cell = original(gb, cfg, labels)
+    def spy_label(systems, labels):
+        cell = original(systems, labels)
         labelled.append((tuple(labels), cell is not None))
         return cell
 
@@ -437,6 +439,46 @@ def test_fiber_survivors_label_only_covering_words(pair_swap, monkeypatch):
     assert [w for w, _ in labelled] == emitted
     assert all(ok for _, ok in labelled)
     assert len(labelled) == 1279  # the exhaustive filter labelled 55,986 words
+
+
+def spy_systems(monkeypatch) -> list:
+    """The words whose skipped-interval system cancellation computes."""
+    calls = []
+    honest = cancellation.msi_characterization
+
+    def spy(gb, cfg, word):
+        calls.append(tuple(word))
+        return honest(gb, cfg, word)
+
+    monkeypatch.setattr(cancellation, "msi_characterization", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name, words", [("pair_swap", 1711), ("squares", 602)])
+def test_one_system_per_word(name, words, request, monkeypatch):
+    ring = request.getfixturevalue(name)
+    calls = spy_systems(monkeypatch)
+    survivor_words_by_content(ring.pres, ring.gb, ring.cfg, 6)
+    assert len(calls) == len(set(calls)) == words
+
+
+@pytest.mark.parametrize(
+    "name, lam",
+    [
+        ("pair_swap", (2, 2, 1, 1, 1)),
+        ("squares", (2, 2, 1, 1)),
+        ("cyclic3", (2, 2, 2, 2, 2, 2)),
+    ],
+)
+def test_cancel_cells_computes_no_system(name, lam, request, monkeypatch):
+    # the face matching already holds the system of every facet, and every
+    # word a shift helper tries is a facet of the same interval
+    ring = request.getfixturevalue(name)
+    fm = ring.matching(lam)
+    calls = spy_systems(monkeypatch)
+    res = cancel_cells(fm, ring.gb)
+    assert res.pairs
+    assert calls == []
 
 
 def test_non_cell_from_covering_search_is_an_invariant_breach(squares, monkeypatch):
@@ -477,10 +519,11 @@ def test_fallback_honours_path_cap(monkeypatch):
 
 
 def test_label_cell_dimensions(squares):
-    assert label_cell(squares.gb, squares.cfg, (1, 2, 3, 4)).dimension == 0
-    assert label_cell(squares.gb, squares.cfg, (4, 3, 2, 1)).dimension == 2
-    assert label_cell(squares.gb, squares.cfg, (1, 3, 2, 4)) is None
-    assert label_cell(squares.gb, squares.cfg, (2,)).dimension == -1
+    systems = SystemTable(squares.gb, squares.cfg)
+    assert label_cell(systems, (1, 2, 3, 4)).dimension == 0
+    assert label_cell(systems, (4, 3, 2, 1)).dimension == 2
+    assert label_cell(systems, (1, 3, 2, 4)) is None
+    assert label_cell(systems, (2,)).dimension == -1
 
 
 def test_commutation_table(squares):

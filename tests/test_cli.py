@@ -40,6 +40,21 @@ def test_parse_rejects_stale_basis():
         parse_input(read("stale_basis.json"))
 
 
+@pytest.mark.parametrize("command", ["gb", "full"])
+def test_supplied_basis_stale_at_window_cap_exits_1(command, capsys):
+    # padded cyclic3 supplies only its quadric: complete up to degree 2, the
+    # check at parse time, but missing the cubic z3z4z5 - z0z1z2
+    assert parse_input(read("padded_cyclic3.json")).supplied_basis.degree == 2
+    argv = ["--input", str(FIXTURES / "padded_cyclic3.json"), "--command", command]
+    code = main(argv + ["--degree-window", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: relation (0, 0, 0, 1, 1, 1, 0, 0) - (1, 1, 1, 0, 0, 0, 0, 0) "
+        "does not reduce to zero: basis is stale\n"
+    )
+
+
 def test_parse_rejects_foreign_target():
     doc = json.loads(read("squares.json"))
     doc["targets"] = [[1, 0, 0, 0]]

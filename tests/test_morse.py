@@ -4,6 +4,7 @@ import pytest
 
 from morsegraded import cancellation, morse
 from morsegraded.cancellation import (
+    SystemTable,
     _apply_reversals,
     _verify_reversals,
     cancel_cells,
@@ -20,7 +21,6 @@ from morsegraded.morse import (
     build_face_matching,
     covers_all_ranks,
     direct_interval_system,
-    labels_contribute,
     morse_numbers,
     msi_characterization,
     truncate_to_j_intervals,
@@ -124,7 +124,7 @@ def test_cell_of_descending_witness(squares):
         for f in ordered_facets(squares.interval((2, 2, 1, 1)), squares.cfg)
         if f.labels == (3, 2, 1, 4)
     )
-    cell = label_cell(squares.gb, squares.cfg, facet.labels)
+    cell = label_cell(SystemTable(squares.gb, squares.cfg), facet.labels)
     assert cell.ranks == (1, 2, 3) and cell.dimension == 2
 
 
@@ -134,7 +134,7 @@ def test_cell_of_interspersed_witness(squares):
         for f in ordered_facets(squares.interval((2, 2, 1, 1)), squares.cfg)
         if f.labels == (2, 1, 3, 4)
     )
-    cell = label_cell(squares.gb, squares.cfg, facet.labels)
+    cell = label_cell(SystemTable(squares.gb, squares.cfg), facet.labels)
     assert cell.ranks == (1, 2) and cell.dimension == 1
 
 
@@ -146,12 +146,16 @@ def test_non_covering_system_gives_no_cell(squares):
     )
     system = msi_characterization(squares.gb, squares.cfg, facet)
     assert not covers_all_ranks(system, 3)
-    assert label_cell(squares.gb, squares.cfg, facet.labels) is None
+    assert label_cell(SystemTable(squares.gb, squares.cfg), facet.labels) is None
 
 
 def test_labels_contribute(squares):
-    assert labels_contribute(squares.gb, squares.cfg, (3, 2, 1, 4))
-    assert not labels_contribute(squares.gb, squares.cfg, (1, 3, 2, 4))
+    # a word contributes a critical cell when its system covers every rank
+    def contributes(word):
+        return covers_all_ranks(msi_characterization(squares.gb, squares.cfg, word), len(word) - 1)
+
+    assert contributes((3, 2, 1, 4))
+    assert not contributes((1, 3, 2, 4))
 
 
 # -- the face matching --------------------------------------------------------------
@@ -236,8 +240,9 @@ def test_euler_identity_across_window(squares):
 
 def test_cell_dimension_counts_j_intervals(squares):
     fm = squares.matching((2, 2, 1, 1))
+    systems = SystemTable(squares.gb, squares.cfg)
     for j, facet in enumerate(fm.facets):
-        cell = label_cell(squares.gb, squares.cfg, facet.labels)
+        cell = label_cell(systems, facet.labels)
         if cell is not None and j > 0:
             assert cell.dimension == len(fm.j_systems[j]) - 1
 

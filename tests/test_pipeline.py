@@ -1,6 +1,7 @@
 """Cross-module orchestration: witnesses, reports, the full suite."""
 
 from morsegraded.cancellation import (
+    SystemTable,
     cancel_interval,
     enumerate_gradient_paths,
     gradient_paths_from,
@@ -89,7 +90,8 @@ def test_witnessed_membership(squares):
     fm = squares.matching((2, 2, 1, 1))
     mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
     labels = (1, 2, 3, 4)
-    members = [m for s in non_essential_sets(squares.gb, squares.cfg, labels) for m in s.members]
+    systems = SystemTable(squares.gb, squares.cfg)
+    members = [m for s in non_essential_sets(systems, labels) for m in s.members]
     assert members
     for m in members:
         a, b = mask_of[labels], mask_of[m.partner_labels]
