@@ -116,6 +116,14 @@ class _Rules:
       last and rank[letter] <= rank[last], so no window admits letter: one
       before ("L", last) is blocked by last, and the one after it starts
       at last.  So nes_violation(items, letter) is False there.
+
+    Why _shift_stays_critical always finds a window admitting lam.  A ``U``
+    state (items + ("L", lam), lam, last) is entered only when
+    nes_violation(items, lam) held, so some window of items admits lam.
+    No ("L", lam) follows that window, since a later label must rank
+    strictly below lam.  Removing ("L", lam) from items therefore leaves the
+    window and every ``L`` label after it in place, and the window still
+    admits lam.
     """
 
     def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig):
@@ -249,13 +257,11 @@ class _Rules:
         and carries no pair-lead other than (lam2, lam) itself.
         """
         before = tuple(it for it in items if it != ("L", lam))
-        target = None
-        for pos in range(len(before) - 1, -1, -1):
-            if before[pos][0] == "I" and self.in_nes(before, pos, lam):
-                target = pos
-                break
-        if target is None:
-            return False
+        target = next(
+            pos
+            for pos in range(len(before) - 1, -1, -1)
+            if before[pos][0] == "I" and self.in_nes(before, pos, lam)
+        )
         a1 = before[target][1][0]
         segment = [it[1] for it in before[target + 1 :] if it[0] == "L"]
         run = [lam2] + list(reversed(segment)) + [a1, lam]

@@ -25,6 +25,7 @@ from .homology import below_vanishing_bound
 from .morse import (
     CriticalCell,
     FaceMatching,
+    RankInterval,
     _breach,
     alternating_cycle,
     build_face_matching,
@@ -155,14 +156,6 @@ def check_321_uniqueness(cfg: FacetOrderConfig, tau_labels, sigma_labels) -> str
 # -- syzygy windows and non-essential sets -------------------------------------
 
 
-@dataclass(frozen=True)
-class Window:
-    """A syzygy interval as 0-based label positions [start, end]."""
-
-    start: int
-    end: int
-
-
 class SystemTable(dict):
     """Word -> skipped-interval system, each computed once, on first read."""
 
@@ -175,8 +168,10 @@ class SystemTable(dict):
         return system
 
 
-def windows_of(systems: SystemTable, labels) -> list[Window]:
-    return [Window(iv.lo - 1, iv.hi) for iv in systems[labels] if iv.kind == "syzygy"]
+def windows_of(systems: SystemTable, labels) -> list[RankInterval]:
+    """The syzygy intervals of labels: window w spans label positions
+    w.lo - 1 .. w.hi."""
+    return [iv for iv in systems[labels] if iv.kind == "syzygy"]
 
 
 @dataclass(frozen=True)
@@ -190,28 +185,28 @@ class ShiftMember:
 
 @dataclass(frozen=True)
 class NonEssentialSet:
-    window: Window
+    window: RankInterval
     members: tuple[ShiftMember, ...]
 
     def labels(self) -> tuple[int, ...]:
         return tuple(sorted({m.label for m in self.members}))
 
 
-def _not_window_interior(windows: list[Window], pos: int) -> bool:
-    return all(not (w.start < pos < w.end) for w in windows)
+def _not_window_interior(windows: list[RankInterval], pos: int) -> bool:
+    return all(not (w.lo <= pos < w.hi) for w in windows)
 
 
-def _down_slot(systems: SystemTable, labels, w: Window, p: int):
+def _down_slot(systems: SystemTable, labels, w: RankInterval, p: int):
     """Shift labels[p] out of window w to the highest landing that leaves a
     critical cell with the label outside every window interior."""
     x = labels[p]
     rank = systems.cfg.order.label_rank
     commutes = systems.gb.commutes
     # every label passed on the way down must sort past x and commute with it
-    for y in labels[w.start + 1 : p]:
+    for y in labels[w.lo : p]:
         if rank[y] >= rank[x] or not commutes[x][y]:
             return None
-    for q in range(w.start, -1, -1):
+    for q in range(w.lo - 1, -1, -1):
         y = labels[q]
         if rank[y] >= rank[x] or not commutes[x][y]:
             return None
@@ -223,40 +218,40 @@ def _down_slot(systems: SystemTable, labels, w: Window, p: int):
     return None
 
 
-def _insert_sorted(cfg: FacetOrderConfig, labels, w: Window, p: int):
+def _insert_sorted(cfg: FacetOrderConfig, labels, w: RankInterval, p: int):
     """Shift labels[p] (below the window) up into the window interior."""
     rank = cfg.order.label_rank
     x = labels[p]
     rest = list(labels[:p] + labels[p + 1 :])
-    start = w.start - 1  # window slides down by the removed label
+    start = w.lo - 2  # window slides down by the removed label
     offset = 0
-    for k in range(start, w.end):
+    for k in range(start, w.hi):
         if rank[rest[k]] <= rank[x]:
             offset = k - start + 1
     rest.insert(start + offset, x)
     return tuple(rest), start + offset
 
 
-def _upward_shiftable(systems: SystemTable, labels, w: Window, p: int):
+def _upward_shiftable(systems: SystemTable, labels, w: RankInterval, p: int):
     x = labels[p]
     rank = systems.cfg.order.label_rank
     commutes = systems.gb.commutes
-    a1, a2 = labels[w.start], labels[w.end]
+    a1, a2 = labels[w.lo - 1], labels[w.hi]
     if not (rank[a1] < rank[x] < rank[a2]):
         return None
-    for y in labels[p + 1 : w.start]:
+    for y in labels[p + 1 : w.lo - 1]:
         if rank[y] >= rank[x] or not commutes[x][y]:
             return None
-    for y in labels[w.start : w.end + 1]:
+    for y in labels[w.lo - 1 : w.hi + 1]:
         if not commutes[x][y]:
             return None
     # the label may not top a window whose loss breaks criticality
     for w2 in windows_of(systems, labels):
-        if w2.end != p:
+        if w2.hi != p:
             continue
-        if w2.end - w2.start > 1:
+        if w2.hi > w2.lo:
             return None
-        mu, nu = labels[w2.start], labels[p + 1]
+        mu, nu = labels[w2.lo - 1], labels[p + 1]
         descent = rank[mu] > rank[nu]
         pair_lead = rank[mu] <= rank[nu] and not commutes[mu][nu]
         if not (descent or pair_lead):
@@ -280,10 +275,10 @@ def non_essential_sets(systems: SystemTable, labels) -> list[NonEssentialSet]:
     labels = tuple(labels)
     out = []
     claimed_outside: set[int] = set()
-    for w in sorted(windows_of(systems, labels), key=lambda w: (w.start, w.end)):
+    for w in windows_of(systems, labels):
         members: list[ShiftMember] = []
         seen_values: set[int] = set()
-        for p in range(w.start + 1, w.end):
+        for p in range(w.lo, w.hi):
             x = labels[p]
             if x in seen_values:
                 continue
@@ -291,7 +286,7 @@ def non_essential_sets(systems: SystemTable, labels) -> list[NonEssentialSet]:
             if word is not None:
                 members.append(ShiftMember(x, "inside", word))
                 seen_values.add(x)
-        for p in range(w.start):
+        for p in range(w.lo - 1):
             if p in claimed_outside:
                 continue
             x = labels[p]
@@ -318,7 +313,7 @@ def pivot_partner(systems: SystemTable, word) -> tuple[int, ...] | None:
     live = [s for s in non_essential_sets(systems, word) if s.members]
     if not live:
         return None
-    expanding = max(live, key=lambda s: (s.window.start, s.window.end))
+    expanding = max(live, key=lambda s: s.window.span())
     rank = systems.cfg.order.label_rank
     return min(expanding.members, key=lambda m: rank[m.label]).partner_labels
 
@@ -345,7 +340,7 @@ def label_cell(systems: SystemTable, labels) -> LabelCell | None:
 
 
 def _has_interior_window(systems: SystemTable, labels) -> bool:
-    return any(w.end - w.start > 1 for w in windows_of(systems, labels))
+    return any(w.hi > w.lo for w in windows_of(systems, labels))
 
 
 # -- cancellation over a built face matching -----------------------------------

@@ -7,8 +7,9 @@ binomial throughout.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 
 from .errors import InvalidBasis, MorsegradedError
@@ -55,6 +56,11 @@ class GroebnerBasis:
                 if leading_ideal_member(self, tuple(m)):
                     table[a][b] = table[b][a] = False
         return tuple(map(tuple, table))
+
+    @cached_property
+    def window_tables(self) -> dict:
+        """Term order -> morse.SyzygyWindows of this basis, made on first use."""
+        return {}
 
 
 def orient(u: Monomial, v: Monomial, order: TermOrder) -> Binomial | None:
@@ -157,7 +163,6 @@ def buchberger(
         if b is not None and b not in basis:
             basis.append(b)
     basis.sort(key=lambda b: (total_degree(b.plus), b.plus, b.minus))
-    import heapq
 
     def push(heap, i, j):
         lcm = monomial_lcm(basis[i].plus, basis[j].plus)
@@ -220,8 +225,6 @@ def _reduce_basis(basis: list[Binomial], order: TermOrder) -> GroebnerBasis:
 
 
 def order_key(order: TermOrder):
-    from functools import cmp_to_key
-
     def cmp(a: Binomial, b: Binomial) -> int:
         c = order.compare(a.plus, b.plus)
         if c:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, leading_ideal_member
 from .orders import Monomial, content_monomial
-from .semigroup import IntervalData, Vector
+from .semigroup import IntervalData, Vector, bit_indices
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,22 @@ class RankInterval:
     lo: int
     hi: int
     kind: str = "overlap"  # descent | syzygy | overlap
-    lead: Monomial | None = None
-
-    def ranks(self) -> range:
-        return range(self.lo, self.hi + 1)
 
     def span(self) -> tuple[int, int]:
         return (self.lo, self.hi)
+
+    @property
+    def mask(self) -> int:
+        """The ranks as a mask, bit r - 1 for rank r."""
+        return (1 << self.hi) - (1 << (self.lo - 1))
+
+
+def rank_mask(system) -> int:
+    """The ranks a skipped-interval system covers, bit r - 1 for rank r."""
+    covered = 0
+    for iv in system:
+        covered |= iv.mask
+    return covered
 
 
 @dataclass(frozen=True)
@@ -87,40 +96,54 @@ def descent_intervals(cfg: FacetOrderConfig, facet) -> list[RankInterval]:
     return out
 
 
-def _lead_extremes(cfg: FacetOrderConfig, lead: Monomial) -> tuple[int, int]:
+def _lead_extremes(rank, lead: Monomial) -> tuple[int, int]:
     vars_ = [i for i, e in enumerate(lead) if e > 0]
-    rank = cfg.order.label_rank
     return min(vars_, key=lambda i: rank[i]), max(vars_, key=lambda i: rank[i])
 
 
-def syzygy_window_test(gb: GroebnerBasis, cfg: FacetOrderConfig):
-    """The syzygy window predicate: window labels -> leading term or None.
+class SyzygyWindows(dict):
+    """The syzygy window predicate: window labels -> is it a syzygy window.
 
     A weakly increasing window of at least two labels is a syzygy window
     when its product carries a leading term whose extremal divisors sit at
     the window's endpoints, and dropping either endpoint label leaves a
     product no leading term divides (minimality).  The caller keeps the
-    window weakly increasing; the answer depends on the window alone.
+    window weakly increasing; the answer depends on the window alone, so
+    each window is tested once, on first read.  syzygy_windows keeps one
+    table per basis and term order.
     """
-    n = cfg.order.n
-    extremes = [(_lead_extremes(cfg, b.plus), b.plus) for b in gb.elements]
 
-    def lead_of(window) -> Monomial | None:
-        prod = content_monomial(window, n)
-        for (lo_var, hi_var), lead in extremes:
-            if lo_var == window[0] and hi_var == window[-1] and all(
-                e <= p for e, p in zip(lead, prod)
-            ):
-                break
-        else:
-            return None
-        prefix = content_monomial(window[:-1], n)
-        suffix = content_monomial(window[1:], n)
-        if leading_ideal_member(gb, prefix) or leading_ideal_member(gb, suffix):
-            return None
-        return lead
+    def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig):
+        super().__init__()
+        self.gb, self.n = gb, cfg.order.n
+        rank = cfg.order.label_rank
+        self.extremes = [(_lead_extremes(rank, b.plus), b.plus) for b in gb.elements]
 
-    return lead_of
+    def __missing__(self, window) -> bool:
+        hit = self[window] = self._is_window(window)
+        return hit
+
+    def _is_window(self, window) -> bool:
+        prod = content_monomial(window, self.n)
+        ends = (window[0], window[-1])
+        if not any(
+            extremes == ends and all(e <= p for e, p in zip(lead, prod))
+            for extremes, lead in self.extremes
+        ):
+            return False
+        prefix = content_monomial(window[:-1], self.n)
+        suffix = content_monomial(window[1:], self.n)
+        return not (
+            leading_ideal_member(self.gb, prefix) or leading_ideal_member(self.gb, suffix)
+        )
+
+
+def syzygy_windows(gb: GroebnerBasis, cfg: FacetOrderConfig) -> SyzygyWindows:
+    """The window table of gb under cfg's order, kept on gb once made."""
+    tables = gb.window_tables
+    if cfg.order not in tables:
+        tables[cfg.order] = SyzygyWindows(gb, cfg)
+    return tables[cfg.order]
 
 
 def syzygy_intervals(
@@ -129,16 +152,15 @@ def syzygy_intervals(
     """Minimal weakly increasing runs that are syzygy windows."""
     labels = _labels_of(facet)
     rank = cfg.order.label_rank
-    lead_of = syzygy_window_test(gb, cfg)
+    windows = syzygy_windows(gb, cfg)
     out = []
     m = len(labels)
     for a in range(m - 1):
         for b in range(a + 1, m):
             if rank[labels[b - 1]] > rank[labels[b]]:
                 break  # longer windows from a are not weakly increasing either
-            lead = lead_of(labels[a : b + 1])
-            if lead is not None:
-                out.append(RankInterval(a + 1, b, "syzygy", lead))
+            if windows[labels[a : b + 1]]:
+                out.append(RankInterval(a + 1, b, "syzygy"))
     return out
 
 
@@ -172,11 +194,10 @@ def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, content):
     never cut, since a later window may yet cover its gaps.
     """
     rank = cfg.order.label_rank
-    lead_of = syzygy_window_test(gb, cfg)
+    windows = syzygy_windows(gb, cfg)
     values = sorted(set(content))
     m = len(content)
     full = (1 << m) - 2 if m else 0  # gaps 1 .. m-1
-    leads: dict[tuple[int, ...], bool] = {}  # window -> is a syzygy window
     # (word, remaining count per value, covered gap mask, run start)
     stack = [((), tuple(list(content).count(v) for v in values), 0, 0)]
     while stack:
@@ -200,11 +221,7 @@ def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, content):
                 run = b
             else:
                 for a in range(start, b):
-                    window = grown[a:]
-                    hit = leads.get(window)
-                    if hit is None:
-                        hit = leads[window] = lead_of(window) is not None
-                    if hit:
+                    if windows[grown[a:]]:
                         cov |= (1 << (b + 1)) - (1 << (a + 1))  # gaps a+1 .. b
             children.append((grown, left[:i] + (left[i] - 1,) + left[i + 1 :], cov, run))
         stack.extend(reversed(children))
@@ -240,41 +257,27 @@ def direct_interval_system(facets: list[Facet], j: int) -> tuple[RankInterval, .
 
 
 def truncate_to_j_intervals(i_intervals) -> tuple[RankInterval, ...]:
-    """Disjoint intervals from possibly overlapping ones.
+    """Disjoint intervals from a sorted, non-nested system, in one pass.
 
-    Repeatedly: keep the interval of lowest rank, chop the ranks it covers
-    off the rest, discard chopped intervals that became empty or now
-    contain another one, re-sort, continue.
+    The J-intervals keep the lowest interval, chop its ranks off the rest,
+    discard what became empty or non-minimal, and repeat.  Both ends
+    strictly increase in such a system, so one pass suffices: each interval
+    keeps the ranks above the last kept one, or goes when none are left;
+    one starting at most one rank past the kept interval before the last
+    goes too, since chopped it would strictly contain the last kept one.
     """
-    items = sorted(i_intervals, key=lambda iv: iv.span())
     out: list[RankInterval] = []
-    while items:
-        first = items[0]
-        out.append(first)
-        rest = []
-        for iv in items[1:]:
-            lo = max(iv.lo, first.hi + 1)
-            if lo <= iv.hi:
-                rest.append(RankInterval(lo, iv.hi, iv.kind, iv.lead))
-        spans = {iv.span() for iv in rest}
-        kept = []
-        seen = set()
-        for iv in rest:
-            if iv.span() in seen:
-                continue
-            if any(s != iv.span() and iv.lo <= s[0] and s[1] <= iv.hi for s in spans):
-                continue  # no longer minimal: strictly contains another
-            seen.add(iv.span())
-            kept.append(iv)
-        items = sorted(kept, key=lambda iv: iv.span())
+    for iv in i_intervals:
+        if len(out) > 1 and iv.lo <= out[-2].hi + 1:
+            continue
+        lo = max(iv.lo, out[-1].hi + 1) if out else iv.lo
+        if lo <= iv.hi:
+            out.append(iv if lo == iv.lo else RankInterval(lo, iv.hi, iv.kind))
     return tuple(out)
 
 
 def covers_all_ranks(intervals, r: int) -> bool:
-    covered = set()
-    for iv in intervals:
-        covered.update(iv.ranks())
-    return covered == set(range(1, r + 1))
+    return rank_mask(intervals) == (1 << max(r, 0)) - 1
 
 
 def _cell(facet: Facet, ranks, top: Vector, n: int, is_base: bool = False) -> CriticalCell:
@@ -317,9 +320,8 @@ class FaceMatching:
         return out
 
     def face_elements(self, mask: int) -> tuple[Vector, ...]:
-        return tuple(
-            e for i, e in enumerate(self.ivl.elements) if mask >> i & 1
-        )
+        elements = self.ivl.elements
+        return tuple(elements[i] for i in bit_indices(mask))
 
     def dim(self, mask: int) -> int:
         return mask.bit_count() - 1
@@ -371,12 +373,9 @@ def build_face_matching(
     owner = fm.owner
     for j, facet in enumerate(facets):
         bits = _facet_masks(ivl, facet)
-        spans = [(1 << iv.hi) - (1 << (iv.lo - 1)) for iv in systems[j]]
-        covered = 0
-        for span in spans:
-            covered |= span
+        spans = [iv.mask for iv in systems[j]]
         masks = [0] * (1 << len(bits))
-        new_faces = []
+        new_subs = []
         for sub in range(1, len(masks)):
             low = sub & -sub
             mask = masks[sub] = masks[sub ^ low] | bits[low.bit_length() - 1]
@@ -393,22 +392,25 @@ def build_face_matching(
                 )
             if transversal:
                 owner[mask] = j
-                new_faces.append(mask)
-        _match_within_facet(fm, j, facet, bits, covered, new_faces)
+                new_subs.append(sub)
+        _match_within_facet(fm, j, facet, bits, masks, new_subs)
 
     _verify_matching(fm)
     return fm
 
 
-def _match_within_facet(fm: FaceMatching, j, facet, bits, covered, new_faces) -> None:
-    """Match facet j's new faces; covered is the rank mask its system covers."""
-    j_sys = fm.j_systems[j]
+def _match_within_facet(fm: FaceMatching, j, facet, bits, masks, new_subs) -> None:
+    """Match facet j's new faces, given by their rank subsets new_subs.
+
+    masks[sub] is the face of rank subset sub (bit r - 1 for rank r).
+    """
     n = fm.cfg.order.n
-    uncovered = ~covered & ((1 << len(bits)) - 1)
+    uncovered = ~rank_mask(fm.systems[j]) & ((1 << len(bits)) - 1)
     if uncovered:
         q = (uncovered & -uncovered).bit_length()  # the lowest uncovered rank
         cone_bit = bits[q - 1]
-        for mask in new_faces:
+        for sub in new_subs:
+            mask = masks[sub]
             other = mask ^ cone_bit
             if other == 0:
                 # lowest vertex of the least facet: the base critical cell
@@ -416,24 +418,20 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, covered, new_faces) ->
                 continue
             fm.partner[mask] = other
         return
+    j_sys = fm.j_systems[j]
     cell = _cell(facet, tuple(iv.lo for iv in j_sys), fm.ivl.top, n)
-    cell_mask = 0
-    for q in cell.ranks:
-        cell_mask |= bits[q - 1]
-    lo_bits = [bits[iv.lo - 1] for iv in j_sys]
-    span_masks = []
-    for iv in j_sys:
-        m = 0
-        for q in iv.ranks():
-            m |= bits[q - 1]
-        span_masks.append(m)
-    for mask in new_faces:
-        if mask == cell_mask:
+    cell_sub = sum(1 << (q - 1) for q in cell.ranks)
+    # a face toggles the lowest rank of the first truncated interval it
+    # meets above that rank
+    toggles = [(iv.mask & ~(1 << (iv.lo - 1)), bits[iv.lo - 1]) for iv in j_sys]
+    for sub in new_subs:
+        mask = masks[sub]
+        if sub == cell_sub:
             fm.critical[mask] = cell
             continue
-        for k, span in enumerate(span_masks):
-            if mask & span & ~lo_bits[k]:
-                fm.partner[mask] = mask ^ lo_bits[k]
+        for above, bit in toggles:
+            if sub & above:
+                fm.partner[mask] = mask ^ bit
                 break
         else:
             raise _breach(

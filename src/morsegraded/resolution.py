@@ -79,51 +79,38 @@ def morse_boundary(
             yield (1 if j % 2 == 0 else -1), chain[:j] + chain[j + 1 :]
 
     def flow(chain: Chain) -> dict[Chain, int]:
-        cached = flows.get(chain)
-        if cached is not None:
-            return cached
-        stack = [chain]
+        """chain's image in the critical cells.  A chain matched up to up
+        flows as minus its incidence in up times up's other faces; its first
+        visit scans boundary(up) and its second sums their flows."""
+        stack: list[tuple[Chain, int, list | None]] = [(chain, 0, None)]
         while stack:
-            cur = stack[-1]
+            cur, sign_cur, faces = stack.pop()
             if cur in flows:
-                stack.pop()
+                continue
+            if faces is not None:
+                acc: dict[Chain, int] = {}
+                for sgn, face in faces:
+                    for tgt, coeff in flows[face].items():
+                        acc[tgt] = acc.get(tgt, 0) + (-sign_cur) * sgn * coeff
+                flows[cur] = {k: v for k, v in acc.items() if v}
                 continue
             if cur in critical:
                 flows[cur] = {cur: 1}
-                stack.pop()
                 continue
             up = partner.get(cur)
             if up is None:
                 raise InternalInvariantError(f"chain {cur} neither matched nor critical")
             if len(up) < len(cur):
                 flows[cur] = {}
-                stack.pop()
                 continue
-            sign_cur = None
-            pending = []
-            ready = True
+            faces = []
             for sgn, face in boundary(up):
                 if face == cur:
                     sign_cur = sgn
-                    continue
-                if face not in flows:
-                    pending.append(face)
-                    ready = False
                 else:
-                    pending.append(face)
-            if not ready:
-                for face in pending:
-                    if face not in flows:
-                        stack.append(face)
-                continue
-            acc: dict[Chain, int] = {}
-            for sgn, face in boundary(up):
-                if face == cur:
-                    continue
-                for tgt, coeff in flows[face].items():
-                    acc[tgt] = acc.get(tgt, 0) + (-sign_cur) * sgn * coeff
-            flows[cur] = {k: v for k, v in acc.items() if v}
-            stack.pop()
+                    faces.append((sgn, face))
+            stack.append((cur, sign_cur, faces))
+            stack.extend((face, 0, None) for _, face in faces if face not in flows)
         return flows[chain]
 
     differentials: dict[int, dict[tuple[Chain, Chain], int]] = {}
@@ -163,13 +150,14 @@ def _unit_incidences(differentials, zero) -> list[tuple[Chain, Chain, int]]:
 
 def _assert_square_zero(differentials) -> None:
     for i, rows in differentials.items():
-        lower = differentials.get(i - 1, {})
+        below: dict[Chain, list[tuple[Chain, int]]] = {}
+        for (mid, lo), c2 in differentials.get(i - 1, {}).items():
+            below.setdefault(mid, []).append((lo, c2))
         acc: dict[tuple, int] = {}
         for (hi, mid), c1 in rows.items():
-            for (mid2, lo), c2 in lower.items():
-                if mid2 == mid:
-                    key = (hi, lo)
-                    acc[key] = acc.get(key, 0) + c1 * c2
+            for lo, c2 in below.get(mid, ()):
+                key = (hi, lo)
+                acc[key] = acc.get(key, 0) + c1 * c2
         bad = {k: v for k, v in acc.items() if v}
         if bad:
             raise InternalInvariantError(f"boundary squared is nonzero: {bad}")

@@ -10,6 +10,7 @@ import pytest
 from morsegraded.automaton import (
     INIT,
     CommutationClass,
+    _Rules,
     _distinct_permutations,
     _explore,
     MorseAutomaton,
@@ -27,6 +28,7 @@ from morsegraded.groebner import (
     groebner_for,
     leading_ideal_member,
     toric_ideal_basis,
+    verify_groebner,
 )
 from morsegraded.io import parse_input
 from morsegraded.orders import TermOrder, content_monomial
@@ -518,6 +520,34 @@ def test_builders_match_reference_on_seeded_rings():
             errors.append(out[1])
     assert any("ambiguous" in e for e in errors)
     assert len(errors) < len(rings) // 2
+
+
+def test_rescue_run_with_non_commuting_pair():
+    """A quadratic ring on which _shift_stays_critical meets a run with a
+    non-commuting pair other than its ends, so the rejection for it fires.
+
+    Reading 0, 5, 2, 3 top-down opens the pair windows (5, 0) and (2, 5),
+    then the descent 3 enters U; the climb of 3 into (5, 0) under the
+    letter 1 needs the run 1, 2, 5, 3, whose labels 2 and 5 do not commute.
+    """
+    pres = SemigroupPresentation(
+        3, [(0, 1, 1), (1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2)]
+    )
+    order = TermOrder(6, "graded-revlex", [0, 3, 5, 2, 1, 4])
+    gb = groebner_for(pres, order, 2)
+    verify_groebner(gb, pres, completeness_cap=default_cap(pres, 4))
+    cfg = FacetOrderConfig(order)
+    assert gb.degree == 2 and not gb.commutes[2][5]
+    rules = _Rules(gb, cfg)
+    state = INIT
+    for letter in (0, 5, 2, 3):
+        state = rules.step(state, letter)
+    assert state[0] == "U"
+    _, items, lam, _ = state
+    assert not rules._shift_stays_critical(items, lam, 1)
+    rescued = rules.step(state, 1)
+    assert rescued[0] == "F"
+    assert ReferenceDegreeRules(gb, cfg).step(state, 1) == rescued
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: overlapping degree-3 windows")

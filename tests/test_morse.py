@@ -1,5 +1,8 @@
 """Interval systems, truncation, critical cells, the face matching."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from morsegraded import cancellation, morse
@@ -11,9 +14,11 @@ from morsegraded.cancellation import (
     gradient_paths_from,
     label_cell,
 )
-from morsegraded.chains import ordered_facets
+from morsegraded.chains import FacetOrderConfig, ordered_facets
 from morsegraded.errors import AcyclicityFailure, InternalInvariantError
+from morsegraded.groebner import GroebnerBasis, default_cap, groebner_for
 from morsegraded.homology import order_complex
+from morsegraded.io import parse_input
 from morsegraded.morse import (
     FaceMatching,
     RankInterval,
@@ -26,6 +31,9 @@ from morsegraded.morse import (
     truncate_to_j_intervals,
     verify_acyclic,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def spans(system):
@@ -113,6 +121,83 @@ def test_truncation_discards_non_minimal():
     # after chopping, (4,5) strictly contains (4,4) and is discarded
     got = spans(truncate_to_j_intervals(make([(1, 3), (2, 4), (3, 5)])))
     assert got == ((1, 3), (4, 4))
+
+
+def reference_truncation(i_intervals):
+    """Repeatedly: keep the interval of lowest rank, chop the ranks it covers
+    off the rest, discard chopped intervals that became empty or now
+    contain another one, re-sort, continue."""
+    items = sorted(i_intervals, key=lambda iv: iv.span())
+    out = []
+    while items:
+        first = items[0]
+        out.append(first)
+        rest = []
+        for iv in items[1:]:
+            lo = max(iv.lo, first.hi + 1)
+            if lo <= iv.hi:
+                rest.append(RankInterval(lo, iv.hi, iv.kind))
+        spans_ = {iv.span() for iv in rest}
+        kept = []
+        seen = set()
+        for iv in rest:
+            if iv.span() in seen:
+                continue
+            if any(s != iv.span() and iv.lo <= s[0] and s[1] <= iv.hi for s in spans_):
+                continue
+            seen.add(iv.span())
+            kept.append(iv)
+        items = sorted(kept, key=lambda iv: iv.span())
+    return tuple(out)
+
+
+def test_truncation_equals_reference_on_fixtures():
+    count = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        raw = json.loads(path.read_text())
+        raw.pop("groebner_basis", None)  # a stale one is refused; compute it
+        doc = parse_input(json.dumps(raw))
+        pres, cfg = doc.presentation, FacetOrderConfig(doc.order)
+        gb = groebner_for(pres, doc.order, default_cap(pres, 4))
+        zero = tuple([0] * pres.dimension)
+        for lam in sorted(pres.degree_window(4)):
+            for facet in ordered_facets(pres.interval(zero, lam), cfg):
+                system = msi_characterization(gb, cfg, facet)
+                want = reference_truncation(system)
+                assert truncate_to_j_intervals(system) == want, (path.name, facet.labels)
+                count += 1
+        if path.stem == "skew2d":
+            # the one facet system to window 5 where an interval starts
+            # within the kept interval before the last: three x4^3 windows
+            system = msi_characterization(gb, cfg, (4, 4, 4, 4, 4))
+            assert spans(system) == ((1, 2), (2, 3), (3, 4))
+            assert truncate_to_j_intervals(system) == reference_truncation(system)
+    assert count > 10_000
+
+
+def test_one_window_predicate_per_basis(squares, monkeypatch):
+    made, tested = [], []
+    table = morse.SyzygyWindows
+    honest_init, honest_test = table.__init__, table._is_window
+
+    def init(self, gb, cfg):
+        made.append(gb)
+        honest_init(self, gb, cfg)
+
+    def is_window(self, window):
+        tested.append(window)
+        return honest_test(self, window)
+
+    monkeypatch.setattr(table, "__init__", init)
+    monkeypatch.setattr(table, "_is_window", is_window)
+    gb = GroebnerBasis(squares.gb.order, squares.gb.elements)  # no table yet
+    fm = build_face_matching(squares.interval((5, 5, 1, 1)), squares.cfg, gb)
+    assert len(fm.facets) == 2_142
+    assert made == [gb]
+    assert tested and len(tested) == len(set(tested))
+    # the covering search reads the same table and tests no window again
+    assert list(morse.covering_words(gb, squares.cfg, (0, 1, 1, 2, 3, 4)))
+    assert made == [gb] and len(tested) == len(set(tested))
 
 
 # -- critical cells ---------------------------------------------------------------
@@ -349,8 +434,7 @@ def reference_face_matching(ivl, cfg, gb):
                 fm.owner[mask] = j
                 new_faces.append((sub, mask))
         reference_check_transversals(facet, systems[j], new_faces, r, j)
-        covered = sum(1 << (q - 1) for q in {q for iv in systems[j] for q in iv.ranks()})
-        morse._match_within_facet(fm, j, facet, bits, covered, [mask for _, mask in new_faces])
+        morse._match_within_facet(fm, j, facet, bits, dict(new_faces), [sub for sub, _ in new_faces])
     assert reference_verify_acyclic(fm)
     return fm
 

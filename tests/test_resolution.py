@@ -1,6 +1,12 @@
 """Boundary maps of the cancelled complex: minimality and exactness data."""
 
+from types import SimpleNamespace
+
+import pytest
+
+from morsegraded import resolution
 from morsegraded.cancellation import cancel_interval
+from morsegraded.errors import InternalInvariantError
 from morsegraded.homology import tor_ranks
 from morsegraded.resolution import morse_boundary
 
@@ -41,9 +47,50 @@ def test_no_equal_multidegree_incidence(squares):
             assert coeff == 0 or hi_grade != lo_grade
 
 
-def test_boundary_squared_zero_is_enforced(squares):
-    # morse_boundary raises if the composite were nonzero; build is the test
-    build(squares, 4)
+def test_boundary_squared_zero_is_enforced(squares, monkeypatch):
+    window, data = build(squares, 4)
+    assert data.differentials[2] and data.differentials[1]
+    honest = resolution._unit_incidences
+
+    def flip_one_sign(differentials, zero):
+        # plant d^2 != 0: negate one incidence of d_2 after it is computed
+        rows = differentials[2]
+        key = next(iter(rows))
+        rows[key] = -rows[key]
+        return honest(differentials, zero)
+
+    monkeypatch.setattr(resolution, "_unit_incidences", flip_one_sign)
+    with pytest.raises(InternalInvariantError, match="boundary squared is nonzero"):
+        resolve(squares, window)
+
+
+def unmatch_one_pair(ring, window):
+    """Cancellations of window with one matched pair of faces both made
+    critical: the upper one's boundary then meets the lower one in the
+    same multidegree with coefficient +-1."""
+    results = {lam: cancel_interval(ring.pres, lam, ring.cfg, ring.gb) for lam in window}
+    lam = min(lam for lam in results if results[lam].matching.partner)
+    fm = results[lam].matching
+    pair = min((x, y) for x, y in fm.partner.items() if x < y)
+    cells = [SimpleNamespace(is_base=False, elements=fm.face_elements(x)) for x in pair]
+    results[lam] = SimpleNamespace(
+        matching=SimpleNamespace(
+            partner={x: y for x, y in fm.partner.items() if x not in pair},
+            face_elements=fm.face_elements,
+        ),
+        survivors=results[lam].survivors + cells,
+    )
+    return results
+
+
+def test_unit_incidence_is_enforced_on_quadratic_basis(squares, cyclic3):
+    results = unmatch_one_pair(squares, squares.pres.degree_window(3))
+    with pytest.raises(InternalInvariantError, match="unit incidence between equal multidegrees"):
+        morse_boundary(squares.pres, squares.gb, results)
+    # beyond degree 2 the same incidence is a recorded finding
+    results = unmatch_one_pair(cyclic3, cyclic3.pres.degree_window(3))
+    data = morse_boundary(cyclic3.pres, cyclic3.gb, results)
+    assert [coeff for _, _, coeff in data.unit_incidences] in ([1], [-1])
 
 
 def test_first_differential_coefficients(squares):
