@@ -20,6 +20,7 @@ from .io import (
     parse_input,
     report_envelope,
 )
+from .morse import build_face_matching
 from .pipeline import cancel_interval, full_consistency_suite, sharpness_report
 
 
@@ -134,8 +135,7 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
     elif cfg.command == "morse":
         entries = []
         for lam in _targets(doc, pres, cfg):
-            res = cancel_interval(pres, lam, fcfg, gb, cfg.path_cap)
-            fm = res.matching
+            fm = build_face_matching(pres.interval(zero, lam), fcfg, gb)
             cells = []
             for j, facet in enumerate(fm.facets):
                 system = [list(iv.span()) + [iv.kind] for iv in fm.systems[j]]

@@ -5,6 +5,11 @@ the open interval is the transitive closure of its cover edges, one bitset
 per element, and chains grow one dimension at a time.  Nothing here touches
 the Morse pipeline.
 
+A face is a vertex bitmask, and a boundary column is the pair (plus, minus)
+of bitmasks of the rows where it is +1 and -1.  That pair is the input of
+the F_3 kernel as its two trit planes, its OR is the F_2 column, and Q and
+the other primes expand it into sparse entries.
+
 `betti_numbers` is the one routine behind every Betti number.  It builds
 each boundary map of a complex once and ranks its columns over every
 requested field, top dimension first, with clearing: a column of d_k whose
@@ -32,17 +37,19 @@ from math import gcd
 
 from .semigroup import IntervalData, SemigroupPresentation, Vector, bit_indices
 
+Column = tuple[int, int]  # (plus, minus): bitmasks of the rows at +1 and at -1
+
 
 @dataclass(frozen=True)
 class OrderComplex:
     """All chains of the open interval, grouped by dimension.
 
-    Faces are tuples of vertex indices, increasing along the chain; the
-    empty face is implicit (reduced convention).
+    A face is a bitmask with bit v for each vertex v on the chain; faces of
+    each dimension are in lexicographic order of their vertex sequences.
+    The empty face is implicit (reduced convention).
     """
 
-    vertices: tuple[Vector, ...]
-    faces: tuple[tuple[tuple[int, ...], ...], ...]  # faces[d] lists d-faces
+    faces: tuple[tuple[int, ...], ...]  # faces[d] lists d-faces
 
     @property
     def dim(self) -> int:
@@ -64,8 +71,9 @@ def order_complex(ivl: IntervalData) -> OrderComplex:
 
     The interval's elements are a linear extension with the bottom first
     and the top last, and every relation u < v inside it is a chain of
-    cover edges, so the order is their transitive closure.  Faces of each
-    dimension come out in lexicographic order.
+    cover edges, so the order is their transitive closure.  Vertex v is
+    element v + 1.  A face grows by a vertex above its highest one, so
+    faces of each dimension come out in lexicographic order.
     """
     n = len(ivl.elements)
     reach = [0] * n  # reach[i]: bitset of the elements strictly above element i
@@ -74,36 +82,41 @@ def order_complex(ivl: IntervalData) -> OrderComplex:
         for _, j in ivl.cover_edges[i]:
             bits |= reach[j] | (1 << j)
         reach[i] = bits
-    vertices = ivl.elements[1:-1]
-    mask = (1 << len(vertices)) - 1
-    above = [bit_indices(reach[v + 1] >> 1 & mask) for v in range(len(vertices))]
-    by_dim: list[list[tuple[int, ...]]] = []
-    layer = [(v,) for v in range(len(vertices))]
+    m = max(n - 2, 0)  # the number of vertices
+    above = [[1 << j for j in bit_indices(reach[v + 1] >> 1 & (1 << m) - 1)] for v in range(m)]
+    by_dim: list[list[int]] = []
+    layer = [1 << v for v in range(m)]
     while layer:
         by_dim.append(layer)
-        layer = [f + (j,) for f in layer for j in above[f[-1]]]
-    return OrderComplex(vertices, tuple(tuple(fs) for fs in by_dim))
+        layer = [f | b for f in layer for b in above[f.bit_length() - 1]]
+    return OrderComplex(tuple(tuple(fs) for fs in by_dim))
 
 
-def boundary_matrix(cx: OrderComplex, d: int) -> tuple[int, int, list[dict[int, int]]]:
-    """Sparse columns of the boundary map C_d -> C_{d-1}.
+def boundary_matrix(cx: OrderComplex, d: int) -> list[Column]:
+    """The columns of the boundary map C_d -> C_{d-1}, for 0 <= d <= dim.
 
-    Returns (rows, cols, columns); row index -1 never appears because the
-    d = 0 matrix is the augmentation (single row of ones).
+    Removing the k-th lowest vertex of a face gives the row of that face
+    with sign (-1)^k.  For d = 0 the map is the augmentation onto the one
+    row of the empty face.
     """
-    if d < 0 or d > cx.dim:
-        return (cx.face_count(d - 1), 0, [])
     if d == 0:
-        return (1, len(cx.faces[0]), [{0: 1} for _ in cx.faces[0]])
-    index = {f: i for i, f in enumerate(cx.faces[d - 1])}
+        return [(1, 0)] * len(cx.faces[0])
+    index = {f: 1 << i for i, f in enumerate(cx.faces[d - 1])}
     cols = []
     for f in cx.faces[d]:
-        col: dict[int, int] = {}
-        for j in range(len(f)):
-            sub = f[:j] + f[j + 1 :]
-            col[index[sub]] = 1 if j % 2 == 0 else -1
-        cols.append(col)
-    return (len(cx.faces[d - 1]), len(cx.faces[d]), cols)
+        plus = minus = 0
+        rest = f
+        while rest:  # vertices from the lowest up, at signs +1, -1, +1, ...
+            bit = rest & -rest
+            plus |= index[f ^ bit]
+            rest ^= bit
+            if not rest:
+                break
+            bit = rest & -rest
+            minus |= index[f ^ bit]
+            rest ^= bit
+        cols.append((plus, minus))
+    return cols
 
 
 # Each elimination kernel returns its pivots keyed by lead row.  A pivot is
@@ -112,11 +125,18 @@ def boundary_matrix(cx: OrderComplex, d: int) -> tuple[int, int, list[dict[int, 
 # columns of the next boundary map down whose indices are the leads.
 
 
-def _pivots_rational(columns: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _entries(column: Column, minus_one: int = -1) -> dict[int, int]:
+    """A column's nonzero entries by row, with -1 written as minus_one."""
+    plus, minus = column
+    col = dict.fromkeys(bit_indices(plus), 1)
+    col.update(dict.fromkeys(bit_indices(minus), minus_one))
+    return col
+
+
+def _pivots_rational(columns: list[Column]) -> dict[int, dict[int, int]]:
     """Fraction-free sparse elimination; rank over Q equals rank over Z."""
     pivots: dict[int, dict[int, int]] = {}
-    for col in sorted(columns, key=len):
-        col = dict(col)
+    for col in sorted(map(_entries, columns), key=len):
         while col:
             lead = min(col)
             piv = pivots.get(lead)
@@ -141,19 +161,10 @@ def _pivots_rational(columns: list[dict[int, int]]) -> dict[int, dict[int, int]]
     return pivots
 
 
-def _pivots_mod_2(columns: list[dict[int, int]]) -> dict[int, int]:
+def _pivots_mod_2(columns: list[Column]) -> dict[int, int]:
     """Bitset elimination: each column is one integer, rows are bit indexes."""
-    vecs = []
-    for col in columns:
-        v = 0
-        for k, val in col.items():
-            if val % 2:
-                v |= 1 << k
-        if v:
-            vecs.append(v)
-    vecs.sort(key=int.bit_count)
     pivots: dict[int, int] = {}
-    for v in vecs:
+    for v in sorted((plus | minus for plus, minus in columns), key=int.bit_count):
         while v:
             lead = v.bit_length() - 1
             piv = pivots.get(lead)
@@ -164,8 +175,9 @@ def _pivots_mod_2(columns: list[dict[int, int]]) -> dict[int, int]:
     return pivots
 
 
-def _pivots_mod_3(columns: list[dict[int, int]]) -> dict[int, tuple[int, int]]:
-    """Bitsliced GF(3) elimination: a column is a (ones, twos) bit pair."""
+def _pivots_mod_3(columns: list[Column]) -> dict[int, Column]:
+    """Bitsliced GF(3) elimination: a column is a (ones, twos) bit pair,
+    which is (plus, minus) since -1 == 2."""
 
     def add(a, b):
         a1, a2 = a
@@ -175,19 +187,8 @@ def _pivots_mod_3(columns: list[dict[int, int]]) -> dict[int, tuple[int, int]]:
         mask = a1 | a2 | b1 | b2
         return (s1 & mask, s2 & mask)
 
-    vecs = []
-    for col in columns:
-        lo = hi = 0
-        for k, val in col.items():
-            r = val % 3
-            if r == 1:
-                lo |= 1 << k
-            elif r == 2:
-                hi |= 1 << k
-        if lo | hi:
-            vecs.append((lo, hi))
-    pivots: dict[int, tuple[int, int]] = {}
-    for v in vecs:
+    pivots: dict[int, Column] = {}
+    for v in columns:
         while v[0] | v[1]:
             lead = (v[0] | v[1]).bit_length() - 1
             piv = pivots.get(lead)
@@ -204,11 +205,9 @@ def _pivots_mod_3(columns: list[dict[int, int]]) -> dict[int, tuple[int, int]]:
     return pivots
 
 
-def _pivots_mod_p(columns: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    cols = [c for c in ({k: v % p for k, v in col.items() if v % p} for col in columns) if c]
-    cols.sort(key=len)
+def _pivots_mod_p(columns: list[Column], p: int) -> dict[int, dict[int, int]]:
     pivots: dict[int, dict[int, int]] = {}
-    for col in cols:
+    for col in sorted((_entries(c, p - 1) for c in columns), key=len):
         while col:
             lead = min(col)
             piv = pivots.get(lead)
@@ -226,9 +225,9 @@ def _pivots_mod_p(columns: list[dict[int, int]], p: int) -> dict[int, dict[int, 
 
 
 def matrix_rank(
-    columns: list[dict[int, int]], characteristic: int, leads: set[int] | None = None
+    columns: list[Column], characteristic: int, leads: set[int] | None = None
 ) -> int:
-    """Rank of sparse integer columns over Q (characteristic 0) or F_p.
+    """Rank of (plus, minus) columns over Q (characteristic 0) or F_p.
 
     When `leads` is given, the lead row of every pivot is added to it: the
     columns of the next boundary map down that clearing skips.
@@ -247,7 +246,7 @@ def matrix_rank(
 
 
 def _cleared_betti(
-    cx: OrderComplex, columns: list[list[dict[int, int]]], characteristic: int
+    cx: OrderComplex, columns: list[list[Column]], characteristic: int
 ) -> tuple[int, ...]:
     """Betti numbers from the boundary maps ranked top-down with clearing."""
     ranks = [0] * (cx.dim + 2)
@@ -295,7 +294,7 @@ def betti_numbers(cx: OrderComplex, characteristics) -> dict[int, tuple[int, ...
     primes = [c for c in wanted if c != 0]
     if 0 in wanted and 2 not in primes:
         primes.append(2)
-    columns = [boundary_matrix(cx, d)[2] for d in range(cx.dim + 1)]
+    columns = [boundary_matrix(cx, d) for d in range(cx.dim + 1)]
     betti = {p: _cleared_betti(cx, columns, p) for p in primes}
     if 0 in wanted:
         rational = rational_from_primes(cx, list(betti.values()))
@@ -362,27 +361,19 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
 
 def integral_homology(cx: OrderComplex) -> list[tuple[int, list[int]]]:
     """(rank, torsion coefficients) of reduced homology per dimension >= -1."""
-    out = []
-    top = cx.dim
-    snf_cache: dict[int, list[int]] = {}
-
-    def snf_of(d: int) -> list[int]:
-        if d not in snf_cache:
-            nrows, ncols, cols = boundary_matrix(cx, d)
-            dense = [[0] * ncols for _ in range(nrows)]
-            for j, col in enumerate(cols):
-                for i, v in col.items():
-                    dense[i][j] = v
-            snf_cache[d] = smith_normal_form(dense)
-        return snf_cache[d]
-
-    for d in range(-1, top + 1):
-        rank_d = len([x for x in snf_of(d)]) if d >= 0 else 0
-        rank_next = len(snf_of(d + 1)) if d + 1 <= top else 0
-        free = cx.face_count(d) - rank_d - rank_next
-        torsion = [x for x in snf_of(d + 1)] if d + 1 <= top else []
-        out.append((free, [t for t in torsion if t > 1]))
-    return out
+    # snf[d + 1]: the Smith diagonal of the boundary map out of dimension d
+    snf = [[]]
+    for d in range(cx.dim + 1):
+        dense = [[0] * cx.face_count(d) for _ in range(cx.face_count(d - 1))]
+        for j, col in enumerate(boundary_matrix(cx, d)):
+            for i, v in _entries(col).items():
+                dense[i][j] = v
+        snf.append(smith_normal_form(dense))
+    snf.append([])
+    return [
+        (cx.face_count(d) - len(snf[d + 1]) - len(snf[d + 2]), [t for t in snf[d + 2] if t > 1])
+        for d in range(-1, cx.dim + 1)
+    ]
 
 
 @dataclass

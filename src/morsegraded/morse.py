@@ -62,8 +62,6 @@ class CriticalCell:
     facet: Facet
     ranks: tuple[int, ...]
     elements: tuple[Vector, ...]
-    multidegree: Vector
-    content: Monomial
     is_base: bool = False
 
     @property
@@ -280,16 +278,9 @@ def covers_all_ranks(intervals, r: int) -> bool:
     return rank_mask(intervals) == (1 << max(r, 0)) - 1
 
 
-def _cell(facet: Facet, ranks, top: Vector, n: int, is_base: bool = False) -> CriticalCell:
+def _cell(facet: Facet, ranks, is_base: bool = False) -> CriticalCell:
     """The cell of facet's interior elements at the given ranks."""
-    return CriticalCell(
-        facet=facet,
-        ranks=ranks,
-        elements=tuple(facet.interior[k - 1] for k in ranks),
-        multidegree=top,
-        content=content_monomial(facet.labels, n),
-        is_base=is_base,
-    )
+    return CriticalCell(facet, ranks, tuple(facet.interior[k - 1] for k in ranks), is_base)
 
 
 # -- the face matching ---------------------------------------------------------
@@ -364,10 +355,9 @@ def build_face_matching(
     systems = [msi_characterization(gb, cfg, f) for f in facets]
     j_systems = [truncate_to_j_intervals(s) for s in systems]
     fm = FaceMatching(ivl, cfg, facets, systems, j_systems)
-    n = cfg.order.n
 
     if len(facets) == 1 and not facets[0].interior:
-        fm.empty_cell = _cell(facets[0], (), ivl.top, n)
+        fm.empty_cell = _cell(facets[0], ())
         return fm
 
     owner = fm.owner
@@ -404,7 +394,6 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, masks, new_subs) -> No
 
     masks[sub] is the face of rank subset sub (bit r - 1 for rank r).
     """
-    n = fm.cfg.order.n
     uncovered = ~rank_mask(fm.systems[j]) & ((1 << len(bits)) - 1)
     if uncovered:
         q = (uncovered & -uncovered).bit_length()  # the lowest uncovered rank
@@ -414,12 +403,12 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, masks, new_subs) -> No
             other = mask ^ cone_bit
             if other == 0:
                 # lowest vertex of the least facet: the base critical cell
-                fm.critical[mask] = _cell(facet, (q,), fm.ivl.top, n, is_base=True)
+                fm.critical[mask] = _cell(facet, (q,), is_base=True)
                 continue
             fm.partner[mask] = other
         return
     j_sys = fm.j_systems[j]
-    cell = _cell(facet, tuple(iv.lo for iv in j_sys), fm.ivl.top, n)
+    cell = _cell(facet, tuple(iv.lo for iv in j_sys))
     cell_sub = sum(1 << (q - 1) for q in cell.ranks)
     # a face toggles the lowest rank of the first truncated interval it
     # meets above that rank

@@ -143,12 +143,7 @@ def full_consistency_suite(
         "coefficients": series.coefficients(max_degree + 1),
     }
 
-    deep_survivors = {
-        tuple(reversed(c.facet.labels))
-        for res in results.values()
-        for c in res.survivors
-        if not c.is_base
-    }
+    deep_survivors = {w for res in results.values() for w in res.survivor_words()}
     deep_fiber = {w for w in survivor_words if len(w) <= deep}
     if gb.degree <= 2:
         # quadratic survivors are canonical: the engines must coincide

@@ -47,7 +47,7 @@ def uncleared_betti(cx, characteristic):
     """
     if cx.dim < 0:
         return (1,)
-    ranks = [matrix_rank(boundary_matrix(cx, d)[2], characteristic) for d in range(cx.dim + 1)]
+    ranks = [matrix_rank(boundary_matrix(cx, d), characteristic) for d in range(cx.dim + 1)]
     ranks.append(0)
     return (1 - ranks[0],) + tuple(
         cx.face_count(d) - ranks[d] - ranks[d + 1] for d in range(cx.dim + 1)

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from morsegraded.chains import FacetOrderConfig
+from morsegraded.cli import _cells_json, main, run_command
 from morsegraded.errors import InvalidBasis, ParseError
 from morsegraded.io import COMMANDS, RunConfig, canonical_json, parse_input
-from morsegraded.cli import main, run_command
+from morsegraded.morse import build_face_matching
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -84,6 +86,30 @@ def test_cancel_command_survivors():
     entry = payload["cancellation"][0]
     assert entry["multidegree"] == [2, 2, 1, 1]
     assert entry["morse_numbers"] == {"0": 1, "2": 2}
+
+
+def test_morse_reports_the_matchings_critical_cells():
+    # morse lists the facet-ordered matching's critical cells, before any
+    # cancellation; cancel lists what survives it
+    doc = parse_input(read("squares.json"))
+    fm = build_face_matching(
+        doc.presentation.interval((0, 0, 0, 0), (2, 2, 1, 1)),
+        FacetOrderConfig(doc.order),
+        doc.supplied_basis,
+    )
+    expected = _cells_json(fm.cells())
+    assert [c["dimension"] for c in expected].count(0) == 2
+    assert [c["dimension"] for c in expected].count(1) == 4
+    assert [c["dimension"] for c in expected].count(2) == 5
+
+    def report(command):
+        cfg = RunConfig(input_path="squares.json", command=command)
+        return run_command(cfg, read("squares.json"))[0]
+
+    cells = report("morse")["morse"][0]["critical_cells"]
+    survivors = report("cancel")["cancellation"][0]["survivors"]
+    assert cells == expected and len(cells) == 11
+    assert len(survivors) == 3 < len(cells)
 
 
 def test_betti_tsv_projection():

@@ -419,7 +419,7 @@ def reference_face_matching(ivl, cfg, gb):
     systems = [morse.msi_characterization(gb, cfg, f) for f in facets]
     fm = FaceMatching(ivl, cfg, facets, systems, [truncate_to_j_intervals(s) for s in systems])
     if len(facets) == 1 and not facets[0].interior:
-        fm.empty_cell = morse._cell(facets[0], (), ivl.top, cfg.order.n)
+        fm.empty_cell = morse._cell(facets[0], ())
         return fm
     for j, facet in enumerate(facets):
         bits = [1 << ivl.index(e) for e in facet.interior]
