@@ -553,22 +553,46 @@ class CommutationClass:
     content: tuple[int, ...]
     representative: tuple[int, ...]
     size: int
-    stuttering: bool
 
 
-def _distinct_permutations(items):
-    """Distinct arrangements of items, in lexicographic order."""
-    values = sorted(set(items))
-    n = len(items)
-    stack = [((), tuple(list(items).count(v) for v in values))]
-    while stack:
-        word, left = stack.pop()
-        if len(word) == n:
-            yield word
-            continue
-        for i in reversed(range(len(values))):
-            if left[i]:
-                stack.append((word + (values[i],), left[:i] + (left[i] - 1,) + left[i + 1 :]))
+def _extend(word, below, a, rank, commutes):
+    """Dependence mask of the position `a` takes when appended to `word`.
+
+    `below[s]` is the set of positions under position s in the dependence
+    order of `word`, as a bitmask.  Returns None when word·a is not a
+    lexicographic normal form, or when its last two occurrences of a
+    self-commuting `a` are a cover (see `commutation_classes`).
+    """
+    for b in reversed(word):
+        if b == a or not commutes[a][b]:
+            break
+        if rank[b] > rank[a]:
+            return None
+    direct = deep = 0
+    last = -1
+    for s, b in enumerate(word):
+        if b == a or not commutes[a][b]:
+            direct |= 1 << s
+            deep |= below[s]
+            if b == a:
+                last = s
+    if last >= 0 and commutes[a][a] and not deep >> last & 1:
+        return None
+    return direct | deep
+
+
+def _linear_extensions(below) -> int:
+    """Linear extensions of the order `below`, by a count over down-sets."""
+    ways = {0: 1}
+    for _ in below:
+        grown: dict[int, int] = {}
+        for done, count in ways.items():
+            for t, mask in enumerate(below):
+                if not done >> t & 1 and mask & done == mask:
+                    key = done | 1 << t
+                    grown[key] = grown.get(key, 0) + count
+        ways = grown
+    return ways[(1 << len(below)) - 1]
 
 
 def commutation_classes(
@@ -576,38 +600,62 @@ def commutation_classes(
 ) -> list[CommutationClass]:
     """Non-stuttering commutation classes of the given content.
 
-    Letters commute when their pair product avoids the leading ideal; a
-    class is stuttering if any member repeats a letter whose square also
-    avoids the leading ideal.  Representatives are the lexicographically
-    least members under the label order.
+    Letters a != b commute when their product avoids the leading ideal
+    (`gb.commutes`); a class holds the words reached by swapping adjacent
+    commuting letters.  It stutters if some member has two adjacent equal
+    letters whose square also avoids the leading ideal.  Only classes that
+    do not stutter are returned, each with its lexicographically least
+    member under the label order, in increasing order of that member, and
+    with its number of members.
+
+    One depth-first search visits only prefixes of such least members.  It
+    pushes letters in reverse label order, so words leave its stack in
+    lexicographic order.  Positions s < t of a word
+    are dependent when their letters are equal or do not commute; the
+    dependence order is the transitive closure, and `_extend` keeps it as
+    one bitmask per position.  Three facts make the search exact:
+
+    - Normal forms.  A word is least in its class iff it has no factor
+      b·u·a with rank(b) > rank(a), where a commutes with b and with every
+      letter of u.  Such a factor lets a move left past u and b, giving a
+      smaller member.  Conversely, if a member w' is smaller, let p be the
+      first position where w'[p] = a differs from w[p] = b; the occurrence
+      of a that w' places at p lies at some q > p in w, and it can move to
+      p only if a commutes with every letter of w[p..q), so w[p..q] is such
+      a factor.  Every factor of a normal form is one, so a prefix with
+      the factor is cut with all its extensions; a new letter can only
+      close a factor that ends with it, which a scan back from the end
+      finds.
+    - Stuttering.  The words of a class are the linear extensions of one
+      dependence order.  Two occurrences s < t of a letter are comparable,
+      so they are adjacent in some linear extension iff t covers s: list
+      the strict down-set of t without s (a down-set, as t covers s), then
+      s, then t, then the rest;
+      any r with s < r < t separates them in every extension.  So the class
+      stutters iff some self-commuting letter has consecutive occurrences
+      in a cover.  A chain from s up to t passes only through positions
+      between them, so appending letters adds no relation among earlier
+      positions: a cover in a prefix stays one in every extension, and the
+      search cuts it there.
+    - Size.  Occurrences of one letter form a chain, so each word of the
+      class is one linear extension and back: `size` counts the linear
+      extensions over down-sets, at most 2^n states for n letters.
     """
     rank = cfg.order.label_rank
     commutes = gb.commutes
     content = tuple(sorted(content, key=lambda i: rank[i]))
-    words = set(_distinct_permutations(list(content)))
+    letters = sorted(set(content), key=lambda i: rank[i])
     out = []
-    seen: set[tuple[int, ...]] = set()
-    for word in sorted(words, key=lambda w: [rank[i] for i in w]):
-        if word in seen:
+    stack = [((), (), tuple(content.count(a) for a in letters))]
+    while stack:
+        word, below, left = stack.pop()
+        if len(word) == len(content):
+            out.append(CommutationClass(content, word, _linear_extensions(below)))
             continue
-        cls = {word}
-        stack = [word]
-        stutter = False
-        while stack:
-            w = stack.pop()
-            for k in range(len(w) - 1):
-                a, b = w[k], w[k + 1]
-                if a == b:
-                    if commutes[a][a]:
-                        stutter = True
-                    continue
-                if commutes[a][b]:
-                    s = w[:k] + (b, a) + w[k + 2 :]
-                    if s not in cls:
-                        cls.add(s)
-                        stack.append(s)
-        seen |= cls
-        rep = min(cls, key=lambda w: [rank[i] for i in w])
-        if not stutter:
-            out.append(CommutationClass(content, rep, len(cls), stutter))
+        for i in reversed(range(len(letters))):
+            if left[i]:
+                mask = _extend(word, below, letters[i], rank, commutes)
+                if mask is not None:
+                    rest = left[:i] + (left[i] - 1,) + left[i + 1 :]
+                    stack.append((word + (letters[i],), below + (mask,), rest))
     return out

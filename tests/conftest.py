@@ -9,6 +9,7 @@ Ring nicknames used throughout:
 
 import pytest
 
+from morsegraded.automaton import CommutationClass
 from morsegraded.chains import FacetOrderConfig
 from morsegraded.groebner import buchberger, toric_ideal_basis
 from morsegraded.homology import boundary_matrix, matrix_rank
@@ -57,6 +58,63 @@ def uncleared_betti(cx, characteristic):
 @pytest.fixture(scope="session")
 def reference_betti():
     return uncleared_betti
+
+
+def flood_fill_class(gb, word):
+    """Every word reached from `word` by swapping adjacent commuting letters."""
+    words = {word}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        for k in range(len(w) - 1):
+            a, b = w[k], w[k + 1]
+            if a != b and gb.commutes[a][b]:
+                s = w[:k] + (b, a) + w[k + 2 :]
+                if s not in words:
+                    words.add(s)
+                    stack.append(s)
+    return words
+
+
+def distinct_permutations(items):
+    """Distinct arrangements of items, in lexicographic order."""
+    values = sorted(set(items))
+    n = len(items)
+    stack = [((), tuple(list(items).count(v) for v in values))]
+    while stack:
+        word, left = stack.pop()
+        if len(word) == n:
+            yield word
+            continue
+        for i in reversed(range(len(values))):
+            if left[i]:
+                stack.append((word + (values[i],), left[:i] + (left[i] - 1,) + left[i + 1 :]))
+
+
+def reference_commutation_classes(gb, cfg, content):
+    """The exhaustive route `commutation_classes` replaced: flood-fill the
+    class of every arrangement of the content in label-lex order, and keep
+    the classes in which no member repeats a self-commuting letter
+    adjacently."""
+    rank = cfg.order.label_rank
+
+    def key(w):
+        return [rank[i] for i in w]
+
+    content = tuple(sorted(content, key=lambda i: rank[i]))
+    out = []
+    seen = set()
+    for word in sorted(distinct_permutations(content), key=key):
+        if word in seen:
+            continue
+        cls = flood_fill_class(gb, word)
+        seen |= cls
+        stutter = any(
+            w[k] == w[k + 1] and gb.commutes[w[k]][w[k]] for w in cls for k in range(len(w) - 1)
+        )
+        if not stutter:
+            out.append(CommutationClass(content, min(cls, key=key), len(cls)))
+    return out
 
 
 class Ring:

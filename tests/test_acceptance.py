@@ -9,6 +9,7 @@ import random
 import time
 from itertools import combinations
 
+from conftest import flood_fill_class
 from morsegraded.automaton import (
     build_degree_d_automaton,
     build_quadratic_automaton,
@@ -199,27 +200,12 @@ def test_criterion_08_class_bijection(squares, pair_swap):
             survivors = {tuple(reversed(w)) for w in words}
             reps_hit = set()
             for cls in classes:
-                members = _expand_class(ring.gb, cls)
+                members = flood_fill_class(ring.gb, cls.representative)
                 hits = members & survivors
                 ok = ok and len(hits) == 1
                 reps_hit |= hits
             ok = ok and reps_hit == survivors
     report("8 commutation-class bijection", ok)
-
-
-def _expand_class(gb, cls):
-    words = {cls.representative}
-    stack = [cls.representative]
-    while stack:
-        w = stack.pop()
-        for k in range(len(w) - 1):
-            a, b = w[k], w[k + 1]
-            if a != b and gb.commutes[a][b]:
-                s = w[:k] + (b, a) + w[k + 2 :]
-                if s not in words:
-                    words.add(s)
-                    stack.append(s)
-    return words
 
 
 def test_criterion_09_crossing_and_characterization(squares, pair_swap, minor, cyclic3):

@@ -1,17 +1,17 @@
 """Language construction, rational series, commutation classes."""
 
 import random
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from conftest import distinct_permutations, flood_fill_class, reference_commutation_classes
+from morsegraded import automaton
 from morsegraded.automaton import (
     INIT,
-    CommutationClass,
     _Rules,
-    _distinct_permutations,
     _explore,
     MorseAutomaton,
     build_degree_d_automaton,
@@ -46,11 +46,22 @@ def accepted_word_set(auto, depth):
     return {w for ws in auto.words_up_to(depth).values() for w in ws}
 
 
+def fixture_basis(name):
+    """Groebner basis and facet order of one fixture, at window 5."""
+    doc = parse_input((FIXTURES / f"{name}.json").read_text())
+    pres, order = doc.presentation, doc.order
+    return doc.supplied_basis or groebner_for(pres, order, default_cap(pres, 5)), FacetOrderConfig(order)
+
+
+def contents_to(n_labels, depth):
+    """Every content of at most `depth` letters, as a sorted tuple."""
+    for d in range(depth + 1):
+        yield from combinations_with_replacement(range(n_labels), d)
+
+
 def test_distinct_permutations_lexicographic():
     for items in [(), (2,), (1, 1), (3, 0, 2, 0), (2, 1, 2, 0, 1, 2), tuple(range(6))]:
-        assert list(_distinct_permutations(items)) == sorted(set(permutations(items)))
-    # iterative: a word far longer than the recursion limit is fine
-    assert next(_distinct_permutations([0] * 5000)) == (0,) * 5000
+        assert list(distinct_permutations(items)) == sorted(set(permutations(items)))
 
 
 def test_squares_counts(squares):
@@ -196,9 +207,40 @@ def test_classes_squares(squares):
 
 
 def test_class_representatives_are_least(squares):
-    for cls in commutation_classes(squares.gb, squares.cfg, (1, 2, 3, 4)):
-        assert isinstance(cls, CommutationClass)
-        assert min(cls.size, 1) == 1
+    rank = squares.cfg.order.label_rank
+    for content in contents_to(squares.pres.n, 5):
+        for cls in commutation_classes(squares.gb, squares.cfg, content):
+            members = flood_fill_class(squares.gb, cls.representative)
+            assert cls.representative == min(members, key=lambda w: [rank[i] for i in w])
+            assert cls.size == len(members)
+
+
+def test_classes_match_flood_fill_reference(squares, pair_swap, minor, cyclic3):
+    cases = [(ring.gb, ring.cfg, 6) for ring in (squares, pair_swap, minor)]
+    cases.append((cyclic3.gb, cyclic3.cfg, 5))
+    cases += [(*fixture_basis(name), 5) for name in ("cyclic_split3", "skew2d", "ring5_seed22")]
+    for gb, cfg, depth in cases:
+        for content in contents_to(cfg.order.n, depth):
+            want = reference_commutation_classes(gb, cfg, content)
+            assert commutation_classes(gb, cfg, content) == want, content
+
+
+def test_class_search_pushes_fewer_words_than_arrangements(pair_swap, monkeypatch):
+    extend = automaton._extend
+    pushed = 0
+
+    def spy(*args):
+        nonlocal pushed
+        mask = extend(*args)
+        pushed += mask is not None
+        return mask
+
+    monkeypatch.setattr(automaton, "_extend", spy)
+    for content in contents_to(pair_swap.pres.n, 6):
+        commutation_classes(pair_swap.gb, pair_swap.cfg, content)
+    # each word of length <= 6 arranges exactly one content
+    arrangements = sum(pair_swap.pres.n**d for d in range(7))
+    assert 2 * pushed < arrangements
 
 
 def test_class_bijection_with_survivors(squares, pair_swap):
@@ -215,23 +257,8 @@ def test_exactly_one_class_member_per_survivor(squares):
         survivors = {tuple(reversed(w)) for w in words}
         for cls in commutation_classes(squares.gb, squares.cfg, content):
             # expand the class and count surviving members
-            members = _class_members(squares, cls)
+            members = flood_fill_class(squares.gb, cls.representative)
             assert len(members & survivors) == 1
-
-
-def _class_members(ring, cls):
-    words = {cls.representative}
-    stack = [cls.representative]
-    while stack:
-        w = stack.pop()
-        for k in range(len(w) - 1):
-            a, b = w[k], w[k + 1]
-            if a != b and ring.gb.commutes[a][b]:
-                s = w[:k] + (b, a) + w[k + 2 :]
-                if s not in words:
-                    words.add(s)
-                    stack.append(s)
-    return words
 
 
 def test_serialization_round_trip(squares):
@@ -488,10 +515,7 @@ def test_builders_match_reference_on_conftest_rings(squares, pair_swap, minor, c
 def test_builders_match_reference_on_fixtures():
     names = ["cyclic_split3", "minor", "pair_swap", "ring5_seed22", "skew2d", "squares"]
     for name in names:
-        doc = parse_input((FIXTURES / f"{name}.json").read_text())
-        pres, order = doc.presentation, doc.order
-        gb = doc.supplied_basis or groebner_for(pres, order, default_cap(pres, 5))
-        assert_matches_reference(gb, FacetOrderConfig(order))
+        assert_matches_reference(*fixture_basis(name))
 
 
 def test_builders_match_reference_on_seeded_rings():
