@@ -9,7 +9,6 @@ lexicographically using the order's degree-one restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .orders import TermOrder, content_monomial
 from .semigroup import IntervalData, Vector
@@ -32,16 +31,11 @@ class FacetOrderConfig:
         labels = getattr(facet_or_labels, "labels", facet_or_labels)
         return content_monomial(labels, self.order.n)
 
-    def compare_facets(self, a: Facet, b: Facet) -> int:
-        c = self.order.compare(self.content(a), self.content(b))
-        if c:
-            return c
-        ra = [self.order.label_rank[i] for i in a.labels]
-        rb = [self.order.label_rank[i] for i in b.labels]
-        return -1 if ra < rb else (0 if ra == rb else 1)
-
-    def facet_key(self):
-        return cmp_to_key(self.compare_facets)
+    def facet_key(self, facet: Facet) -> tuple:
+        """Sort key of the facet order: the content's term-order key, then
+        the label ranks."""
+        rank = self.order.label_rank
+        return self.order.key(self.content(facet)), tuple([rank[i] for i in facet.labels])
 
 
 def saturated_chains(ivl: IntervalData) -> list[Facet]:
@@ -77,7 +71,7 @@ def saturated_chains(ivl: IntervalData) -> list[Facet]:
 
 
 def ordered_facets(ivl: IntervalData, cfg: FacetOrderConfig) -> list[Facet]:
-    return sorted(saturated_chains(ivl), key=cfg.facet_key())
+    return sorted(saturated_chains(ivl), key=cfg.facet_key)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InvalidBasis, MorsegradedError
@@ -23,7 +23,7 @@ from .orders import (
     monomial_mul,
     total_degree,
 )
-from .semigroup import SemigroupPresentation, vec_add
+from .semigroup import SemigroupPresentation, standard_grading_functional, vec_add
 
 
 @dataclass(frozen=True)
@@ -225,13 +225,8 @@ def _reduce_basis(basis: list[Binomial], order: TermOrder) -> GroebnerBasis:
 
 
 def order_key(order: TermOrder):
-    def cmp(a: Binomial, b: Binomial) -> int:
-        c = order.compare(a.plus, b.plus)
-        if c:
-            return c
-        return order.compare(a.minus, b.minus)
-
-    return cmp_to_key(cmp)
+    """Sort key of binomials: the lead's term-order key, then the trail's."""
+    return lambda b: (order.key(b.plus), order.key(b.minus))
 
 
 def dividing_leading_term(gb: GroebnerBasis, m: Monomial) -> Binomial | None:
@@ -285,14 +280,32 @@ def groebner_for(pres: SemigroupPresentation, order: TermOrder, cap: int, degree
 
 
 def default_cap(pres: SemigroupPresentation, window_degree: int) -> int:
-    """Degree cap sufficient for leading-term queries over the window.
+    """Degree cap sufficient for leading-term queries over the window d.
 
-    A relation whose leading side has at most window_degree letters has a
-    trailing side of at most window_degree * max_sum / min_sum letters,
-    since both sides share a multidegree.  Fiber collisions up to that cap
-    therefore reach every generator the window can see.
+    The cap is max(2, ceil(d * max w(g) / min w(g))) over the generators g,
+    for a linear functional w positive on them.
+
+    Without a standard grading, w is the coordinate sum.  A relation whose
+    leading side has at most d letters then has a trailing side of at most
+    d * max w(g) / min w(g) letters, since both sides share a multidegree
+    and so a w-value.  Fiber collisions up to that cap therefore reach
+    every basis element whose lead the window can see.
+
+    With a standard grading (a rational w with w(g) = 1 for every
+    generator, standard_grading_functional), the ratio is 1 and the cap is
+    max(2, d).  Both sides of a relation u - v then have one total degree,
+    w(phi(u)) = w(phi(v)), so the toric ideal I is homogeneous, and so is
+    the ideal J generated by its relations of degree <= d.  I and J agree
+    in every degree e <= d, since I_e is spanned by coprime relations of
+    degree <= e times monomials.  For a homogeneous ideal the leads of
+    degree e are the monomials of in(I_e), and the reduced basis element
+    with lead m is m minus the normal form of m, which lies in degree
+    deg m.  So the reduced bases of I and J hold the same elements of lead
+    degree <= d, the only ones the window's bounds read.  J's elements of
+    higher degree, if any, need not be I's, and no window query reaches
+    them.
     """
-    sums = [sum(g) for g in pres.generators]
-    biggest, smallest = max(sums), min(sums)
+    w = standard_grading_functional(pres) or (1,) * pres.dimension
+    values = [sum(a * c for a, c in zip(w, g)) for g in pres.generators]
     d = max(1, window_degree)
-    return max(2, -(-d * biggest // smallest))
+    return max(2, -(-d * max(values) // min(values)))

@@ -6,7 +6,6 @@ Monomials are exponent tuples.  All comparators return -1/0/+1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import ValidationError
 
@@ -109,37 +108,31 @@ class TermOrder:
         elif rows is not None:
             raise ValidationError("rows only apply to weight-matrix orders")
         # label order: the restriction to degree-one monomials, as ranks
-        idx = sorted(range(n), key=cmp_to_key(lambda i, j: self.compare(unit(n, i), unit(n, j))))
+        idx = sorted(range(n), key=lambda i: self.key(unit(n, i)))
         self.label_rank = tuple(idx.index(i) for i in range(n))
+
+    def key(self, m: Monomial) -> tuple[int, ...]:
+        """A tuple whose order on monomials is this term order.
+
+        lex: the exponents in priority order.  graded-lex: the degree, then
+        the lex key.  graded-revlex: the degree, then the negated exponents
+        in reverse priority, so of two monomials of one degree the larger
+        has the smaller exponent at the lowest-priority variable where they
+        differ.  weight-matrix: the row dot products, which the full-rank
+        rows make injective.
+        """
+        if self.kind == "weight-matrix":
+            return tuple(sum(r * x for r, x in zip(row, m)) for row in self.rows)
+        if self.kind == "graded-revlex":
+            return (sum(m),) + tuple(-m[v] for v in reversed(self.priority))
+        lex = tuple(m[v] for v in self.priority)
+        return (sum(m),) + lex if self.kind == "graded-lex" else lex
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         if len(a) != self.n or len(b) != self.n:
             raise ValidationError("monomial has wrong variable count")
-        if a == b:
-            return 0
-        if self.kind == "weight-matrix":
-            for row in self.rows:
-                s = sum(r * (x - y) for r, x, y in zip(row, a, b))
-                if s:
-                    return 1 if s > 0 else -1
-            return 0
-        if self.kind in ("graded-lex", "graded-revlex"):
-            da, db = sum(a), sum(b)
-            if da != db:
-                return 1 if da > db else -1
-        if self.kind == "graded-revlex":
-            # among equal degrees: larger iff the lowest-priority variable
-            # where they differ has the *smaller* exponent
-            for v in reversed(self.priority):
-                d = a[v] - b[v]
-                if d:
-                    return -1 if d > 0 else 1
-            return 0
-        for v in self.priority:
-            d = a[v] - b[v]
-            if d:
-                return 1 if d > 0 else -1
-        return 0
+        ka, kb = self.key(a), self.key(b)
+        return (ka > kb) - (ka < kb)
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "priority": list(self.priority)}

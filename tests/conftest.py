@@ -40,6 +40,30 @@ RINGS = {
 }
 
 
+def reference_compare(order, a, b):
+    """A term order's comparison written out kind by kind, without
+    TermOrder.key: -1, 0 or +1."""
+    if order.kind == "weight-matrix":
+        for row in order.rows:
+            s = sum(r * (x - y) for r, x, y in zip(row, a, b))
+            if s:
+                return 1 if s > 0 else -1
+        return 0
+    if order.kind in ("graded-lex", "graded-revlex") and sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    if order.kind == "graded-revlex":
+        # among equal degrees: larger iff the lowest-priority variable where
+        # they differ has the smaller exponent
+        for v in reversed(order.priority):
+            if a[v] != b[v]:
+                return -1 if a[v] > b[v] else 1
+        return 0
+    for v in order.priority:
+        if a[v] != b[v]:
+            return 1 if a[v] > b[v] else -1
+    return 0
+
+
 def uncleared_betti(cx, characteristic):
     """Reduced Betti numbers from the full rank of every boundary map.
 

@@ -1,19 +1,38 @@
 """Saturated chain enumeration, facet comparison, crossing condition."""
 
+import json
 import random
+from functools import cmp_to_key
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from conftest import reference_compare
 from morsegraded.chains import (
     CrossingReport,
     Facet,
+    FacetOrderConfig,
     check_crossing_condition,
     ordered_facets,
     saturated_chains,
 )
 from morsegraded.errors import CrossingViolation
+from morsegraded.io import parse_input
 from morsegraded.morse import direct_interval_system
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def compare_facets(cfg, a, b):
+    """Reference facet comparator: contents by the term order, then label
+    ranks lexicographically."""
+    c = reference_compare(cfg.order, cfg.content(a), cfg.content(b))
+    if c:
+        return c
+    ra = [cfg.order.label_rank[i] for i in a.labels]
+    rb = [cfg.order.label_rank[i] for i in b.labels]
+    return -1 if ra < rb else (0 if ra == rb else 1)
 
 
 def expected_chain_count(pres, lam):
@@ -56,16 +75,36 @@ def test_chain_counts_match_multinomials(squares):
 def test_compare_facets_totality(squares):
     facets = saturated_chains(squares.interval((2, 2, 1, 1)))
     cfg = squares.cfg
+    assert len({cfg.facet_key(f) for f in facets}) == len(facets)
     for a in facets:
-        assert cfg.compare_facets(a, a) == 0
+        assert compare_facets(cfg, a, a) == 0
         for b in facets:
-            ca, cb = cfg.compare_facets(a, b), cfg.compare_facets(b, a)
+            ca, cb = compare_facets(cfg, a, b), compare_facets(cfg, b, a)
             assert ca == -cb
             if a is not b:
                 assert ca != 0
+            ka, kb = cfg.facet_key(a), cfg.facet_key(b)
+            assert ca == (ka > kb) - (ka < kb)
     ordered = ordered_facets(squares.interval((2, 2, 1, 1)), cfg)
     for x, y, z in zip(ordered, ordered[1:], ordered[2:]):
-        assert cfg.compare_facets(x, y) < 0 and cfg.compare_facets(y, z) < 0
+        assert compare_facets(cfg, x, y) < 0 and compare_facets(cfg, y, z) < 0
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_ordered_facets_match_comparator_sort(name):
+    """The key sort equals the comparator sort on every interval of the
+    window up to degree 5."""
+    raw = json.loads((FIXTURES / f"{name}.json").read_text())
+    raw.pop("groebner_basis", None)  # a stale one is refused; no basis is read
+    doc = parse_input(json.dumps(raw))
+    pres, cfg = doc.presentation, FacetOrderConfig(doc.order)
+    zero = tuple([0] * pres.dimension)
+    window = pres.degree_window(5)
+    assert window
+    for lam in sorted(window):
+        ivl = pres.interval(zero, lam)
+        expected = sorted(saturated_chains(ivl), key=cmp_to_key(lambda a, b: compare_facets(cfg, a, b)))
+        assert ordered_facets(ivl, cfg) == expected, lam
 
 
 def test_earlier_content_comes_first(squares):
@@ -195,7 +234,7 @@ def is_least_content_increasing(pres, ivl, cfg):
             for other in chains[1:]:
                 labels = tuple(sorted(other.labels, key=rank.__getitem__))
                 rearranged = Facet(labels, other.interior)
-                if cfg.compare_facets(least, rearranged) > 0:
+                if cfg.facet_key(least) > cfg.facet_key(rearranged):
                     return False
     return True
 

@@ -1,5 +1,6 @@
 """Input parsing, report determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -55,6 +56,42 @@ def test_supplied_basis_stale_at_window_cap_exits_1(command, capsys):
         "error: relation (0, 0, 0, 1, 1, 1, 0, 0) - (1, 1, 1, 0, 0, 0, 0, 0) "
         "does not reduce to zero: basis is stale\n"
     )
+
+
+# standard-graded, with coordinate sums 3 and 4: the coordinate-sum cap at
+# window 3 is 4, and the window cap is 3
+UNEQUAL_SUMS = json.dumps(
+    {"dimension": 4, "generators": [[0, 4, 0, 0], [3, 1, 0, 0], [1, 1, 0, 1], [1, 2, 1, 0], [0, 2, 0, 1]]}
+)
+# sha256 of each report payload's canonical JSON at window 3 under the
+# coordinate-sum cap, which was the default cap on this ring
+COORDINATE_SUM_CAP_REPORTS = {
+    "gb": "5133ab57716167cd499378f07f9a894bffec2a2c2d1c6ab9f3c1caf8b9133e32",
+    "verify-bounds": "fd3ec4b065de9511bafc82bd53b0267732a2c9a6502f289117fe69982f39147e",
+    "full": "238341b449aa42b17f4b82ae2f5963549549c02a6d485d1db08f7bfa6ec3bdcc",
+}
+
+
+def unequal_sums_report(command, window, cap=None):
+    cfg = RunConfig(input_path="unequal_sums.json", command=command, degree_window=window, cap=cap)
+    return run_command(cfg, UNEQUAL_SUMS)[0]
+
+
+def test_window_cap_on_unequal_coordinate_sums():
+    gb = unequal_sums_report("gb", 3)
+    assert gb["degree"] == 0 and gb["elements"] == []
+    assert unequal_sums_report("verify-bounds", 3)["vanishing"]["ok"] is True
+    assert unequal_sums_report("full", 3)["ok"] is True
+    gb = unequal_sums_report("gb", 4)
+    assert gb["degree"] == 4
+    assert gb["elements"] == [{"plus": [0, 1, 0, 0, 3], "minus": [1, 0, 3, 0, 0]}]
+
+
+@pytest.mark.parametrize("command", sorted(COORDINATE_SUM_CAP_REPORTS))
+def test_cap_flag_reproduces_coordinate_sum_cap_report(command):
+    payload = unequal_sums_report(command, 3, cap=4)
+    digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    assert digest == COORDINATE_SUM_CAP_REPORTS[command]
 
 
 def test_parse_rejects_foreign_target():

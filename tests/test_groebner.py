@@ -1,7 +1,7 @@
 """Toric generators, Buchberger completion, leading-term queries."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -10,7 +10,9 @@ from morsegraded.groebner import (
     Binomial,
     GroebnerBasis,
     buchberger,
+    default_cap,
     dividing_leading_term,
+    groebner_for,
     leading_ideal_member,
     normal_form,
     phi,
@@ -18,7 +20,7 @@ from morsegraded.groebner import (
     verify_groebner,
 )
 from morsegraded.orders import TermOrder
-from morsegraded.semigroup import SemigroupPresentation
+from morsegraded.semigroup import SemigroupPresentation, standard_grading_functional
 
 
 def test_squares_ring_single_relation(squares):
@@ -232,3 +234,56 @@ def test_toric_ideal_basis_equals_phi_reference(dimension, generators, cap):
     pres = SemigroupPresentation(dimension, generators)
     for c in range(2, cap + 1):
         assert toric_ideal_basis(pres, c) == reference_toric_ideal_basis(pres, c)
+
+
+def coordinate_sum_cap(pres, window_degree):
+    """default_cap's formula before it read the standard grading: the ratio
+    of the largest to the smallest coordinate sum, on every presentation."""
+    sums = [sum(g) for g in pres.generators]
+    d = max(1, window_degree)
+    return max(2, -(-d * max(sums) // min(sums)))
+
+
+def hyperplane_points(a, c):
+    """Points p of N^len(a) with a . p = c."""
+    return [p for p in product(range(c + 1), repeat=len(a)) if sum(x * y for x, y in zip(a, p)) == c]
+
+
+def window_part(gb, d):
+    return tuple(b for b in gb.elements if sum(b.plus) <= d)
+
+
+def test_window_cap_keeps_window_leads_on_graded_rings():
+    """On standard-graded rings with unequal coordinate sums, the cap
+    max(2, d) and the coordinate-sum cap yield the same basis elements of
+    lead degree <= d.  Beyond d neither basis is certified, and the two
+    differ there on this sample in both directions."""
+    rng = random.Random(20261019)
+    planes = [hyperplane_points((1, 1, 2), 4), hyperplane_points((1, 2, 3), 6)]
+    old_only = new_only = deep = 0
+    for draw in range(12):
+        points = planes[draw % 2]
+        while True:
+            gens = rng.sample(points, 5 - draw % 2)
+            if len({sum(g) for g in gens}) > 1:
+                break
+        pres = SemigroupPresentation(3, gens)
+        assert standard_grading_functional(pres) is not None
+        kind = ("lex", "graded-lex", "graded-revlex")[draw % 3]
+        order = TermOrder(pres.n, kind=kind, priority=rng.sample(range(pres.n), pres.n))
+        for d in (3, 4, 5):
+            assert default_cap(pres, d) == d < coordinate_sum_cap(pres, d)
+            old = groebner_for(pres, order, coordinate_sum_cap(pres, d))
+            new = groebner_for(pres, order, default_cap(pres, d))
+            assert window_part(new, d) == window_part(old, d), (gens, d)
+            old_only += window_part(old, d) != old.elements
+            new_only += window_part(new, d) != new.elements
+            deep += any(sum(b.plus) > 2 for b in window_part(new, d))
+    assert old_only and new_only and deep
+
+
+def test_default_cap_uses_coordinate_sums_without_a_grading():
+    skew = SemigroupPresentation(2, [(1, 2), (3, 0), (0, 3), (2, 1), (1, 3)])
+    assert standard_grading_functional(skew) is None
+    for d in range(1, 7):
+        assert default_cap(skew, d) == coordinate_sum_cap(skew, d)

@@ -14,13 +14,12 @@ from morsegraded.homology import (
     rational_from_primes,
     reduced_betti,
     smith_normal_form,
-    standard_grading_functional,
     tor_ranks,
     tor_tables,
     verify_vanishing,
 )
 from morsegraded.io import parse_input
-from morsegraded.semigroup import SemigroupPresentation, bit_indices
+from morsegraded.semigroup import SemigroupPresentation, bit_indices, standard_grading_functional
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -257,7 +256,5 @@ def test_standard_grading_detection(squares, free_plane):
 
 
 def test_non_graded_presentation_detected():
-    from morsegraded.semigroup import SemigroupPresentation
-
     pres = SemigroupPresentation(1, [(2,), (3,)])
     assert standard_grading_functional(pres) is None

@@ -1,4 +1,4 @@
-"""Term orders against a naive reference comparator."""
+"""Term orders against the reference comparator in conftest."""
 
 import random
 from functools import cmp_to_key
@@ -6,33 +6,30 @@ from itertools import permutations
 
 import pytest
 
+from conftest import reference_compare
 from morsegraded.errors import ValidationError
-from morsegraded.orders import TermOrder
+from morsegraded.orders import KINDS, TermOrder
 
 
-def reference_compare(kind, priority, a, b):
-    """Straightforward restatement of the three classical orders."""
-    if kind in ("graded-lex", "graded-revlex") and sum(a) != sum(b):
-        return 1 if sum(a) > sum(b) else -1
-    if kind == "graded-revlex":
-        for v in reversed(priority):
-            if a[v] != b[v]:
-                return -1 if a[v] > b[v] else 1
-        return 0
-    for v in priority:
-        if a[v] != b[v]:
-            return 1 if a[v] > b[v] else -1
-    return 0
+WEIGHT_ROWS = (
+    [[1, 1, 1, 1], [1, 0, 0, -1], [0, 1, -1, 0], [0, 0, 1, 0]],
+    [[2, 1, 0, 3], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+)
 
 
-@pytest.mark.parametrize("kind", ["lex", "graded-lex", "graded-revlex"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_matches_reference_on_random_pairs(kind):
+    """compare and the order of key tuples both equal the reference."""
     rng = random.Random(3)
-    order = TermOrder(4, kind=kind)
-    for _ in range(300):
-        a = tuple(rng.randint(0, 3) for _ in range(4))
-        b = tuple(rng.randint(0, 3) for _ in range(4))
-        assert order.compare(a, b) == reference_compare(kind, order.priority, a, b)
+    for trial in range(20):
+        priority = rng.sample(range(4), 4)
+        rows = WEIGHT_ROWS[trial % 2] if kind == "weight-matrix" else None
+        order = TermOrder(4, kind=kind, priority=priority, rows=rows)
+        for _ in range(60):
+            a = tuple(rng.randint(0, 3) for _ in range(4))
+            b = tuple(rng.randint(0, 3) for _ in range(4)) if rng.random() < 0.9 else a
+            ka, kb = order.key(a), order.key(b)
+            assert order.compare(a, b) == (ka > kb) - (ka < kb) == reference_compare(order, a, b)
 
 
 def test_default_lex_prefers_high_index():
