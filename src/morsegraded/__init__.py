@@ -26,11 +26,9 @@ from .orders import Monomial, TermOrder
 from .groebner import (
     Binomial,
     GroebnerBasis,
-    buchberger,
     default_cap,
     dividing_leading_term,
     groebner_for,
-    toric_ideal_basis,
     verify_groebner,
 )
 from .chains import (

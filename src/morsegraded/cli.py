@@ -9,7 +9,7 @@ import time
 from .automaton import build_degree_d_automaton, rational_series
 from .chains import FacetOrderConfig, ordered_facets
 from .errors import InternalInvariantError, MorsegradedError, ValidationError
-from .groebner import default_cap, groebner_for, verify_groebner
+from .groebner import groebner_for, verify_groebner
 from .homology import tor_tables, verify_vanishing
 from .io import (
     COMMANDS,
@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--state-budget", type=int, default=1_000_000)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--cap", type=int, default=None, help="toric generator degree cap")
     parser.add_argument("--timing", action="store_true")
     return parser
 
@@ -59,15 +58,12 @@ _BASIS_FREE = ("interval", "chains", "betti")
 
 
 def _basis(doc: InputDocument, cfg: RunConfig):
-    """The supplied basis, checked complete up to the cap a computed basis
-    would get (parsing checks it only up to its own degree), or one computed
-    up to that cap."""
-    pres = doc.presentation
-    cap = cfg.cap if cfg.cap is not None else default_cap(pres, cfg.degree_window)
+    """The supplied basis, checked for the degree window (parsing checks it
+    only up to its own degree), or the window's basis computed."""
     if doc.supplied_basis is not None:
-        verify_groebner(doc.supplied_basis, pres, completeness_cap=cap)
+        verify_groebner(doc.supplied_basis, doc.presentation, cfg.degree_window)
         return doc.supplied_basis
-    return groebner_for(pres, doc.order, cap)
+    return groebner_for(doc.presentation, doc.order, cfg.degree_window)
 
 
 def _cells_json(cells) -> list[dict]:
@@ -99,7 +95,6 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
     zero = tuple([0] * pres.dimension)
     tsv = None
     if cfg.command == "gb":
-        verify_groebner(gb, pres)
         payload = {
             "degree": gb.degree,
             "elements": [
@@ -236,7 +231,6 @@ def main(argv=None) -> int:
             state_budget=args.state_budget,
             output_format=args.format,
             out_path=args.out,
-            cap=args.cap,
             timing=args.timing,
         )
         with open(args.input, encoding="utf-8") as handle:

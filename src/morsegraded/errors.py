@@ -18,7 +18,7 @@ class ParseError(ValidationError):
 
 
 class InvalidBasis(ValidationError):
-    """A supplied Groebner basis fails the S-pair criterion."""
+    """A supplied Groebner basis is malformed or misses a lead of the window."""
 
 
 class NotComparable(ValidationError):

@@ -92,7 +92,7 @@ def parse_input(text: str) -> InputDocument:
                 raise ParseError("basis exponent vectors must have one entry per generator")
             elements.append(Binomial(plus, minus))
         basis = GroebnerBasis(order, tuple(elements))
-        verify_groebner(basis, pres, completeness_cap=max(2, basis.degree))
+        verify_groebner(basis, pres, basis.degree)
     raw_targets = doc.get("targets", [])
     if not isinstance(raw_targets, list):
         raise ParseError("targets must be a list of integer vectors")
@@ -115,7 +115,6 @@ class RunConfig:
     state_budget: int = 1_000_000
     output_format: str = "json"
     out_path: str | None = None
-    cap: int | None = None
     timing: bool = False
 
     def __post_init__(self):
@@ -125,8 +124,6 @@ class RunConfig:
             raise ValidationError("degree window must be >= 1")
         if self.path_cap <= 0 or self.state_budget <= 0:
             raise ValidationError("caps must be positive")
-        if self.cap is not None and self.cap < 2:
-            raise ValidationError(f"toric generator degree cap must be >= 2, got {self.cap}")
         if self.output_format not in ("json", "tsv"):
             raise ValidationError("format must be json or tsv")
         if self.output_format == "tsv" and self.command != "betti":
@@ -152,7 +149,6 @@ class RunConfig:
             "path_cap": self.path_cap,
             "state_budget": self.state_budget,
             "format": self.output_format,
-            "cap": self.cap,
         }
 
 

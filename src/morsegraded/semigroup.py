@@ -336,13 +336,6 @@ def random_presentation(
                 break
         if pres is None:
             continue
-        sums = [sum(g) for g in pres.generators]
-        cap = max(2, -(-window_degree * max(sums) // min(sums)))
-        monomials = 1
-        for k in range(1, pres.n + 1):
-            monomials = monomials * (cap + k) // k
-        if monomials > face_budget:
-            continue  # relation search would outgrow the budget
         work = 0
         feasible = True
         for lam in pres.degree_window(window_degree):

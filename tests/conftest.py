@@ -11,7 +11,7 @@ import pytest
 
 from morsegraded.automaton import CommutationClass
 from morsegraded.chains import FacetOrderConfig
-from morsegraded.groebner import buchberger, toric_ideal_basis
+from morsegraded.groebner import GroebnerBasis, groebner_for
 from morsegraded.homology import boundary_matrix, matrix_rank
 from morsegraded.morse import build_face_matching
 from morsegraded.orders import TermOrder
@@ -143,12 +143,12 @@ def reference_commutation_classes(gb, cfg, content):
 
 class Ring:
     def __init__(self, name):
-        dim, gens, cap = RINGS[name]
+        dim, gens, window = RINGS[name]
         self.name = name
         self.pres = SemigroupPresentation(dim, gens)
         self.order = TermOrder(self.pres.n)
         self.cfg = FacetOrderConfig(self.order)
-        self.gb = buchberger(toric_ideal_basis(self.pres, cap), self.order)
+        self.gb = groebner_for(self.pres, self.order, window)
         self.zero = tuple([0] * dim)
         self._matchings = {}
 
@@ -190,7 +190,7 @@ def free_plane():
     ring.pres = pres
     ring.order = order
     ring.cfg = FacetOrderConfig(order)
-    ring.gb = buchberger([], order)
+    ring.gb = GroebnerBasis(order, ())
     ring.zero = (0, 0)
     ring._matchings = {}
     return ring

@@ -28,7 +28,7 @@ from morsegraded.cancellation import (
     transforming_permutation,
 )
 from morsegraded.chains import check_crossing_condition, ordered_facets
-from morsegraded.groebner import buchberger, default_cap, toric_ideal_basis
+from morsegraded.groebner import groebner_for
 from morsegraded.homology import (
     below_vanishing_bound,
     order_complex,
@@ -109,7 +109,7 @@ def test_criterion_03_vanishing_bound(squares, pair_swap, minor, cyclic3):
             kwargs["max_dimension"] = 2  # low dimension makes relations likely
         pres = random_presentation(rng, **kwargs)
         order = TermOrder(pres.n)
-        gb = buchberger(toric_ideal_basis(pres, default_cap(pres, 6)), order)
+        gb = groebner_for(pres, order, 6)
         window = pres.degree_window(6)
         rep = verify_vanishing(tor_tables(pres, window, (0, 2, 3)), gb.degree, window)
         ok = ok and rep["ok"]

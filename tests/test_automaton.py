@@ -24,7 +24,6 @@ from morsegraded.chains import FacetOrderConfig
 from morsegraded.errors import CollectionEnumerationOverflow, MorsegradedError
 from morsegraded.groebner import (
     buchberger,
-    default_cap,
     groebner_for,
     leading_ideal_member,
     toric_ideal_basis,
@@ -50,7 +49,7 @@ def fixture_basis(name):
     """Groebner basis and facet order of one fixture, at window 5."""
     doc = parse_input((FIXTURES / f"{name}.json").read_text())
     pres, order = doc.presentation, doc.order
-    return doc.supplied_basis or groebner_for(pres, order, default_cap(pres, 5)), FacetOrderConfig(order)
+    return doc.supplied_basis or groebner_for(pres, order, 5), FacetOrderConfig(order)
 
 
 def contents_to(n_labels, depth):
@@ -559,7 +558,7 @@ def test_rescue_run_with_non_commuting_pair():
     )
     order = TermOrder(6, "graded-revlex", [0, 3, 5, 2, 1, 4])
     gb = groebner_for(pres, order, 2)
-    verify_groebner(gb, pres, completeness_cap=default_cap(pres, 4))
+    verify_groebner(gb, pres, 4)
     cfg = FacetOrderConfig(order)
     assert gb.degree == 2 and not gb.commutes[2][5]
     rules = _Rules(gb, cfg)
@@ -580,7 +579,7 @@ def test_language_equals_survivors_degree3_fixtures(name):
     doc = parse_input((FIXTURES / f"{name}.json").read_text())
     pres, order = doc.presentation, doc.order
     cfg = FacetOrderConfig(order)
-    gb = groebner_for(pres, order, default_cap(pres, 5))
+    gb = groebner_for(pres, order, 5)
     assert gb.degree == 3
     auto = build_degree_d_automaton(gb, cfg)
     table = survivor_words_by_content(pres, gb, cfg, 5)

@@ -7,7 +7,7 @@ import pytest
 
 import morsegraded.cancellation as cancellation
 from morsegraded.chains import FacetOrderConfig
-from morsegraded.groebner import default_cap, groebner_for
+from morsegraded.groebner import groebner_for
 from morsegraded.io import parse_input
 from morsegraded.orders import TermOrder
 from morsegraded.semigroup import SemigroupPresentation
@@ -132,7 +132,6 @@ def test_one_traversal_per_upper_cell(squares, pair_swap, cyclic3, monkeypatch):
     # serves all its lower cells, and certified pairs, greedy ones included,
     # are looked up, not searched again
     from morsegraded.chains import FacetOrderConfig
-    from morsegraded.groebner import buchberger, default_cap, toric_ideal_basis
     from morsegraded.morse import build_face_matching
     from morsegraded.orders import TermOrder
     from morsegraded.semigroup import SemigroupPresentation
@@ -141,7 +140,7 @@ def test_one_traversal_per_upper_cell(squares, pair_swap, cyclic3, monkeypatch):
     # that only the greedy pass pairs
     twisted = SemigroupPresentation(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
     order = TermOrder(twisted.n)
-    twisted_gb = buchberger(toric_ideal_basis(twisted, default_cap(twisted, 4)), order)
+    twisted_gb = groebner_for(twisted, order, 4)
     cases = [
         (squares.matching((2, 2, 1, 1)), squares.gb),
         (pair_swap.matching((2, 2, 1, 1, 1)), pair_swap.gb),
@@ -390,7 +389,7 @@ def test_fiber_local_stuttering_content(squares):
 def _ring_from(generators, degree):
     pres = SemigroupPresentation(len(generators[0]), generators)
     order = TermOrder(pres.n)
-    return pres, groebner_for(pres, order, default_cap(pres, degree)), FacetOrderConfig(order)
+    return pres, groebner_for(pres, order, degree), FacetOrderConfig(order)
 
 
 def reference_cell_words(gb, cfg, content):
@@ -499,13 +498,12 @@ def test_fallback_honours_path_cap(monkeypatch):
     # falls back to the face-level engine, which must get the caller's cap
     import morsegraded.cancellation as cancellation
     from morsegraded.chains import FacetOrderConfig
-    from morsegraded.groebner import buchberger, default_cap, toric_ideal_basis
     from morsegraded.orders import TermOrder
     from morsegraded.semigroup import SemigroupPresentation
 
     pres = SemigroupPresentation(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
     order = TermOrder(pres.n)
-    gb = buchberger(toric_ideal_basis(pres, default_cap(pres, 4)), order)
+    gb = groebner_for(pres, order, 4)
     caps = []
     original = cancellation.cancel_interval
 

@@ -16,7 +16,7 @@ from morsegraded.cancellation import (
 )
 from morsegraded.chains import FacetOrderConfig, ordered_facets
 from morsegraded.errors import AcyclicityFailure, InternalInvariantError
-from morsegraded.groebner import GroebnerBasis, default_cap, groebner_for
+from morsegraded.groebner import GroebnerBasis, groebner_for
 from morsegraded.homology import order_complex
 from morsegraded.io import parse_input
 from morsegraded.morse import (
@@ -158,7 +158,7 @@ def test_truncation_equals_reference_on_fixtures():
         raw.pop("groebner_basis", None)  # a stale one is refused; compute it
         doc = parse_input(json.dumps(raw))
         pres, cfg = doc.presentation, FacetOrderConfig(doc.order)
-        gb = groebner_for(pres, doc.order, default_cap(pres, 4))
+        gb = groebner_for(pres, doc.order, 4)
         zero = tuple([0] * pres.dimension)
         for lam in sorted(pres.degree_window(4)):
             for facet in ordered_facets(pres.interval(zero, lam), cfg):

@@ -121,7 +121,7 @@ def test_full_suite_interacting_relations():
     # rings whose relations share variables exercise the matching fallback
     # and the refined automaton escape; everything must still agree
     from morsegraded.chains import FacetOrderConfig
-    from morsegraded.groebner import buchberger, default_cap, toric_ideal_basis
+    from morsegraded.groebner import groebner_for
     from morsegraded.orders import TermOrder
     from morsegraded.semigroup import SemigroupPresentation
 
@@ -143,7 +143,7 @@ def test_full_suite_interacting_relations():
         pres = SemigroupPresentation(e, gens)
         order = TermOrder(pres.n)
         cfg = FacetOrderConfig(order)
-        gb = buchberger(toric_ideal_basis(pres, default_cap(pres, 4)), order)
+        gb = groebner_for(pres, order, 4)
         out = full_consistency_suite(pres, gb, cfg, 4, deep_degree=4)
         assert out["ok"], out["checks"]
 
@@ -185,13 +185,13 @@ def test_full_suite_square_leading_term():
 def test_full_suite_non_graded_numerical_semigroup():
     # <2,3>: chains of unequal length, quadratic basis, non-pure complexes
     from morsegraded.chains import FacetOrderConfig
-    from morsegraded.groebner import buchberger, default_cap, toric_ideal_basis
+    from morsegraded.groebner import groebner_for
     from morsegraded.orders import TermOrder
     from morsegraded.semigroup import SemigroupPresentation
 
     pres = SemigroupPresentation(1, [(2,), (3,)])
     order = TermOrder(2)
-    gb = buchberger(toric_ideal_basis(pres, default_cap(pres, 6)), order)
+    gb = groebner_for(pres, order, 6)
     assert gb.degree == 2
     out = full_consistency_suite(pres, gb, FacetOrderConfig(order), 6, deep_degree=6)
     assert out["ok"], out["checks"]

@@ -7,7 +7,7 @@ import pytest
 
 from morsegraded import homology
 from morsegraded.chains import FacetOrderConfig, check_crossing_condition, ordered_facets
-from morsegraded.groebner import buchberger, default_cap, phi, toric_ideal_basis
+from morsegraded.groebner import groebner_for, phi
 from morsegraded.homology import (
     betti_numbers,
     integral_homology,
@@ -34,7 +34,7 @@ def sample_rings(seed, count, window_degree=4):
     while len(rings) < count:
         pres = random_presentation(rng, window_degree=window_degree, face_budget=40_000)
         order = TermOrder(pres.n)
-        gb = buchberger(toric_ideal_basis(pres, default_cap(pres, window_degree)), order)
+        gb = groebner_for(pres, order, window_degree)
         rings.append((pres, FacetOrderConfig(order), gb))
     return rings
 
@@ -182,7 +182,7 @@ def test_sampled_full_consistency_suites():
             kwargs["max_dimension"] = 2
         pres = random_presentation(rng, **kwargs)
         order = TermOrder(pres.n)
-        gb = buchberger(toric_ideal_basis(pres, default_cap(pres, 3)), order)
+        gb = groebner_for(pres, order, 3)
         try:
             out = full_consistency_suite(
                 pres, gb, FacetOrderConfig(order), 3, deep_degree=3
