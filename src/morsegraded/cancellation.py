@@ -40,6 +40,17 @@ from .semigroup import SemigroupPresentation, Vector
 DEFAULT_PATH_CAP = 10_000
 
 
+def _cancel_breach(fm: FaceMatching, what: str, *labels, kind=InternalInvariantError):
+    """An invariant error naming the stage, the multidegree and the facets."""
+    facets = f"facets {' / '.join(map(str, labels))}: " if labels else ""
+    return kind(f"cancellation at {fm.ivl.top}: {facets}{what}")
+
+
+def _labels(fm: FaceMatching, mask: int) -> tuple[int, ...]:
+    """The labels of the facet that owns a face."""
+    return fm.facets[fm.owner[mask]].labels
+
+
 # -- gradient paths -----------------------------------------------------------
 
 
@@ -91,7 +102,10 @@ def enumerate_gradient_paths(
 ) -> list[GradientPath]:
     """Every gradient path from tau down to sigma; complete below cap."""
     if fm.dim(tau_mask) != fm.dim(sigma_mask) + 1:
-        raise InternalInvariantError("gradient paths need consecutive dimensions")
+        raise _cancel_breach(
+            fm, "gradient paths need consecutive dimensions",
+            _labels(fm, tau_mask), _labels(fm, sigma_mask),
+        )
     return gradient_paths_from(fm, tau_mask, (sigma_mask,), cap).get(sigma_mask, [])
 
 
@@ -455,7 +469,9 @@ def _apply_reversals(fm: FaceMatching, chosen: list[GradientPath]) -> FaceMatchi
 
     def drop(a, b):
         if (a, b) in removed or partner.get(a) != b:
-            raise InternalInvariantError("reversed paths are not edge-disjoint")
+            raise _cancel_breach(
+                fm, "reversed paths are not edge-disjoint", _labels(fm, a), _labels(fm, b)
+            )
         removed.add((a, b))
         removed.add((b, a))
         del partner[a]
@@ -463,7 +479,7 @@ def _apply_reversals(fm: FaceMatching, chosen: list[GradientPath]) -> FaceMatchi
 
     def add(a, b):
         if a in partner or b in partner or a in added or b in added:
-            raise InternalInvariantError("reversed paths collide")
+            raise _cancel_breach(fm, "reversed paths collide", _labels(fm, a), _labels(fm, b))
         added[a] = b
         added[b] = a
 
@@ -543,9 +559,9 @@ def cancel_cells(
     def certify(hi: CriticalCell, lo: CriticalCell, rule: str):
         found = table.get((hi.facet.labels, lo.facet.labels), [])
         if len(found) != 1:
-            raise InternalInvariantError(
-                f"matched pair {hi.facet.labels} / {lo.facet.labels} has "
-                f"{len(found)} gradient paths, expected exactly 1"
+            raise _cancel_breach(
+                fm, f"matched pair has {len(found)} gradient paths, expected exactly 1",
+                hi.facet.labels, lo.facet.labels,
             )
         status = check_321_uniqueness(cfg, hi.facet.labels, lo.facet.labels)
         matched[hi.facet.labels] = lo.facet.labels
@@ -570,8 +586,10 @@ def cancel_cells(
             notes.append(f"pivot not mutual for {cell.facet.labels}")
             continue
         if abs(cell.dimension - partner.dimension) != 1:
-            raise InternalInvariantError(
-                "matched cells must differ in dimension by exactly one"
+            raise _cancel_breach(
+                fm, "matched cells must differ in dimension by exactly one, not by "
+                f"{abs(cell.dimension - partner.dimension)}",
+                cell.facet.labels, other,
             )
         hi, lo = (cell, partner) if cell.dimension > partner.dimension else (partner, cell)
         certify(hi, lo, "expanding-interval pivot")
@@ -602,15 +620,16 @@ def cancel_cells(
         lo: hi for lo, hi in matched.items() if by_labels[lo].dimension < by_labels[hi].dimension
     }
     if not _fiber_acyclic(low_matched, table):
-        raise InternalInvariantError("critical multigraph matching has a cycle")
+        raise _cancel_breach(fm, "critical multigraph matching has a cycle")
 
     new_fm = _apply_reversals(fm, chosen)
     _verify_reversals(new_fm, chosen)
     survivors = new_fm.cells()
     residual = [c for c in survivors if not c.is_base and c.dimension >= 0 and stranded(c)]
     if complete and residual:
-        raise UnmatchedUnsaturatedCell(
-            f"cell {residual[0].facet.labels} kept a syzygy interval with interior"
+        raise _cancel_breach(
+            fm, "cell kept a syzygy interval with interior", residual[0].facet.labels,
+            kind=UnmatchedUnsaturatedCell,
         )
     return CancellationResult(new_fm, survivors, pairs, residual, notes)
 
@@ -648,7 +667,8 @@ def fiber_survivor_words(
         c = label_cell(systems, word)
         if c is None:
             raise InternalInvariantError(
-                f"content {content}: covering search found {word}, which is not a critical cell"
+                f"fiber cancellation of content {content}: covering search found {word}, "
+                "which is not a critical cell"
             )
         cells[word] = c
     matched: set[tuple[int, ...]] = set()
@@ -661,7 +681,10 @@ def fiber_survivor_words(
         if pivot_partner(systems, other) != word:
             continue
         if abs(cells[word].dimension - cells[other].dimension) != 1:
-            raise InternalInvariantError("fiber pivot pair dimensions differ by != 1")
+            raise InternalInvariantError(
+                f"fiber cancellation of content {content}: words {word} / {other}: "
+                "pivot pair dimensions differ by != 1"
+            )
         status = check_321_uniqueness(cfg, word, other)
         if status != "unique-by-theorem":
             continue
@@ -673,7 +696,8 @@ def fiber_survivor_words(
             continue
         if gb.degree <= 2 and _has_interior_window(systems, word):
             raise UnmatchedUnsaturatedCell(
-                f"fiber-local cancellation stranded {word}"
+                f"fiber cancellation of content {content}: word {word}: "
+                "stranded with a syzygy window with interior"
             )
         out.append(word)
     return sorted(out)
