@@ -26,7 +26,6 @@ from .morse import (
     CriticalCell,
     FaceMatching,
     RankInterval,
-    _breach,
     alternating_cycle,
     build_face_matching,
     covering_words,
@@ -516,8 +515,9 @@ def _verify_reversals(fm: FaceMatching, chosen: list[GradientPath]) -> None:
     """
     face = alternating_cycle(fm.partner, [y for p in chosen for y in p.cells[1::2]])
     if face is not None:
-        raise _breach(
-            fm, fm.owner[face], "reversed matching has a directed cycle", AcyclicityFailure
+        raise _cancel_breach(
+            fm, "reversed matching has a directed cycle", _labels(fm, face),
+            kind=AcyclicityFailure,
         )
 
 

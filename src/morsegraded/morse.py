@@ -3,10 +3,16 @@
 Faces of the open-interval complex are bitmasks over the interval's element
 list.  Each facet owns the faces no earlier facet contains; within one
 facet the matching toggles the lowest element of a distinguished skipped
-interval.  Everything the theory promises (each facet's new faces are
-exactly the transversals of its skipped-interval system, the matching is a
-perfect acyclic matching off the critical cells) is re-verified at run time
-rather than trusted.
+interval.  Everything the theory promises is re-verified at run time
+rather than trusted:
+
+- each facet's new faces are exactly the transversals of its
+  skipped-interval system.  Only the transversals are formed, and lookups
+  in the faces already owned certify the equality (build_face_matching);
+- the matching is a perfect matching off the critical cells, and it is
+  acyclic.  The cycle search runs only on facets whose pairs toggle more
+  than one element, which is exact (_verify_matching); verify_acyclic
+  searches from every matched face.
 """
 
 from __future__ import annotations
@@ -318,9 +324,10 @@ class FaceMatching:
         return mask.bit_count() - 1
 
 
-# Most interior subsets build_face_matching may enumerate for one interval,
-# summed over its facets.  The largest interval of the benchmark inputs at
-# degree window 7, pair_swap (4,4,1,1,1), needs 255,360.
+# Most interior subsets the facets of one interval may span, summed over
+# the facets; build_face_matching forms only the transversals among them.
+# The largest interval of the benchmark inputs at degree window 7,
+# pair_swap (4,4,1,1,1), spans 255,360.
 FACE_BUDGET = 1 << 21
 
 
@@ -333,19 +340,51 @@ def _breach(fm: FaceMatching, j: int, what: str, kind=InternalInvariantError):
     return kind(f"face matching at {fm.ivl.top}: facet {fm.facets[j].labels}: {what}")
 
 
+def _transversals(bits: list[int], system) -> list[tuple[int, int]]:
+    """The (rank subset, face) pairs of the transversals of system, ascending.
+
+    A rank subset has bit r - 1 for rank r.  Subsets grow one rank at a
+    time, and a partial subset goes as soon as it misses an interval that
+    ends at the rank just placed; subsets without rank r come before those
+    with it, so the list stays in ascending order of rank subset.
+    """
+    ending: list[list[int]] = [[] for _ in bits]
+    for iv in system:
+        ending[iv.hi - 1].append(iv.mask)
+    pairs = [(0, 0)]
+    for k, bit in enumerate(bits):
+        rank_bit = 1 << k
+        pairs += [(sub | rank_bit, mask | bit) for sub, mask in pairs]
+        for span in ending[k]:
+            pairs = [p for p in pairs if p[0] & span]
+    return pairs if system else pairs[1:]
+
+
 def build_face_matching(
     ivl: IntervalData, cfg: FacetOrderConfig, gb: GroebnerBasis
 ) -> FaceMatching:
     """The full facet-by-facet acyclic matching for one interval.
 
     Each facet's skipped-interval system is the Groebner characterization,
-    and the faces the facet adds must be exactly its transversals.  One
-    pass over the subsets sub of the facet's interior (bit k is rank k+1)
-    builds each face from an earlier one, sub with its lowest bit cleared,
-    and compares "not yet owned" with "meets every skipped interval",
-    where each interval [lo, hi] is the rank mask of bits lo-1 .. hi-1.
-    Intervals whose facets have more than FACE_BUDGET interior subsets in
-    all are refused before any is built.
+    and the faces the facet adds must be exactly its transversals.  Only
+    the transversals are formed (_transversals), and two checks certify
+    that they are the new faces:
+
+    (a) no transversal is owned yet;
+    (b) for each skipped interval I whose complement in the facet is
+        nonempty, the face "facet minus the ranks of I" is owned already.
+
+    Proof.  By induction owner holds exactly the faces of the earlier
+    facets, a down-closed set D.  By (a) every transversal is new.  A
+    nonempty rank subset that is not a transversal misses some interval I,
+    so its face lies in the facet minus the ranks of I; that face is
+    nonempty and in D by (b), and D is down-closed, so the subset's face
+    is in D.  The new faces are therefore exactly the transversals, and
+    adding them to owner makes it the faces of this facet and the earlier
+    ones.  This is the equality an all-subsets comparison would check.
+
+    Intervals whose facets span more than FACE_BUDGET interior subsets in
+    all are refused before any face is built.
     """
     facets = ordered_facets(ivl, cfg)
     if sum(1 << len(f.interior) for f in facets) > FACE_BUDGET:
@@ -363,43 +402,38 @@ def build_face_matching(
     owner = fm.owner
     for j, facet in enumerate(facets):
         bits = _facet_masks(ivl, facet)
-        spans = [iv.mask for iv in systems[j]]
-        masks = [0] * (1 << len(bits))
-        new_subs = []
-        for sub in range(1, len(masks)):
-            low = sub & -sub
-            mask = masks[sub] = masks[sub ^ low] | bits[low.bit_length() - 1]
-            for span in spans:
-                if not sub & span:
-                    transversal = False
-                    break
-            else:
-                transversal = True
-            if (mask not in owner) != transversal:
-                raise _breach(
-                    fm, j, "new faces do not match the transversals of its "
-                    "skipped-interval system"
-                )
-            if transversal:
-                owner[mask] = j
-                new_subs.append(sub)
-        _match_within_facet(fm, j, facet, bits, masks, new_subs)
+        full = sum(bits)
+        for iv in systems[j]:
+            rest = full & ~sum(bits[iv.lo - 1 : iv.hi])
+            if rest and rest not in owner:  # (b)
+                raise _transversal_breach(fm, j)
+        new_faces = _transversals(bits, systems[j])
+        for _, mask in new_faces:
+            if mask in owner:  # (a)
+                raise _transversal_breach(fm, j)
+            owner[mask] = j
+        _match_within_facet(fm, j, facet, bits, new_faces)
 
     _verify_matching(fm)
     return fm
 
 
-def _match_within_facet(fm: FaceMatching, j, facet, bits, masks, new_subs) -> None:
-    """Match facet j's new faces, given by their rank subsets new_subs.
+def _transversal_breach(fm: FaceMatching, j: int) -> InternalInvariantError:
+    return _breach(
+        fm, j, "new faces do not match the transversals of its skipped-interval system"
+    )
 
-    masks[sub] is the face of rank subset sub (bit r - 1 for rank r).
+
+def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
+    """Match facet j's new faces, given as (rank subset, face) pairs.
+
+    A rank subset has bit r - 1 for rank r.
     """
     uncovered = ~rank_mask(fm.systems[j]) & ((1 << len(bits)) - 1)
     if uncovered:
         q = (uncovered & -uncovered).bit_length()  # the lowest uncovered rank
         cone_bit = bits[q - 1]
-        for sub in new_subs:
-            mask = masks[sub]
+        for _, mask in new_faces:
             other = mask ^ cone_bit
             if other == 0:
                 # lowest vertex of the least facet: the base critical cell
@@ -413,8 +447,7 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, masks, new_subs) -> No
     # a face toggles the lowest rank of the first truncated interval it
     # meets above that rank
     toggles = [(iv.mask & ~(1 << (iv.lo - 1)), bits[iv.lo - 1]) for iv in j_sys]
-    for sub in new_subs:
-        mask = masks[sub]
+    for sub, mask in new_faces:
         if sub == cell_sub:
             fm.critical[mask] = cell
             continue
@@ -429,27 +462,41 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, masks, new_subs) -> No
 
 
 def _verify_matching(fm: FaceMatching) -> None:
+    """Check that fm is a perfect acyclic matching off its critical cells.
+
+    The cycle search runs only on the faces of facets whose pairs toggle
+    more than one element, which is exact.  Pairs keep their owner (checked
+    here), and a face's faces are owned by its own facet or earlier ones,
+    so no cycle leaves a facet: every cycle lies in one facet's new faces.
+    If all pairs of a facet toggle the same element v, an up-matched face
+    x of it lacks v, and every successor of x (a face of partner[x] other
+    than x) contains v; one owned by this facet is therefore matched down
+    or critical, never up, so no edge of the alternating digraph stays in
+    the facet.  The toggles are read off the built partner map, whichever
+    rule made it.
+    """
     owner, partner = fm.owner, fm.partner
+    toggle: dict[int, int] = {}  # facet -> the one element its pairs toggle, or 0
     for mask, other in partner.items():
         if partner.get(other) != mask:
             raise _breach(fm, owner[mask], "matching is not an involution")
         x = mask ^ other
         if not x or x & (x - 1):
             raise _breach(fm, owner[mask], "matched faces differ in other than one element")
-        if owner[mask] != owner[other]:
+        j = owner[mask]
+        if j != owner[other]:
             raise _breach(
-                fm, owner[mask],
+                fm, j,
                 f"matched pair crosses facet ownership (partner owned by facet "
                 f"{fm.facets[owner[other]].labels})",
             )
+        if toggle.setdefault(j, x) != x:
+            toggle[j] = 0
     for mask in owner:
         if mask not in partner and mask not in fm.critical:
             raise _breach(fm, owner[mask], "face neither matched nor critical")
-    if not verify_acyclic(fm):
-        # Down-edges never reach a later facet and matched edges stay in
-        # one, so every cycle lies in one facet's new faces, and the facet
-        # owning any face on the cycle carries it.
-        face = alternating_cycle(partner, partner)
+    face = alternating_cycle(partner, [m for m in partner if not toggle[owner[m]]])
+    if face is not None:
         raise _breach(fm, owner[face], "the matching has a directed cycle", AcyclicityFailure)
 
 
@@ -457,7 +504,9 @@ def verify_acyclic(fm: FaceMatching) -> bool:
     """Is the modified Hasse digraph (matched edges up) free of cycles?
 
     Every up-matched face seeds alternating_cycle, which is exact for
-    any matching whose pairs differ in one element.
+    any matching whose pairs differ in one element.  A matching from
+    build_face_matching has already passed the same search on fewer seeds
+    (_verify_matching); this one serves reversed matchings and tests.
     """
     return alternating_cycle(fm.partner, fm.partner) is None
 

@@ -1,6 +1,9 @@
 """Interval systems, truncation, critical cells, the face matching."""
 
 import json
+import random
+import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ from morsegraded.cancellation import (
     label_cell,
 )
 from morsegraded.chains import FacetOrderConfig, ordered_facets
-from morsegraded.errors import AcyclicityFailure, InternalInvariantError
+from morsegraded.errors import AcyclicityFailure, InternalInvariantError, MorsegradedError
 from morsegraded.groebner import GroebnerBasis, groebner_for
 from morsegraded.homology import order_complex
 from morsegraded.io import parse_input
@@ -31,6 +34,8 @@ from morsegraded.morse import (
     truncate_to_j_intervals,
     verify_acyclic,
 )
+from morsegraded.orders import TermOrder
+from morsegraded.semigroup import random_presentation, standard_grading_functional
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -368,7 +373,7 @@ def editable_copy(fm):
     )
 
 
-def reference_check_transversals(facet, system, new_faces, r, j):
+def reference_check_transversals(top, facet, system, new_faces, r):
     """A facet's new faces, as subsets of its interior, are its transversals."""
     got = {sub for sub, _ in new_faces}
     want = set()
@@ -379,8 +384,8 @@ def reference_check_transversals(facet, system, new_faces, r, j):
             want.add(sub)
     if got != want:
         raise InternalInvariantError(
-            f"facet {facet.labels} (index {j}): new faces do not match the "
-            f"transversals of its skipped-interval system"
+            f"face matching at {top}: facet {facet.labels}: new faces do not match "
+            f"the transversals of its skipped-interval system"
         )
 
 
@@ -433,8 +438,8 @@ def reference_face_matching(ivl, cfg, gb):
             if mask not in fm.owner:
                 fm.owner[mask] = j
                 new_faces.append((sub, mask))
-        reference_check_transversals(facet, systems[j], new_faces, r, j)
-        morse._match_within_facet(fm, j, facet, bits, dict(new_faces), [sub for sub, _ in new_faces])
+        reference_check_transversals(ivl.top, facet, systems[j], new_faces, r)
+        morse._match_within_facet(fm, j, facet, bits, new_faces)
     assert reference_verify_acyclic(fm)
     return fm
 
@@ -470,6 +475,23 @@ def test_dropped_skipped_interval_breaks_transversal_check(squares, monkeypatch)
     assert str(err.value).startswith("face matching at (2, 2, 1, 1): facet (")
     with pytest.raises(InternalInvariantError, match="transversals"):
         reference_face_matching(ivl, squares.cfg, squares.gb)
+
+
+def test_spurious_skipped_interval_breaks_transversal_check(squares, monkeypatch):
+    # an extra interval leaves new faces off the transversals, which only
+    # the complement lookup sees: the least facet, with an empty system,
+    # now misses its face without rank 1
+    honest = morse.msi_characterization
+    spurious = RankInterval(1, 1, "descent")
+    monkeypatch.setattr(morse, "msi_characterization", lambda *a: honest(*a) + (spurious,))
+    ivl = squares.interval((2, 2, 1, 1))
+    least = ordered_facets(ivl, squares.cfg)[0]
+    with pytest.raises(InternalInvariantError, match="transversals") as err:
+        build_face_matching(ivl, squares.cfg, squares.gb)
+    assert str(err.value).startswith(f"face matching at (2, 2, 1, 1): facet {least.labels}: ")
+    with pytest.raises(InternalInvariantError, match="transversals") as ref_err:
+        reference_face_matching(ivl, squares.cfg, squares.gb)
+    assert str(ref_err.value) == str(err.value)
 
 
 def test_planted_cycle_fails_both_acyclicity_checks(squares):
@@ -571,7 +593,7 @@ def test_reversing_one_of_two_paths_closes_a_cycle(cyclic3):
         assert alternating_cycle(out.partner, path.cells[1::2]) is not None
         with pytest.raises(
             AcyclicityFailure,
-            match=r"^face matching at \(2, 2, 2, 2, 2, 2\): facet \(.*\): "
+            match=r"^cancellation at \(2, 2, 2, 2, 2, 2\): facets \(.*\): "
             r"reversed matching has a directed cycle$",
         ):
             _verify_reversals(out, [path])
@@ -606,3 +628,128 @@ def test_reversal_check_visits_few_faces(squares, monkeypatch):
     # about 3,800 faces, where the check of the built matching reads 20,140
     assert 0 < len(touched) < len(fm.owner) // 5
     assert reference_verify_acyclic(res.matching)
+
+
+# -- the cycle search on facets with more than one toggle -----------------------
+
+
+FIXTURE_NAMES = ["cyclic_split3", "minor", "pair_swap", "ring5_seed22", "skew2d", "squares"]
+
+
+def facet_toggles(fm):
+    """Facet index -> the elements its matched pairs toggle."""
+    out = {}
+    for a, b in fm.partner.items():
+        out.setdefault(fm.owner[a], set()).add(a ^ b)
+    return out
+
+
+def test_restricted_cycle_search_agrees_with_full_search():
+    breaches = []
+    for name in FIXTURE_NAMES:
+        doc = parse_input((FIXTURES / f"{name}.json").read_text())
+        pres, cfg = doc.presentation, FacetOrderConfig(doc.order)
+        gb = groebner_for(pres, doc.order, 5)
+        zero = tuple([0] * pres.dimension)
+        for lam in sorted(pres.degree_window(5)):
+            try:
+                fm = build_face_matching(pres.interval(zero, lam), cfg, gb)
+            except InternalInvariantError as err:
+                # ROADMAP item 4: the matching on an interval that is not graded
+                assert "differs from the critical cell in no truncated interval" in str(err)
+                breaches.append((name, lam))
+                continue
+            # the restricted search found no cycle, and neither does the full one
+            assert verify_acyclic(fm), (name, lam)
+    assert breaches == [("skew2d", (5, 15))]
+
+
+def test_cycle_search_seeds_only_facets_with_several_toggles(squares, monkeypatch):
+    seeded = []
+    search = morse.alternating_cycle
+
+    def spy(partner, seeds):
+        seeded.append(list(seeds))
+        return search(partner, seeded[-1])
+
+    monkeypatch.setattr(morse, "alternating_cycle", spy)
+    fm = build_face_matching(squares.interval((5, 5, 1, 1)), squares.cfg, squares.gb)
+    toggles = facet_toggles(fm)
+    several = {j for j, xs in toggles.items() if len(xs) > 1}
+    assert len(fm.facets) == 2_142 and len(toggles) == 2_129 and len(several) == 2
+    (seeds,) = seeded
+    assert seeds == [m for m in fm.partner if fm.owner[m] in several]
+
+
+def test_cycle_planted_in_a_one_toggle_facet_is_found(squares):
+    # the certificate is read off the partner map: a cycle planted among
+    # the new faces of a facet whose pairs all toggled one element gives
+    # that facet several toggles, so the search reaches it
+    fm = editable_copy(squares.matching((4, 4, 1, 1)))
+    toggles = facet_toggles(fm)
+    j, a, b, c, base = next(
+        (j, a, b, c, face ^ a ^ b ^ c)
+        for face, j in fm.owner.items()
+        if len(toggles.get(j, ())) == 1 and face.bit_count() >= 3
+        for a, b, c in combinations([1 << i for i in range(face.bit_length()) if face >> i & 1], 3)
+        if all(fm.owner.get(face ^ x) == j for x in (b | c, a | c, a | b, c, a, b))
+    )
+    cycle = {base | a: base | a | b, base | b: base | b | c, base | c: base | c | a}
+    cell = next(iter(fm.critical.values()))
+    for face in [*cycle, *cycle.values()]:
+        other = fm.partner.pop(face, None)
+        if other is not None:
+            del fm.partner[other]
+            fm.critical[other] = cell  # left unmatched, so critical
+        fm.critical.pop(face, None)
+    for lo, hi in cycle.items():
+        fm.partner[lo], fm.partner[hi] = hi, lo
+    assert not verify_acyclic(fm)
+    breach = f"face matching at (4, 4, 1, 1): facet {fm.facets[j].labels}: "
+    with pytest.raises(AcyclicityFailure, match="^" + re.escape(breach)):
+        morse._verify_matching(fm)
+
+
+# -- the transversal kernel against the all-subsets reference on sampled rings --
+
+
+def matching_or_breach(build, ivl, cfg, gb):
+    """The matching's owner, partner and critical maps in insertion order,
+    or the text of the breach that ended the build."""
+    try:
+        fm = build(ivl, cfg, gb)
+    except MorsegradedError as err:
+        return f"{type(err).__name__}: {err}"
+    return [list(fm.owner.items()), list(fm.partner.items()), list(fm.critical.items()), fm.empty_cell]
+
+
+def property_rings():
+    """Sixteen seeded rings at window 4, alternately under lex and under
+    graded-revlex with shuffled priority, then <2,3> and <3,4,5>."""
+    rng = random.Random(20261118)
+    for i in range(16):
+        pres = random_presentation(rng, window_degree=4, face_budget=20_000)
+        priority = list(range(pres.n))
+        rng.shuffle(priority)
+        order = TermOrder(pres.n, "graded-revlex", priority) if i % 2 else TermOrder(pres.n)
+        yield pres, order, 4
+    for name, window in (("two_three", 4), ("three_four_five", 6)):
+        doc = parse_input((FIXTURES / "breaches" / f"{name}.json").read_text())
+        yield doc.presentation, doc.order, window
+
+
+def test_face_matching_equals_reference_on_sampled_rings():
+    graded, breaches = [], 0
+    for pres, order, window in property_rings():
+        graded.append(standard_grading_functional(pres) is not None)
+        cfg, gb = FacetOrderConfig(order), groebner_for(pres, order, window)
+        zero = tuple([0] * pres.dimension)
+        for lam in sorted(pres.degree_window(window)):
+            ivl = pres.interval(zero, lam)
+            got = matching_or_breach(build_face_matching, ivl, cfg, gb)
+            assert got == matching_or_breach(reference_face_matching, ivl, cfg, gb), (
+                pres.generators, lam,
+            )
+            breaches += isinstance(got, str)
+    assert any(graded) and not all(graded)
+    assert breaches  # the two breach fixtures at least
