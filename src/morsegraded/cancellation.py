@@ -34,6 +34,7 @@ from .morse import (
     msi_characterization,
     truncate_to_j_intervals,
 )
+from .orders import content_monomial
 from .semigroup import SemigroupPresentation, Vector
 
 DEFAULT_PATH_CAP = 10_000
@@ -657,13 +658,25 @@ def fiber_survivor_words(
     Uses only label arithmetic (no face complex): the matching is the pivot
     rule, and uniqueness of each reversed path is by the 321 theorem.  The
     face-level engine must agree on bounded intervals; tests enforce that.
-    The critical cells are the words covering_words yields, each checked
-    against its system in one table per content.
+    The critical cells are the full-length words covering_words yields
+    under the content's counts.
     """
     content = tuple(sorted(content))
+    m = len(content)
+    counts = content_monomial(content, cfg.order.n)
+    words = [w for w in covering_words(gb, cfg, counts, m) if len(w) == m]
+    return _fiber_survivors(gb, cfg, content, words)
+
+
+def _fiber_survivors(
+    gb: GroebnerBasis, cfg: FacetOrderConfig, content, words
+) -> list[tuple[int, ...]]:
+    """The survivors among words, the covering words of content in
+    lexicographic order, each checked against its system in one table per
+    content."""
     systems = SystemTable(gb, cfg)
     cells: dict[tuple[int, ...], LabelCell] = {}
-    for word in covering_words(gb, cfg, content):
+    for word in words:
         c = label_cell(systems, word)
         if c is None:
             raise InternalInvariantError(
@@ -733,11 +746,18 @@ def survivor_words_by_content(
     """Fiber-local survivors for every content in the degree window.
 
     Contents are multisets of generator indices of size <= max_degree;
-    every such multiset is a factorization of its own multidegree.  When
+    every such multiset is a factorization of its own multidegree.  One
+    covering_words search over the whole window finds the critical cells
+    of every content at once (see its docstring for why that search is
+    the union of the per-content ones); each content's words then go
+    through the same checks and pivot pass as fiber_survivor_words.  When
     the label-level matching rules strand a cell (interacting relations),
     that content falls back to the face-level engine, whose greedy pass
     certifies pairs by explicit path enumeration under path_cap.
     """
+    cells_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for word in covering_words(gb, cfg, [max_degree] * pres.n, max_degree):
+        cells_of.setdefault(tuple(sorted(word)), []).append(word)
     out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(max_degree):
@@ -748,7 +768,7 @@ def survivor_words_by_content(
                 nxt.append(c + (i,))
         for c in nxt:
             try:
-                out[c] = fiber_survivor_words(gb, cfg, c)
+                out[c] = _fiber_survivors(gb, cfg, c, cells_of.get(c, []))
             except UnmatchedUnsaturatedCell:
                 out[c] = face_level_survivor_words(pres, gb, cfg, c, path_cap)
         frontier = nxt

@@ -75,12 +75,14 @@ class CriticalCell:
         return len(self.ranks) - 1
 
 
-def _assert_non_nested(intervals) -> None:
+def _assert_non_nested(intervals, labels) -> None:
     spans = [iv.span() for iv in intervals]
     for a in spans:
         for b in spans:
             if a != b and a[0] >= b[0] and a[1] <= b[1]:
-                raise InternalInvariantError(f"nested skipped intervals {a} in {b}")
+                raise InternalInvariantError(
+                    f"facet {labels}: nested skipped intervals {a} in {b}"
+                )
 
 
 # -- characterization from the Groebner data ---------------------------------
@@ -174,21 +176,21 @@ def msi_characterization(
     """Skipped intervals read off the labels alone: descents plus syzygy runs."""
     out = descent_intervals(cfg, facet) + syzygy_intervals(gb, cfg, facet)
     out.sort(key=lambda iv: iv.span())
-    _assert_non_nested(out)
+    _assert_non_nested(out, _labels_of(facet))
     return tuple(out)
 
 
-def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, content):
-    """The arrangements of content whose skipped intervals cover every gap.
+def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int):
+    """The words whose skipped intervals cover every gap, at most `length`
+    labels long, with label i used at most counts[i] times.
 
-    Gap g (1 <= g < m) lies between labels g-1 and g, as rank g of
-    msi_characterization.  A depth-first search appends one label at a
-    time, in the lexicographic order of the distinct arrangements, and
-    tracks the covered gaps and the start of the current weakly increasing
-    run.  A descent covers its own gap and closes the run; a weak ascent at
-    position b covers the gaps of every syzygy window (a, b) with a at or
-    after the run start.  Words of full length that cover every gap are
-    yielded.
+    Gap g (1 <= g < m) of a word of m labels lies between labels g-1 and g,
+    as rank g of msi_characterization.  A depth-first search appends one
+    label at a time and tracks the covered gaps and the start of the
+    current weakly increasing run.  A descent covers its own gap and closes
+    the run; a weak ascent at position b covers the gaps of every syzygy
+    window (a, b) with a at or after the run start.  Every word the search
+    reaches that covers all its gaps is yielded, the empty word included.
 
     The search cuts a branch when a descent closes a run with a gap left
     uncovered.  That is sound: a syzygy window is weakly increasing, so it
@@ -196,24 +198,30 @@ def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, content):
     alone.  No extension can add a window over a closed run's gaps, and
     descents cover only the gaps where they occur.  The still-open run is
     never cut, since a later window may yet cover its gaps.
+
+    One search serves a whole degree window (counts of `length` for every
+    label) as well as one content (that content's counts and size).  The
+    cut and the search state depend on the prefix alone, not on the
+    content a prefix is completed to, so the tree searched for a window is
+    exactly the union of the trees searched for each of its contents, and
+    a prefix shared by many contents is walked once.  Children are tried
+    in increasing label order, so the words of each content come out in
+    lexicographic order whichever way the search is bounded.
     """
     rank = cfg.order.label_rank
     windows = syzygy_windows(gb, cfg)
-    values = sorted(set(content))
-    m = len(content)
-    full = (1 << m) - 2 if m else 0  # gaps 1 .. m-1
-    # (word, remaining count per value, covered gap mask, run start)
-    stack = [((), tuple(list(content).count(v) for v in values), 0, 0)]
+    # (word, remaining count per label, covered gap mask, run start)
+    stack = [((), tuple(counts), 0, 0)]
     while stack:
         word, left, covered, start = stack.pop()
         b = len(word)
-        if b == m:
-            if covered == full:
-                yield word
+        if covered == ((1 << b) - 2 if b else 0):  # gaps 1 .. b-1
+            yield word
+        if b == length:
             continue
         children = []
-        for i, x in enumerate(values):
-            if not left[i]:
+        for x, k in enumerate(left):
+            if not k:
                 continue
             grown = word + (x,)
             cov, run = covered, start
@@ -227,7 +235,7 @@ def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, content):
                 for a in range(start, b):
                     if windows[grown[a:]]:
                         cov |= (1 << (b + 1)) - (1 << (a + 1))  # gaps a+1 .. b
-            children.append((grown, left[:i] + (left[i] - 1,) + left[i + 1 :], cov, run))
+            children.append((grown, left[:x] + (k - 1,) + left[x + 1 :], cov, run))
         stack.extend(reversed(children))
 
 
@@ -253,7 +261,7 @@ def direct_interval_system(facets: list[Facet], j: int) -> tuple[RankInterval, .
             )
         out.append(RankInterval(ranks[0], ranks[-1], "overlap"))
     out.sort(key=lambda iv: iv.span())
-    _assert_non_nested(out)
+    _assert_non_nested(out, facet.labels)
     return tuple(out)
 
 

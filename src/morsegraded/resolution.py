@@ -99,7 +99,9 @@ def morse_boundary(
                 continue
             up = partner.get(cur)
             if up is None:
-                raise InternalInvariantError(f"chain {cur} neither matched nor critical")
+                raise _resolution_breach(
+                    _grade(cur, zero), f"chain {cur} neither matched nor critical"
+                )
             if len(up) < len(cur):
                 flows[cur] = {}
                 continue
@@ -128,8 +130,9 @@ def morse_boundary(
 
     units = _unit_incidences(differentials, zero)
     if units and gb.degree <= 2:
-        raise InternalInvariantError(
-            f"unit incidence between equal multidegrees: {units[0][0]} -> {units[0][1]}"
+        hi, lo, _ = units[0]
+        raise _resolution_breach(
+            _grade(hi, zero), f"unit incidence between equal multidegrees: {hi} -> {lo}"
         )
     _assert_square_zero(differentials)
     tor: dict[tuple[int, Vector], int] = {}
@@ -137,6 +140,11 @@ def morse_boundary(
         key = (len(chain), grade)
         tor[key] = tor.get(key, 0) + 1
     return ResolutionData(critical, differentials, tor, units)
+
+
+def _resolution_breach(grade: Vector, what: str) -> InternalInvariantError:
+    """An invariant error naming the stage and the multidegree."""
+    return InternalInvariantError(f"resolution at {grade}: {what}")
 
 
 def _unit_incidences(differentials, zero) -> list[tuple[Chain, Chain, int]]:
@@ -160,4 +168,5 @@ def _assert_square_zero(differentials) -> None:
                 acc[key] = acc.get(key, 0) + c1 * c2
         bad = {k: v for k, v in acc.items() if v}
         if bad:
-            raise InternalInvariantError(f"boundary squared is nonzero: {bad}")
+            hi = min(bad)[0]  # a cell of d_i with i >= 2, so never empty
+            raise _resolution_breach(hi[-1], f"boundary squared is nonzero: {bad}")

@@ -1,5 +1,6 @@
 """Gradient paths, non-essential sets, and the cancellation engine."""
 
+import random
 from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
@@ -9,8 +10,12 @@ import morsegraded.cancellation as cancellation
 from morsegraded.chains import FacetOrderConfig
 from morsegraded.groebner import groebner_for
 from morsegraded.io import parse_input
-from morsegraded.orders import TermOrder
-from morsegraded.semigroup import SemigroupPresentation
+from morsegraded.orders import TermOrder, content_monomial
+from morsegraded.semigroup import (
+    SemigroupPresentation,
+    random_presentation,
+    standard_grading_functional,
+)
 from morsegraded.cancellation import (
     DEFAULT_PATH_CAP,
     GradientPath,
@@ -19,6 +24,7 @@ from morsegraded.cancellation import (
     cancel_interval,
     check_321_uniqueness,
     enumerate_gradient_paths,
+    face_level_survivor_words,
     fiber_survivor_words,
     is_321_avoiding,
     label_cell,
@@ -26,7 +32,11 @@ from morsegraded.cancellation import (
     survivor_words_by_content,
     transforming_permutation,
 )
-from morsegraded.errors import InternalInvariantError, PathCapExceeded
+from morsegraded.errors import (
+    InternalInvariantError,
+    PathCapExceeded,
+    UnmatchedUnsaturatedCell,
+)
 from morsegraded.morse import covering_words, verify_acyclic
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -399,6 +409,20 @@ def reference_cell_words(gb, cfg, content):
     return [w for w in sorted(set(permutations(content))) if label_cell(systems, w) is not None]
 
 
+def content_cell_words(gb, cfg, content):
+    """covering_words bounded to one content: its full-length words."""
+    counts = content_monomial(content, cfg.order.n)
+    return [w for w in covering_words(gb, cfg, counts, len(content)) if len(w) == len(content)]
+
+
+def window_cell_words(gb, cfg, degree):
+    """One covering_words search over the degree window, grouped by content."""
+    grouped = {}
+    for word in covering_words(gb, cfg, [degree] * cfg.order.n, degree):
+        grouped.setdefault(tuple(sorted(word)), []).append(word)
+    return grouped
+
+
 def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cyclic3):
     split = parse_input((FIXTURES / "cyclic_split3.json").read_text()).presentation
     rings = [(r.pres, r.gb, r.cfg, 6) for r in (squares, pair_swap, minor, cyclic3)]
@@ -409,21 +433,30 @@ def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cycli
     )
     assert [r[1].degree for r in rings[3:5]] == [3, 3]
     for pres, gb, cfg, degree in rings:
+        window = window_cell_words(gb, cfg, degree)
         for d in range(degree + 1):
             for content in combinations_with_replacement(range(pres.n), d):
                 want = reference_cell_words(gb, cfg, content)
-                assert list(covering_words(gb, cfg, content)) == want, content
+                assert content_cell_words(gb, cfg, content) == want, content
+                # the window search gives each content the same words, in order
+                assert window.pop(content, []) == want, content
+        assert window == {}
     # the empty word is a cell; so is every one-letter word
-    assert list(covering_words(squares.gb, squares.cfg, ())) == [()]
-    assert list(covering_words(squares.gb, squares.cfg, (3,))) == [(3,)]
+    assert content_cell_words(squares.gb, squares.cfg, ()) == [()]
+    assert content_cell_words(squares.gb, squares.cfg, (3,)) == [(3,)]
+    n = squares.pres.n
+    assert list(covering_words(squares.gb, squares.cfg, [1] * n, 1)) == [
+        (),
+        *((x,) for x in range(n)),
+    ]
 
 
 def test_fiber_survivors_label_only_covering_words(pair_swap, monkeypatch):
     emitted, labelled = [], []
     search, original = cancellation.covering_words, cancellation.label_cell
 
-    def spy_search(gb, cfg, content):
-        for word in search(gb, cfg, content):
+    def spy_search(gb, cfg, counts, length):
+        for word in search(gb, cfg, counts, length):
             emitted.append(word)
             yield word
 
@@ -435,9 +468,55 @@ def test_fiber_survivors_label_only_covering_words(pair_swap, monkeypatch):
     monkeypatch.setattr(cancellation, "covering_words", spy_search)
     monkeypatch.setattr(cancellation, "label_cell", spy_label)
     survivor_words_by_content(pair_swap.pres, pair_swap.gb, pair_swap.cfg, 6)
-    assert [w for w, _ in labelled] == emitted
+    # one search emits the whole window in preorder; each content's words,
+    # in order, are labelled.  The empty word's content is not in the window
+    by_content = {}
+    for word in emitted:
+        by_content.setdefault(tuple(sorted(word)), []).append(word)
+    assert by_content.pop(()) == [()]
+    window_order = sorted(by_content, key=lambda c: (len(c), c))
+    assert [w for w, _ in labelled] == [w for c in window_order for w in by_content[c]]
     assert all(ok for _, ok in labelled)
     assert len(labelled) == 1279  # the exhaustive filter labelled 55,986 words
+
+
+def sampled_label_rings():
+    """Eight seeded rings with relations at window 4.  The first two of
+    every four are standard-graded (each generator gets a leading
+    coordinate 1); every other ring is under graded-revlex with shuffled
+    priority instead of lex."""
+    rng = random.Random(20261019)
+    made = 0
+    while made < 8:
+        pres = random_presentation(rng, max_dimension=3, window_degree=4, face_budget=20_000)
+        if made % 4 < 2:
+            pres = SemigroupPresentation(pres.dimension + 1, [(1, *g) for g in pres.generators])
+        priority = list(range(pres.n))
+        rng.shuffle(priority)
+        order = TermOrder(pres.n, "graded-revlex", priority) if made % 2 else TermOrder(pres.n)
+        gb = groebner_for(pres, order, 4)
+        if gb.elements:
+            made += 1
+            yield pres, gb, FacetOrderConfig(order)
+
+
+def test_window_search_equals_per_content_search_on_sampled_rings():
+    # the twisted cubic strands a cell at degree 4, so some contents fall
+    # back to the face level
+    rings = [*sampled_label_rings(), _ring_from([(3, 0), (2, 1), (1, 2), (0, 3)], 4)]
+    graded, fallbacks = [], 0
+    for pres, gb, cfg in rings:
+        graded.append(standard_grading_functional(pres) is not None)
+        table = survivor_words_by_content(pres, gb, cfg, 4)
+        for content, words in table.items():
+            try:
+                want = fiber_survivor_words(gb, cfg, content)
+            except UnmatchedUnsaturatedCell:
+                fallbacks += 1
+                want = face_level_survivor_words(pres, gb, cfg, content)
+            assert words == want, (pres.generators, content)
+    assert any(graded) and not all(graded)
+    assert fallbacks
 
 
 def spy_systems(monkeypatch) -> list:
@@ -481,7 +560,9 @@ def test_cancel_cells_computes_no_system(name, lam, request, monkeypatch):
 
 
 def test_non_cell_from_covering_search_is_an_invariant_breach(squares, monkeypatch):
-    monkeypatch.setattr(cancellation, "covering_words", lambda gb, cfg, c: iter([(1, 3, 2, 4)]))
+    monkeypatch.setattr(
+        cancellation, "covering_words", lambda gb, cfg, counts, length: iter([(1, 3, 2, 4)])
+    )
     with pytest.raises(InternalInvariantError, match=r"\(1, 2, 3, 4\).*\(1, 3, 2, 4\)"):
         fiber_survivor_words(squares.gb, squares.cfg, (1, 2, 3, 4))
 

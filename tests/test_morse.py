@@ -67,6 +67,18 @@ def test_descending_witness_facet_system(squares):
     assert kinds == ["descent", "descent", "syzygy"]
 
 
+def test_nested_skipped_intervals_name_the_facet(squares, monkeypatch):
+    # plant a syzygy run over the descents at ranks 1 and 2
+    monkeypatch.setattr(
+        morse, "syzygy_intervals", lambda gb, cfg, facet: [RankInterval(1, 3, "syzygy")]
+    )
+    with pytest.raises(
+        InternalInvariantError,
+        match=r"^facet \(3, 2, 1, 4\): nested skipped intervals \(1, 1\) in \(1, 3\)$",
+    ):
+        msi_characterization(squares.gb, squares.cfg, (3, 2, 1, 4))
+
+
 def test_interspersed_witness_facet_system(squares):
     # descent at rank 1, syzygy run over labels 1,3,4 spanning ranks 2..3
     system = msi_characterization(squares.gb, squares.cfg, (2, 1, 3, 4))
@@ -201,7 +213,7 @@ def test_one_window_predicate_per_basis(squares, monkeypatch):
     assert made == [gb]
     assert tested and len(tested) == len(set(tested))
     # the covering search reads the same table and tests no window again
-    assert list(morse.covering_words(gb, squares.cfg, (0, 1, 1, 2, 3, 4)))
+    assert list(morse.covering_words(gb, squares.cfg, (1, 2, 1, 1, 1), 6))
     assert made == [gb] and len(tested) == len(set(tested))
 
 

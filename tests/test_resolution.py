@@ -60,7 +60,7 @@ def test_boundary_squared_zero_is_enforced(squares, monkeypatch):
         return honest(differentials, zero)
 
     monkeypatch.setattr(resolution, "_unit_incidences", flip_one_sign)
-    with pytest.raises(InternalInvariantError, match="boundary squared is nonzero"):
+    with pytest.raises(InternalInvariantError, match=r"^resolution at \(.*\): boundary squared"):
         resolve(squares, window)
 
 
@@ -85,12 +85,27 @@ def unmatch_one_pair(ring, window):
 
 def test_unit_incidence_is_enforced_on_quadratic_basis(squares, cyclic3):
     results = unmatch_one_pair(squares, squares.pres.degree_window(3))
-    with pytest.raises(InternalInvariantError, match="unit incidence between equal multidegrees"):
+    with pytest.raises(
+        InternalInvariantError, match=r"^resolution at \(.*\): unit incidence between equal"
+    ):
         morse_boundary(squares.pres, squares.gb, results)
     # beyond degree 2 the same incidence is a recorded finding
     results = unmatch_one_pair(cyclic3, cyclic3.pres.degree_window(3))
     data = morse_boundary(cyclic3.pres, cyclic3.gb, results)
     assert [coeff for _, _, coeff in data.unit_incidences] in ([1], [-1])
+
+
+def test_uncancelled_multidegree_is_named(squares):
+    # plant a hole: drop the cancellation of one multidegree of the window,
+    # so its chains are neither matched nor critical
+    window = squares.pres.degree_window(3)
+    results = {lam: cancel_interval(squares.pres, lam, squares.cfg, squares.gb) for lam in window}
+    del results[(2, 2, 0, 0)]
+    with pytest.raises(
+        InternalInvariantError,
+        match=r"^resolution at \(2, 2, 0, 0\): chain \(.*\(2, 2, 0, 0\)\) neither matched nor critical$",
+    ):
+        morse_boundary(squares.pres, squares.gb, results)
 
 
 def test_first_differential_coefficients(squares):
