@@ -11,11 +11,10 @@ integer polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .chains import FacetOrderConfig
-from .errors import CollectionEnumerationOverflow, MorsegradedError
+from .errors import CollectionEnumerationOverflow, InternalInvariantError, MorsegradedError
 from .groebner import GroebnerBasis, leading_ideal_member
 from .orders import content_monomial
 
@@ -362,184 +361,118 @@ class RationalSeries:
         return f"({poly(self.numerator)}) / ({poly(self.denominator)})"
 
 
-def _trim(auto: MorseAutomaton):
-    """Restrict to states both reachable and co-reachable."""
-    fwd: dict[int, list[tuple[int, int]]] = {}
-    back: dict[int, list[int]] = {}
-    for (s, letter), t in auto.transitions.items():
-        fwd.setdefault(s, []).append((letter, t))
-        back.setdefault(t, []).append(s)
-    reach = {auto.initial}
-    stack = [auto.initial]
-    while stack:
-        s = stack.pop()
-        for _, t in fwd.get(s, []):
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    core = set(auto.finals) & reach
-    stack = list(core)
-    while stack:
-        t = stack.pop()
-        for s in back.get(t, []):
-            if s in reach and s not in core:
-                core.add(s)
-                stack.append(s)
-    if auto.initial not in core:
-        return [], {}, set()
-    order = sorted(core)
-    idx = {s: i for i, s in enumerate(order)}
-    edges = {
-        (idx[s], letter): idx[t]
-        for (s, letter), t in auto.transitions.items()
-        if s in core and t in core
-    }
-    finals = {idx[s] for s in auto.finals if s in core}
-    return order, edges, finals
-
-
-def _minimize(n_states, n_labels, edges, finals, initial):
-    """Partition refinement with an implicit dead state."""
+def _minimize(auto: MorseAutomaton) -> MorseAutomaton | None:
+    """The minimal automaton of auto's language, or None if it is empty:
+    Moore refinement with an implicit dead state, numbered past the last."""
+    n_states, n_labels, edges = len(auto.states), auto.n_labels, auto.transitions
     dead = n_states
     classes = [0] * (n_states + 1)
-    for s in finals:
+    for s in auto.finals:
         classes[s] = 1
     while True:
-        signatures = {}
-        new_classes = [0] * (n_states + 1)
+        signatures: dict[tuple, int] = {}
+        new_classes = []
         for s in range(n_states + 1):
-            if s == dead:
-                sig = (classes[dead], tuple([classes[dead]] * n_labels))
-            else:
-                sig = (
-                    classes[s],
-                    tuple(classes[edges.get((s, a), dead)] for a in range(n_labels)),
-                )
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_classes[s] = signatures[sig]
+            sig = (classes[s], tuple(classes[edges.get((s, a), dead)] for a in range(n_labels)))
+            new_classes.append(signatures.setdefault(sig, len(signatures)))
         if new_classes == classes:
             break
         classes = new_classes
-    kept = sorted({classes[s] for s in range(n_states)} - {classes[dead]})
-    remap = {c: i for i, c in enumerate(kept)}
+    start = classes[auto.initial]
+    if start == classes[dead]:
+        return None
+    rep = {c: s for s, c in enumerate(classes)}
+    number = {start: 0}
+    walk = [start]
     m_edges: dict[tuple[int, int], int] = {}
-    for (s, a), t in edges.items():
-        cs, ct = classes[s], classes[t]
-        if cs in remap and ct in remap:
-            m_edges[(remap[cs], a)] = remap[ct]
-    m_finals = {remap[classes[s]] for s in finals if classes[s] in remap}
-    return len(kept), m_edges, m_finals, remap.get(classes[initial])
-
-
-def _int_det(matrix: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _interpolate_integer_poly(points: list[tuple[int, int]]) -> list[int]:
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
+    for c in walk:  # the walk appends each class it reaches
+        for a in range(n_labels):
+            d = classes[edges.get((rep[c], a), dead)]
+            if d == classes[dead]:
                 continue
-            denom *= xi - xj
-            basis = [Fraction(0)] + basis  # multiply by t
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise MorsegradedError("interpolated polynomial is not integral")
-        out.append(int(c))
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+            if d not in number:
+                number[d] = len(walk)
+                walk.append(d)
+            m_edges[(number[c], a)] = number[d]
+    finals = {number[c] for c in walk if rep[c] in auto.finals}
+    return MorseAutomaton(n_labels, list(range(len(walk))), 0, finals, m_edges)
+
+
+def _det_one_minus_tm(mat: list[list[int]]) -> list[int]:
+    """det(I - tM) for an integer matrix M, low degree first, by the
+    Faddeev-LeVerrier recurrence; see `rational_series` for the proof."""
+    n = len(mat)
+    den = [1]
+    m_k = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum(mat[i][l] * m_k[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        trace = sum(prod[i][i] for i in range(n))
+        if trace % k:
+            raise InternalInvariantError(f"series: trace {trace} not divisible by {k}")
+        den.append(-trace // k)
+        m_k = [[x + den[k] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(prod)]
+    while len(den) > 1 and den[-1] == 0:
+        den.pop()
+    return den
 
 
 def rational_series(auto: MorseAutomaton, verify_len: int = 8) -> RationalSeries:
-    """Transfer-matrix generating series, verified against direct counting."""
-    order, edges, finals = _trim(auto)
+    """Length generating series of auto's language, N(t) / det(I - tM).
+
+    M is the transfer matrix of `_minimize(auto)`: entry (s, t) counts the
+    letters from state s to state t.
+    - No trim pass.  Moore refinement puts two states in one class iff they
+      accept the same words.  A state that reaches no final state accepts
+      none, as the dead state does, so it is dropped with the dead class.
+      If the initial state is, the language is empty and the series 0 / 1.
+    - No unreachable states.  The states of a class agree on the class of
+      each successor, so class edges are well defined.  A path entering
+      the dead class stays there, so the words are the paths from the
+      initial class to a final one through the classes a walk from it
+      keeps: dead and unreachable states of auto leave M unchanged.
+    - Denominator.  det(I - tM) = t^n chi_M(1/t), so its t^k coefficient is
+      the coefficient c_{n-k} of chi_M.  With M_1 = I and
+      M_{k+1} = M M_k + c_{n-k} I, M_k = sum_{j<k} c_{n-j} M^{k-1-j}, and
+      Newton's identity k c_{n-k} = -sum_{j<k} c_{n-j} tr M^{k-j} reads
+      c_{n-k} = -tr(M M_k) / k (Faddeev-LeVerrier).  For an integer M every
+      c_j and M_k is integral, so each division is exact; a remainder is
+      an invariant breach.
+
+    The t^k coefficient u^T M^k v (u, v the initial and final indicators)
+    counts the words of length k; `count_words` reads it off the minimal
+    automaton.  The numerator u^T adj(I - tM) v has degree below n.  Checks:
+    counts on auto up to verify_len against the minimal automaton's, the
+    closed form against every counted coefficient, and the numerator
+    degree.  A failure is an `InternalInvariantError` of the series stage.
+    """
     direct = auto.count_words(verify_len)
-    if not order:
-        series = RationalSeries((0,), (1,))
-        if direct != [0] * (verify_len + 1):
-            raise MorsegradedError("empty trimmed automaton but words exist")
-        return series
-    n, m_edges, m_finals, initial = _minimize(
-        len(order), auto.n_labels, edges, finals, 0
-    )
+    minimal = _minimize(auto)
+    if minimal is None:
+        if any(direct):
+            raise InternalInvariantError("series: empty minimal automaton but words exist")
+        return RationalSeries((0,), (1,))
+    n = len(minimal.states)
     mat = [[0] * n for _ in range(n)]
-    for (s, _a), t in m_edges.items():
+    for (s, _a), t in minimal.transitions.items():
         mat[s][t] += 1
-    # denominator det(I - tM) by interpolation at integer points
-    points = []
-    for k in range(n + 1):
-        mk = [
-            [(1 if i == j else 0) - k * mat[i][j] for j in range(n)] for i in range(n)
-        ]
-        points.append((k, _int_det(mk)))
-    den = _interpolate_integer_poly(points)
-    # coefficients by iterating the initial vector
-    need = 2 * n + max(verify_len, len(den)) + 1
-    vec = [0] * n
-    vec[initial] = 1
-    coeffs = [1 if initial in m_finals else 0]
-    for _ in range(need):
-        nxt = [0] * n
-        for (s, _a), t in m_edges.items():
-            if vec[s]:
-                nxt[t] += vec[s]
-        vec = nxt
-        coeffs.append(sum(vec[s] for s in m_finals))
-    num = []
-    for k in range(len(coeffs)):
-        acc = 0
-        for j in range(min(k, len(den) - 1) + 1):
-            acc += den[j] * coeffs[k - j]
-        num.append(acc)
+    den = _det_one_minus_tm(mat)
+    coeffs = minimal.count_words(2 * n + max(verify_len, len(den)) + 1)
+    num = [
+        sum(den[j] * coeffs[k - j] for j in range(min(k, len(den) - 1) + 1))
+        for k in range(len(coeffs))
+    ]
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     if len(num) > 2 * n + 1:
-        raise MorsegradedError("numerator degree exceeds transfer-matrix bound")
-    # verify the closed form reproduces the full computed prefix
+        raise InternalInvariantError("series: numerator degree exceeds transfer-matrix bound")
     series = RationalSeries(tuple(num), tuple(den))
-    expanded = series.coefficients(len(coeffs))
-    if expanded != coeffs:
-        raise MorsegradedError("rational series failed self-verification")
+    if series.coefficients(len(coeffs)) != coeffs:
+        raise InternalInvariantError("series: rational series failed self-verification")
     if direct != coeffs[: verify_len + 1]:
-        raise MorsegradedError("transfer-matrix counts disagree with direct counting")
-    g = 0
-    for c in list(num) + list(den):
-        g = gcd(g, c)
+        raise InternalInvariantError("series: transfer-matrix counts disagree with direct counting")
+    g = gcd(*num, *den)
     if g > 1:
-        series = RationalSeries(
-            tuple(c // g for c in num), tuple(c // g for c in den)
-        )
+        series = RationalSeries(tuple(c // g for c in num), tuple(c // g for c in den))
     return series
 
 

@@ -51,23 +51,25 @@ def content_monomial(labels, n: int) -> Monomial:
     return tuple(exps)
 
 
-def _matrix_rank(rows: list[list[int]]) -> int:
+def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Q: the reduced row echelon form of the
+    rows, and the pivot column of each of its leading nonzero rows."""
     m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
 
 
 class TermOrder:
@@ -102,7 +104,7 @@ class TermOrder:
                     raise ValidationError(
                         "weight matrix does not keep 1 minimal (bad column %d)" % col
                     )
-            if _matrix_rank(rows) != n:
+            if len(row_reduce(rows)[1]) != n:
                 raise ValidationError("weight matrix is rank-deficient: not a term order")
             self.rows = tuple(tuple(r) for r in rows)
         elif rows is not None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotComparable, ValidationError
+from .orders import row_reduce
 
 Vector = tuple[int, ...]
 
@@ -275,26 +276,10 @@ class SemigroupPresentation:
 
 def standard_grading_functional(pres: SemigroupPresentation) -> tuple[Fraction, ...] | None:
     """Rational w with w . generator = 1 for all generators, if one exists."""
-    rows = [[Fraction(c) for c in g] + [Fraction(1)] for g in pres.generators]
     cols = pres.dimension
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][cols] != 0:
-            return None
+    rows, pivots = row_reduce([list(g) + [1] for g in pres.generators])
+    if cols in pivots:
+        return None  # some combination of the rows reads 0 = 1
     w = [Fraction(0)] * cols
     for k, c in enumerate(pivots):
         w[c] = rows[k][cols]

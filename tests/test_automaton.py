@@ -1,6 +1,7 @@
 """Language construction, rational series, commutation classes."""
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb
 from pathlib import Path
@@ -21,7 +22,11 @@ from morsegraded.automaton import (
 )
 from morsegraded.cancellation import survivor_words_by_content
 from morsegraded.chains import FacetOrderConfig
-from morsegraded.errors import CollectionEnumerationOverflow, MorsegradedError
+from morsegraded.errors import (
+    CollectionEnumerationOverflow,
+    InternalInvariantError,
+    MorsegradedError,
+)
 from morsegraded.groebner import (
     buchberger,
     groebner_for,
@@ -585,3 +590,117 @@ def test_language_equals_survivors_degree3_fixtures(name):
     table = survivor_words_by_content(pres, gb, cfg, 5)
     survivors = {tuple(reversed(w)) for words in table.values() for w in words}
     assert accepted_word_set(auto, 5) == survivors
+
+
+# -- the series route: minimisation, Faddeev-LeVerrier, breaches ---------------
+
+
+def hand_built(n_labels, n_states, finals, edges):
+    return MorseAutomaton(n_labels, list(range(n_states)), 0, set(finals), dict(edges))
+
+
+# the words a b^k: 0 -a-> 1, 1 -b-> 1, state 1 final; series t / (1 - t)
+A_B_STAR = {(0, 0): 1, (1, 1): 1}
+
+
+def test_series_of_empty_language():
+    no_finals = hand_built(1, 1, [], {(0, 0): 0})
+    # state 2 is final, but no word leads to it
+    unreachable_final = hand_built(2, 3, [2], {(0, 0): 1, (1, 1): 1, (2, 0): 0})
+    for auto in (no_finals, unreachable_final):
+        assert automaton._minimize(auto) is None
+        series = rational_series(auto)
+        assert (series.numerator, series.denominator) == ((0,), (1,))
+        assert series.render() == "(0) / (1)"
+
+
+def test_dead_branch_and_unreachable_state_leave_the_series():
+    base = hand_built(2, 2, [1], A_B_STAR)
+    # 0 -b-> 2 <-a-> 3 never reaches a final state
+    dead = hand_built(2, 4, [1], {**A_B_STAR, (0, 1): 2, (2, 0): 3, (3, 0): 2})
+    # state 2 is final and leads into the language, but nothing leads to it
+    unreachable = hand_built(2, 3, [1, 2], {**A_B_STAR, (2, 0): 0, (2, 1): 2})
+    want = rational_series(base)
+    assert (want.numerator, want.denominator) == ((0, 1), (1, -1))
+    for auto in (dead, unreachable):
+        assert rational_series(auto) == want
+        assert automaton._minimize(auto).to_json() == automaton._minimize(base).to_json()
+
+
+def test_dead_and_unreachable_states_added_to_squares(squares):
+    auto = build_quadratic_automaton(squares.gb, squares.cfg)
+    n = len(auto.states)
+    s, letter = next(
+        (s, a) for s in range(n) for a in range(auto.n_labels) if (s, a) not in auto.transitions
+    )
+    edges = dict(auto.transitions)
+    edges[(s, letter)] = n  # a dead cycle n <-> n + 1
+    edges[(n, 0)] = n + 1
+    edges[(n + 1, 0)] = n
+    for a in range(auto.n_labels):  # an unreachable final state n + 2
+        edges[(n + 2, a)] = auto.initial
+    padded = MorseAutomaton(
+        auto.n_labels, list(range(n + 3)), auto.initial, auto.finals | {n + 2}, edges
+    )
+    assert rational_series(padded, verify_len=6) == rational_series(auto, verify_len=6)
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def test_faddeev_leverrier_equals_determinant_of_i_minus_km():
+    rng = random.Random(20)
+    for trial in range(60):
+        n = trial % 8
+        low = -3 if trial % 2 else 0  # transfer matrices are nonnegative
+        mat = [[rng.randint(low, 3) for _ in range(n)] for _ in range(n)]
+        poly = automaton._det_one_minus_tm(mat)
+        assert poly[0] == 1 and len(poly) <= n + 1
+        for k in range(n + 1):
+            value = sum(c * k**j for j, c in enumerate(poly))
+            i_minus_km = [[(i == j) - k * mat[i][j] for j in range(n)] for i in range(n)]
+            assert value == fraction_det(i_minus_km), (mat, k)
+
+
+def test_inexact_faddeev_leverrier_division_is_a_breach():
+    with pytest.raises(InternalInvariantError, match=r"^series: trace 1/2 not divisible by 1"):
+        automaton._det_one_minus_tm([[Fraction(1, 2)]])
+
+
+def miscount_last(monkeypatch, when=lambda max_len: True):
+    original = MorseAutomaton.count_words
+
+    def miscount(self, max_len):
+        counts = original(self, max_len)
+        counts[-1] += when(max_len)
+        return counts
+
+    monkeypatch.setattr(MorseAutomaton, "count_words", miscount)
+
+
+def test_series_breaches_name_the_stage(squares, monkeypatch):
+    auto = build_quadratic_automaton(squares.gb, squares.cfg)
+    empty = hand_built(1, 1, [], {(0, 0): 0})
+    miscount_last(monkeypatch, when=lambda max_len: max_len == 5)
+    with pytest.raises(InternalInvariantError, match="^series: transfer-matrix counts disagree"):
+        rational_series(auto, verify_len=5)
+    with pytest.raises(InternalInvariantError, match="^series: empty minimal automaton"):
+        rational_series(empty, verify_len=5)
+    miscount_last(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="^series: numerator degree exceeds"):
+        rational_series(auto, verify_len=5)

@@ -309,7 +309,25 @@ MALFORMED = {
         '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
         ' "term_order": {"kind": "lex", "rows": [[1, 0], [0, 1]]}}'
     ),
+    "weight rows not an array": (
+        '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
+        ' "term_order": {"kind": "weight-matrix", "rows": 5}}'
+    ),
 }
+
+# a full-rank weight matrix on three generators with one entry replaced;
+# int() would coerce each of these to 1 and run a different order
+WEIGHT_ROWS = '[[{}, 1, 1], [0, 0, 1], [0, 1, 0]]'
+PRIORITY = '[{}, 0, 2]'
+for _entry, _kind in (("1.5", "fractional"), ('"1"', "string"), ("true", "boolean")):
+    MALFORMED[f"{_kind} weight-matrix entry"] = (
+        '{"dimension": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+        ' "term_order": {"kind": "weight-matrix", "rows": %s}}' % WEIGHT_ROWS.format(_entry)
+    )
+    MALFORMED[f"{_kind} priority entry"] = (
+        '{"dimension": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+        ' "term_order": {"kind": "lex", "priority": %s}}' % PRIORITY.format(_entry)
+    )
 
 
 def assert_one_error_line(capsys):
@@ -484,6 +502,27 @@ def test_cancellation_breach_names_multidegree_and_facets(capsys):
     assert len(lines) == 1
     assert "cancellation at (8, 1, 9): facets (" in lines[0]
     assert "matched cells must differ in dimension by exactly one" in lines[0]
+
+
+def test_series_breach_exits_2(monkeypatch, capsys):
+    """A miscounting count_words breaks the series' numerator bound: one
+    breach line naming the series stage, exit 2, no report."""
+    from morsegraded.automaton import MorseAutomaton
+
+    original = MorseAutomaton.count_words
+
+    def miscount(self, max_len):
+        counts = original(self, max_len)
+        counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(MorseAutomaton, "count_words", miscount)
+    code = main(["--input", str(FIXTURES / "squares.json"), "--command", "series"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal invariant breach: series: ")
 
 
 @pytest.mark.xfail(

@@ -1,6 +1,7 @@
 """Term orders against the reference comparator in conftest."""
 
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import reference_compare
 from morsegraded.errors import ValidationError
-from morsegraded.orders import KINDS, TermOrder
+from morsegraded.orders import KINDS, TermOrder, row_reduce
 
 
 WEIGHT_ROWS = (
@@ -107,3 +108,13 @@ def test_totality_on_small_support():
         a, b, c = tri
         if order.compare(a, b) <= 0 and order.compare(b, c) <= 0:
             assert order.compare(a, c) <= 0
+
+
+def test_row_reduce_is_gauss_jordan_over_q():
+    rows, pivots = row_reduce([[2, 4, 1], [1, 2, 0], [3, 6, 1]])
+    assert pivots == [0, 2]
+    assert rows == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+    rows, pivots = row_reduce([[0, 3], [2, 1]])
+    assert pivots == [0, 1] and rows == [[1, 0], [0, 1]]
+    assert row_reduce([[Fraction(1, 2), 1]]) == ([[1, 2]], [0])
+    assert row_reduce([]) == ([], [])
