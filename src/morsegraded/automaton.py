@@ -11,7 +11,6 @@ integer polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .chains import FacetOrderConfig
 from .errors import CollectionEnumerationOverflow, InternalInvariantError, MorsegradedError
@@ -333,14 +332,14 @@ class RationalSeries:
         den = list(self.denominator)
         num = list(self.numerator)
         if not den or den[0] == 0:
-            raise MorsegradedError("denominator has zero constant term")
+            raise InternalInvariantError("series: denominator has zero constant term")
         out = []
         for k in range(count):
             acc = num[k] if k < len(num) else 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * out[k - j]
             if acc % den[0]:
-                raise MorsegradedError("series expansion is not integral")
+                raise InternalInvariantError("series: expansion is not integral")
             out.append(acc // den[0])
         return out
 
@@ -440,10 +439,13 @@ def rational_series(auto: MorseAutomaton, verify_len: int = 8) -> RationalSeries
 
     The t^k coefficient u^T M^k v (u, v the initial and final indicators)
     counts the words of length k; `count_words` reads it off the minimal
-    automaton.  The numerator u^T adj(I - tM) v has degree below n.  Checks:
-    counts on auto up to verify_len against the minimal automaton's, the
-    closed form against every counted coefficient, and the numerator
-    degree.  A failure is an `InternalInvariantError` of the series stage.
+    automaton.  The numerator u^T adj(I - tM) v has degree below n, and it
+    is the denominator times the counted series, truncated.  Checks: counts
+    on auto up to verify_len against the minimal automaton's, and the
+    numerator degree over every counted coefficient.  A failure is an
+    `InternalInvariantError` of the series stage.  The denominator's
+    constant term is 1, so the closed form expands to the counted
+    coefficients by construction, and its coefficients share no factor.
     """
     direct = auto.count_words(verify_len)
     minimal = _minimize(auto)
@@ -463,17 +465,11 @@ def rational_series(auto: MorseAutomaton, verify_len: int = 8) -> RationalSeries
     ]
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    if len(num) > 2 * n + 1:
+    if len(num) > n:
         raise InternalInvariantError("series: numerator degree exceeds transfer-matrix bound")
-    series = RationalSeries(tuple(num), tuple(den))
-    if series.coefficients(len(coeffs)) != coeffs:
-        raise InternalInvariantError("series: rational series failed self-verification")
     if direct != coeffs[: verify_len + 1]:
         raise InternalInvariantError("series: transfer-matrix counts disagree with direct counting")
-    g = gcd(*num, *den)
-    if g > 1:
-        series = RationalSeries(tuple(c // g for c in num), tuple(c // g for c in den))
-    return series
+    return RationalSeries(tuple(num), tuple(den))
 
 
 # -- commutation classes -----------------------------------------------------------

@@ -11,31 +11,48 @@ complex to the whole interval's dimension, so Betti tuples keep their
 length.  Nothing here touches the Morse pipeline.
 
 A face is a vertex bitmask, and a boundary column is the pair (plus, minus)
-of bitmasks of the rows where it is +1 and -1.  That pair is the input of
-the F_3 kernel as its two trit planes, its OR is the F_2 column, and Q and
-the other primes expand it into sparse entries.
+of bitmasks of the rows where it is +1 and -1: an integer vector with
+entries in {-1, 0, 1}.
 
-`betti_numbers` is the one routine behind every Betti number.  It builds
-each boundary map of a complex once and ranks its columns over every
-requested field, top dimension first, with clearing: a column of d_k whose
-index is the pivot lead of the reduced d_{k+1} is skipped.  That reduced
-column is a boundary, hence a cycle, whose entry at its lead is nonzero, so
-the skipped face's boundary lies in the span of the remaining columns and
-the rank is unchanged over any field.
+`betti_numbers` is the one routine behind every Betti number, over every
+field at once.  It eliminates each boundary map of a complex once, over Z,
+top dimension first, and every requested field reads its ranks off the
+same invariant factors.
 
-Ranks over F_2 and F_3 use bitsliced elimination, other primes sparse
-modular elimination, Q fraction-free integer elimination.  Rational Betti
-numbers are read off the prime fields when a certificate holds: F_2 is
-always ranked when Q is asked for, and with m_i the least b~_i over the
-ranked primes, universal coefficients give b~_i(Q) <= m_i while the reduced
-Euler characteristic is the same over every field.  So if the nonzero m_i
-all sit in degrees of one parity and sum (-1)^i m_i is the reduced Euler
-characteristic, then b~(Q) = m.  Otherwise the exact rational elimination
-runs.  Smith normal form (torsion) only on demand.
+Unit pivots.  `_unit_pivots` reduces each column at its highest nonzero
+row by +-1 times the pivot there, and declines as soon as an entry would
+leave {-1, 0, 1}.  So each pivot is an integer combination of the columns
+with entry 1 at its lead, and no two pivots share a lead.  Each step
+subtracts an integer multiple of a pivot, which is invertible over Z, and
+each column ends as zero or as a pivot, so the pivots span the columns'
+lattice.  A pivot is zero above its lead, so with the pivots ordered by
+lead, their entries at the lead rows form a unitriangular matrix; the
+pivots and the unit vectors of the other rows are a basis of Z^rows.  The
+lattice is a direct summand, every invariant factor is 1, and the rank
+over every field is the number of pivots.
+
+Clearing.  A column of d_k whose index is the lead of a pivot of the
+reduced d_{k+1} is skipped.  Let P hold those pivots, and split its rows,
+and the columns of d_k, into the leads L and the rest K.  Each pivot is a
+boundary, hence a cycle: d_k P = 0 reads A_L P_L = -A_K P_K, and P_L is
+unitriangular, hence invertible over Z.  So every skipped column is an
+integer combination of the kept ones, the kept columns span the lattice
+of all of d_k, and they have its invariant factors (Chen-Kerber,
+"Persistent homology computation with a twist", 2011, over a field; the
+unitriangular block carries the argument to Z).
+
+The fallback.  Where the unit route declines, the dense Smith normal form
+of that map's kept columns gives its invariant factors, and the rank over
+a field of characteristic c counts the factors c does not divide (all of
+them over Q).  It yields no leads, so the next map down is ranked whole.
+The 6-vertex RP^2 declines and has F_2 Betti numbers (0, 0, 1, 1) against
+(0, 0, 0, 0) over Q.  `integral_homology`, torsion included, runs the
+Smith normal form of every whole map, as the tests' reference.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from math import gcd
 
@@ -96,8 +113,8 @@ def order_complex(ivl: IntervalData) -> OrderComplex:
     equivalent to that of the open interval (Stong, Trans. AMS 123, 1966;
     McCord, Duke Math. J. 33, 1966; Barmak, LNM 2032, 2011), and reduced
     integral homology, torsion included, is unchanged.  Hence so is every
-    Betti number over every field, and the Euler characteristic that
-    `rational_from_primes` reads.  The empty layers have no homology.
+    Betti number over every field, and the Euler characteristic.  The
+    empty layers have no homology.
 
     A face grows by a core vertex above its highest one, so faces of each
     dimension come out in lexicographic order.  The padding is the longest
@@ -174,109 +191,63 @@ def boundary_matrix(cx: OrderComplex, d: int) -> list[Column]:
     return cols
 
 
-# Each elimination kernel returns its pivots keyed by lead row.  A pivot is
-# a combination of input columns whose entry at its lead is nonzero, and no
-# two pivots share a lead: the rank is their number, and clearing skips the
-# columns of the next boundary map down whose indices are the leads.
+def _unit_pivots(columns: list[Column]) -> dict[int, Column] | None:
+    """Integer column elimination with unit leads: the pivots by lead row,
+    or None where an entry leaves {-1, 0, 1}.
 
-
-def _entries(column: Column, minus_one: int = -1) -> dict[int, int]:
-    """A column's nonzero entries by row, with -1 written as minus_one."""
-    plus, minus = column
-    col = dict.fromkeys(bit_indices(plus), 1)
-    col.update(dict.fromkeys(bit_indices(minus), minus_one))
-    return col
-
-
-def _pivots_rational(columns: list[Column]) -> dict[int, dict[int, int]]:
-    """Fraction-free sparse elimination; rank over Q equals rank over Z."""
-    pivots: dict[int, dict[int, int]] = {}
-    for col in sorted(map(_entries, columns), key=len):
-        while col:
-            lead = min(col)
-            piv = pivots.get(lead)
-            if piv is None:
-                g = 0
-                for v in col.values():
-                    g = gcd(g, v)
-                pivots[lead] = {k: v // g for k, v in col.items()}
-                break
-            a, b = piv[lead], col[lead]
-            merged: dict[int, int] = {}
-            for k, v in col.items():
-                merged[k] = a * v
-            for k, v in piv.items():
-                merged[k] = merged.get(k, 0) - b * v
-            col = {k: v for k, v in merged.items() if v}
-            if col:
-                g = 0
-                for v in col.values():
-                    g = gcd(g, v)
-                col = {k: v // g for k, v in col.items()}
-    return pivots
-
-
-def _pivots_mod_2(columns: list[Column]) -> dict[int, int]:
-    """Bitset elimination: each column is one integer, rows are bit indexes."""
-    pivots: dict[int, int] = {}
-    for v in sorted((plus | minus for plus, minus in columns), key=int.bit_count):
-        while v:
-            lead = v.bit_length() - 1
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = v
-                break
-            v ^= piv
-    return pivots
-
-
-def _pivots_mod_3(columns: list[Column]) -> dict[int, Column]:
-    """Bitsliced GF(3) elimination: a column is a (ones, twos) bit pair,
-    which is (plus, minus) since -1 == 2."""
-
-    def add(a, b):
-        a1, a2 = a
-        b1, b2 = b
-        s1 = (a1 & ~b1 & ~b2) | (~a1 & ~a2 & b1) | (a2 & b2)
-        s2 = (a2 & ~b1 & ~b2) | (~a1 & ~a2 & b2) | (a1 & b1)
-        mask = a1 | a2 | b1 | b2
-        return (s1 & mask, s2 & mask)
-
+    A column's lead is its highest nonzero row.  A column whose lead holds
+    a pivot subtracts +-1 times that pivot, which clears the lead; a column
+    whose lead is free becomes the pivot there, negated if its lead entry
+    is -1.  Both stay (plus, minus) pairs as long as no row meets a +1 and
+    a -1 in one subtraction; such a row would hold +-2, and the elimination
+    declines, so every lead of a returned pivot is 1.
+    """
     pivots: dict[int, Column] = {}
-    for v in columns:
-        while v[0] | v[1]:
-            lead = (v[0] | v[1]).bit_length() - 1
+    for plus, minus in columns:
+        while plus | minus:
+            lead = (plus | minus).bit_length() - 1
             piv = pivots.get(lead)
             if piv is None:
-                if v[1] >> lead & 1:
-                    v = (v[1], v[0])  # normalize lead coefficient to 1
-                pivots[lead] = v
+                pivots[lead] = (plus, minus) if plus >> lead & 1 else (minus, plus)
                 break
-            # subtract coeff * pivot: -1 == +2 swaps the trit planes
-            if v[0] >> lead & 1:
-                v = add(v, (piv[1], piv[0]))
-            else:
-                v = add(v, piv)
+            p, m = piv if plus >> lead & 1 else (piv[1], piv[0])
+            if plus & m or minus & p:
+                return None
+            plus, minus = (plus & ~p) | (m & ~minus), (minus & ~m) | (p & ~plus)
     return pivots
 
 
-def _pivots_mod_p(columns: list[Column], p: int) -> dict[int, dict[int, int]]:
-    pivots: dict[int, dict[int, int]] = {}
-    for col in sorted((_entries(c, p - 1) for c in columns), key=len):
-        while col:
-            lead = min(col)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(col[lead], -1, p)
-                pivots[lead] = {k: v * inv % p for k, v in col.items()}
-                break
-            b = col[lead]
-            col = {
-                k: v
-                for k in set(col) | set(piv)
-                if (v := (col.get(k, 0) - b * piv.get(k, 0)) % p)
-            }
-    return pivots
+def _dense(columns: list[Column]) -> list[list[int]]:
+    """The integer matrix with these columns, down to its last nonzero row."""
+    rows = max(((plus | minus).bit_length() for plus, minus in columns), default=0)
+    dense = [[0] * len(columns) for _ in range(rows)]
+    for j, (plus, minus) in enumerate(columns):
+        for i in bit_indices(plus):
+            dense[i][j] = 1
+        for i in bit_indices(minus):
+            dense[i][j] = -1
+    return dense
+
+
+def _invariant_factors(columns: list[Column]) -> tuple[list[int], Collection[int]]:
+    """The nonzero invariant factors of the integer matrix with these
+    columns, and the lead rows that clearing may skip.
+
+    Unit pivots prove the factors all 1, and their leads are the rows;
+    otherwise the dense Smith normal form gives the factors, and no row.
+    """
+    pivots = _unit_pivots(columns)
+    if pivots is None:
+        return smith_normal_form(_dense(columns)), ()
+    return [1] * len(pivots), pivots.keys()
+
+
+def _field_rank(factors: list[int], characteristic: int) -> int:
+    """The rank over a field: the invariant factors its characteristic
+    does not divide."""
+    if characteristic == 0:
+        return len(factors)
+    return sum(t % characteristic != 0 for t in factors)
 
 
 def matrix_rank(
@@ -284,77 +255,38 @@ def matrix_rank(
 ) -> int:
     """Rank of (plus, minus) columns over Q (characteristic 0) or F_p.
 
-    When `leads` is given, the lead row of every pivot is added to it: the
-    columns of the next boundary map down that clearing skips.
+    When `leads` is given and the unit elimination succeeds, the lead row of
+    every pivot is added to it: the columns of the next boundary map down
+    that clearing skips.
     """
-    if characteristic == 0:
-        pivots = _pivots_rational(columns)
-    elif characteristic == 2:
-        pivots = _pivots_mod_2(columns)
-    elif characteristic == 3:
-        pivots = _pivots_mod_3(columns)
-    else:
-        pivots = _pivots_mod_p(columns, characteristic)
+    factors, rows = _invariant_factors(columns)
     if leads is not None:
-        leads.update(pivots)
-    return len(pivots)
-
-
-def _cleared_betti(
-    cx: OrderComplex, columns: list[list[Column]], characteristic: int
-) -> tuple[int, ...]:
-    """Betti numbers from the boundary maps ranked top-down with clearing."""
-    ranks = [0] * (cx.dim + 2)
-    leads: set[int] = set()
-    for d in range(cx.dim, -1, -1):
-        kept = [col for k, col in enumerate(columns[d]) if k not in leads]
-        leads = set()
-        ranks[d] = matrix_rank(kept, characteristic, leads)
-    return (1 - ranks[0],) + tuple(
-        cx.face_count(d) - ranks[d] - ranks[d + 1] for d in range(cx.dim + 1)
-    )
-
-
-def rational_from_primes(
-    cx: OrderComplex, prime_betti: list[tuple[int, ...]]
-) -> tuple[int, ...] | None:
-    """Rational reduced Betti numbers certified by prime-field ones, or None.
-
-    Universal coefficients give 0 <= b~_i(Q) <= b~_i(F_p) for every prime
-    p, and the reduced Euler characteristic sum (-1)^i b~_i is the same over
-    every field.  Let m_i be the least b~_i(F_p) over the given primes.  If
-    the nonzero m_i all sit in degrees of one parity, then
-    |sum (-1)^i b~_i(Q)| <= sum m_i with equality only at b~(Q) = m, so an
-    alternating sum of m equal to the reduced Euler characteristic proves
-    b~(Q) = m.
-    """
-    least = tuple(map(min, zip(*prime_betti)))
-    parities = {i % 2 for i, b in enumerate(least, start=-1) if b}
-    alternating = sum(-b if i % 2 else b for i, b in enumerate(least, start=-1))
-    if len(parities) <= 1 and alternating == cx.euler_characteristic() - 1:
-        return least
-    return None
+        leads.update(rows)
+    return _field_rank(factors, characteristic)
 
 
 def betti_numbers(cx: OrderComplex, characteristics) -> dict[int, tuple[int, ...]]:
     """Reduced Betti numbers b~_{-1} .. b~_dim over every requested field.
 
-    Each boundary map is built once and shared by the fields.  Q is taken
-    from the prime fields (F_2 added if absent) when `rational_from_primes`
-    certifies it, and from fraction-free elimination otherwise.
+    The boundary maps are eliminated once over Z, top dimension first with
+    clearing, and every field reads its ranks off the same invariant
+    factors.
     """
     wanted = tuple(dict.fromkeys(characteristics))
     if cx.dim < 0 or not wanted:
         return {c: (1,) for c in wanted}
-    primes = [c for c in wanted if c != 0]
-    if 0 in wanted and 2 not in primes:
-        primes.append(2)
-    columns = [boundary_matrix(cx, d) for d in range(cx.dim + 1)]
-    betti = {p: _cleared_betti(cx, columns, p) for p in primes}
-    if 0 in wanted:
-        rational = rational_from_primes(cx, list(betti.values()))
-        betti[0] = rational if rational is not None else _cleared_betti(cx, columns, 0)
-    return {c: betti[c] for c in wanted}
+    factors: list[list[int]] = [[] for _ in range(cx.dim + 2)]
+    leads: Collection[int] = ()
+    for d in range(cx.dim, -1, -1):
+        kept = [col for k, col in enumerate(boundary_matrix(cx, d)) if k not in leads]
+        factors[d], leads = _invariant_factors(kept)
+    betti = {}
+    for c in wanted:
+        ranks = [_field_rank(f, c) for f in factors]
+        betti[c] = (1 - ranks[0],) + tuple(
+            cx.face_count(d) - ranks[d] - ranks[d + 1] for d in range(cx.dim + 1)
+        )
+    return betti
 
 
 def reduced_betti(cx: OrderComplex, characteristic: int = 0) -> tuple[int, ...]:
@@ -419,11 +351,7 @@ def integral_homology(cx: OrderComplex) -> list[tuple[int, list[int]]]:
     # snf[d + 1]: the Smith diagonal of the boundary map out of dimension d
     snf = [[]]
     for d in range(cx.dim + 1):
-        dense = [[0] * cx.face_count(d) for _ in range(cx.face_count(d - 1))]
-        for j, col in enumerate(boundary_matrix(cx, d)):
-            for i, v in _entries(col).items():
-                dense[i][j] = v
-        snf.append(smith_normal_form(dense))
+        snf.append(smith_normal_form(_dense(boundary_matrix(cx, d))))
     snf.append([])
     return [
         (cx.face_count(d) - len(snf[d + 1]) - len(snf[d + 2]), [t for t in snf[d + 2] if t > 1])

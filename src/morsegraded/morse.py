@@ -253,7 +253,9 @@ def direct_interval_system(facets: list[Facet], j: int) -> tuple[RankInterval, .
     out = []
     for skipped in maximal_overlaps(facets, j):
         if not skipped:
-            raise InternalInvariantError("duplicate facet in overlap computation")
+            raise InternalInvariantError(
+                f"facet {facet.labels}: duplicate facet in overlap computation"
+            )
         ranks = skipped_ranks(skipped)
         if not is_run(skipped):
             raise CrossingViolation(

@@ -72,13 +72,22 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
+def _integers(value, what: str) -> tuple[int, ...]:
+    """A list or tuple of ints as a tuple; anything else, a bool or a float
+    entry included, is a ValidationError."""
+    if not isinstance(value, (list, tuple)) or not all(type(x) is int for x in value):
+        raise ValidationError(f"{what} must be an array of integers, got {value!r}")
+    return tuple(value)
+
+
 class TermOrder:
     """A total multiplicative order with 1 minimal.
 
     priority lists variable indices from highest to lowest and must be a
     permutation of range(n).  For weight-matrix orders the rows must have
     full rank n (totality) and every column's topmost nonzero entry must be
-    positive (1 is minimal); both are checked at construction.
+    positive (1 is minimal).  Every entry must be an int, not a bool or a
+    float.  All of this is checked at construction.
     """
 
     def __init__(self, n: int, kind: str = "lex", priority=None, rows=None):
@@ -88,14 +97,14 @@ class TermOrder:
         self.kind = kind
         if priority is None:
             priority = tuple(range(n - 1, -1, -1))
-        self.priority = tuple(priority)
+        self.priority = _integers(priority, "priority")
         if sorted(self.priority) != list(range(n)):
             raise ValidationError("priority must be a permutation of the variables")
         self.rows = None
         if kind == "weight-matrix":
-            if not rows:
-                raise ValidationError("weight-matrix order needs at least one row")
-            rows = [list(map(int, r)) for r in rows]
+            if not isinstance(rows, (list, tuple)) or not rows:
+                raise ValidationError(f"weight-matrix order needs an array of rows, got {rows!r}")
+            rows = [_integers(r, "a weight-matrix row") for r in rows]
             if any(len(r) != n for r in rows):
                 raise ValidationError("weight rows must have length n")
             for col in range(n):
@@ -106,7 +115,7 @@ class TermOrder:
                     )
             if len(row_reduce(rows)[1]) != n:
                 raise ValidationError("weight matrix is rank-deficient: not a term order")
-            self.rows = tuple(tuple(r) for r in rows)
+            self.rows = tuple(rows)
         elif rows is not None:
             raise ValidationError("rows only apply to weight-matrix orders")
         # label order: the restriction to degree-one monomials, as ranks

@@ -10,6 +10,7 @@ from __future__ import annotations
 from .automaton import build_degree_d_automaton, commutation_classes, rational_series
 from .cancellation import CancellationResult, cancel_interval, survivor_words_by_content
 from .chains import FacetOrderConfig
+from .errors import InternalInvariantError
 from .groebner import GroebnerBasis
 from .homology import BettiTable, tor_tables, verify_vanishing
 from .morse import FaceMatching, direct_interval_system
@@ -21,12 +22,18 @@ def characterization_matches_direct(fm: FaceMatching) -> bool:
     """Do the matching's Groebner-read systems equal the overlap-defined ones?
 
     direct_interval_system raises CrossingViolation where the facet order
-    breaks the crossing condition.
+    breaks the crossing condition.  Every facet's direct system is built
+    before any is compared, so a False answer still certifies the crossing
+    condition, and a breach is re-raised with the stage and the multidegree
+    in front.
     """
+    try:
+        direct = [direct_interval_system(fm.facets, j) for j in range(len(fm.facets))]
+    except InternalInvariantError as exc:
+        raise type(exc)(f"characterization at {fm.ivl.top}: {exc}") from exc
     return all(
-        tuple(iv.span() for iv in direct_interval_system(fm.facets, j))
-        == tuple(iv.span() for iv in system)
-        for j, system in enumerate(fm.systems)
+        tuple(iv.span() for iv in a) == tuple(iv.span() for iv in b)
+        for a, b in zip(direct, fm.systems)
     )
 
 

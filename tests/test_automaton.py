@@ -15,6 +15,7 @@ from morsegraded.automaton import (
     _Rules,
     _explore,
     MorseAutomaton,
+    RationalSeries,
     build_degree_d_automaton,
     build_quadratic_automaton,
     commutation_classes,
@@ -691,6 +692,13 @@ def miscount_last(monkeypatch, when=lambda max_len: True):
         return counts
 
     monkeypatch.setattr(MorseAutomaton, "count_words", miscount)
+
+
+def test_series_expansion_breaches_name_the_stage():
+    with pytest.raises(InternalInvariantError, match="^series: denominator has zero constant term"):
+        RationalSeries((1,), (0, 1)).coefficients(3)
+    with pytest.raises(InternalInvariantError, match="^series: expansion is not integral"):
+        RationalSeries((1,), (2, 1)).coefficients(3)
 
 
 def test_series_breaches_name_the_stage(squares, monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,10 @@ from morsegraded.homology import (
     OrderComplex,
     below_vanishing_bound,
     betti_numbers,
+    boundary_matrix,
     integral_homology,
+    matrix_rank,
     order_complex,
-    rational_from_primes,
     reduced_betti,
     smith_normal_form,
     tor_ranks,
@@ -249,22 +251,46 @@ def test_integral_homology_matches_rational_ranks(squares):
     assert all(not tor for _, tor in integral_homology(cx))
 
 
-def test_certificate_declines_homology_in_both_parities(monkeypatch, reference_betti):
+def test_unit_route_certifies_every_fixture_interval(monkeypatch):
+    """Every interval of the six fixtures at window 5, and the complex with
+    homology in both parities, is ranked by unit pivots alone: the Smith
+    fallback never runs."""
+
+    def no_fallback(rows):
+        raise AssertionError("the unit route declined")
+
+    monkeypatch.setattr(homology, "smith_normal_form", no_fallback)
+    for name in CORE_FIXTURES:
+        pres = parse_input((FIXTURES / f"{name}.json").read_text()).presentation
+        zero = tuple([0] * pres.dimension)
+        for lam in sorted(pres.degree_window(5)):
+            betti_numbers(order_complex(pres.interval(zero, lam)), (0, 2, 3))
     pres = SemigroupPresentation(3, [(1, 0, 3), (0, 3, 2), (0, 1, 3), (2, 2, 3), (3, 3, 0)])
     cx = order_complex(pres.interval((0, 0, 0), (4, 4, 6)))
-    primes = [reduced_betti(cx, 2), reduced_betti(cx, 3)]
-    assert primes == [(0, 1, 1), (0, 1, 1)]
-    assert rational_from_primes(cx, primes) is None
-    fields = []
-    real_rank = homology.matrix_rank
+    assert betti_numbers(cx, (0, 2, 3)) == {c: (0, 1, 1) for c in (0, 2, 3)}
 
-    def spy(columns, characteristic, leads=None):
-        fields.append(characteristic)
-        return real_rank(columns, characteristic, leads)
 
-    monkeypatch.setattr(homology, "matrix_rank", spy)
-    assert betti_numbers(cx, (0, 2, 3))[0] == (0, 1, 1) == reference_betti(cx, 0)
-    assert 0 in fields  # the exact rational elimination ran
+# The 6-vertex triangulation of the real projective plane.
+RP2_TRIANGLES = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+]
+
+
+def test_torsion_falls_back_to_smith_normal_form(reference_betti):
+    """On RP^2 the unit route declines at the triangles, whose Smith form
+    holds a 2, and the fallback gives F_2 its extra classes."""
+    faces = [sorted({c for f in RP2_TRIANGLES for c in combinations(f, k)}) for k in (1, 2, 3)]
+    cx = OrderComplex(tuple(tuple(sum(1 << v for v in f) for f in fs) for fs in faces))
+    assert [cx.face_count(d) for d in range(3)] == [6, 15, 10]
+    triangles = boundary_matrix(cx, 2)
+    assert homology._unit_pivots(triangles) is None
+    assert (matrix_rank(triangles, 0), matrix_rank(triangles, 2)) == (10, 9)
+    assert integral_homology(cx) == [(0, []), (0, []), (0, [2]), (0, [])]
+    got = betti_numbers(cx, (0, 2, 3))
+    assert got == {0: (0, 0, 0, 0), 2: (0, 0, 1, 1), 3: (0, 0, 0, 0)}
+    for p in (0, 2, 3):
+        assert got[p] == reference_betti(cx, p)
 
 
 def test_tor_tables_match_one_field_tables(squares):

@@ -118,3 +118,12 @@ def test_row_reduce_is_gauss_jordan_over_q():
     assert pivots == [0, 1] and rows == [[1, 0], [0, 1]]
     assert row_reduce([[Fraction(1, 2), 1]]) == ([[1, 2]], [0])
     assert row_reduce([]) == ([], [])
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", True])
+def test_non_int_entries_are_refused(entry):
+    """A float, string or bool entry is refused, not coerced to an int."""
+    with pytest.raises(ValidationError, match="a weight-matrix row must be an array of integers"):
+        TermOrder(3, kind="weight-matrix", rows=[[entry, 1, 1], [0, 0, 1], [0, 1, 0]])
+    with pytest.raises(ValidationError, match="priority must be an array of integers"):
+        TermOrder(3, priority=[entry, 0, 2])

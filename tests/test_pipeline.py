@@ -1,5 +1,10 @@
 """Cross-module orchestration: witnesses, reports, the full suite."""
 
+import dataclasses
+import random
+
+import pytest
+
 from morsegraded.cancellation import (
     SystemTable,
     cancel_interval,
@@ -13,6 +18,8 @@ from morsegraded.pipeline import (
     morse_vs_betti,
     sharpness_report,
 )
+from morsegraded.chains import check_crossing_condition
+from morsegraded.errors import CrossingViolation, InternalInvariantError
 from morsegraded.homology import order_complex, reduced_betti, tor_ranks
 from morsegraded.morse import morse_numbers
 
@@ -32,6 +39,21 @@ def test_koszul_diagonal_minor(minor):
     assert tor_degrees(minor, 4) == {(i, i) for i in range(1, 5)}
     out = full_consistency_suite(minor.pres, minor.gb, minor.cfg, 4)
     assert out["ok"], out["checks"]
+
+
+def test_characterization_breaches_name_the_stage_and_multidegree(squares):
+    """A duplicated facet, and a facet order that breaks the crossing
+    condition, reach the caller as breaches prefixed with the stage and λ."""
+    fm = squares.matching((2, 2, 1, 1))
+    twice = dataclasses.replace(fm, facets=[fm.facets[0]] * 2, systems=[fm.systems[0]] * 2)
+    prefix = r"^characterization at \(2, 2, 1, 1\): facet \("
+    with pytest.raises(InternalInvariantError, match=prefix + r".*duplicate facet"):
+        characterization_matches_direct(twice)
+    rng = random.Random(7)
+    orders = (rng.sample(fm.facets, len(fm.facets)) for _ in range(100))
+    crossed = next(o for o in orders if not check_crossing_condition(o).ok)
+    with pytest.raises(CrossingViolation, match=prefix + r".*skips disconnected ranks"):
+        characterization_matches_direct(dataclasses.replace(fm, facets=crossed))
 
 
 def test_sharpness_report_entries(minor, cyclic3):

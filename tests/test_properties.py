@@ -5,14 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from morsegraded import homology
 from morsegraded.chains import FacetOrderConfig, check_crossing_condition, ordered_facets
 from morsegraded.groebner import groebner_for, phi
 from morsegraded.homology import (
     betti_numbers,
     integral_homology,
     order_complex,
-    rational_from_primes,
     reduced_betti,
 )
 from morsegraded.io import parse_input
@@ -121,36 +119,23 @@ def _oracle_rings():
             yield f"random{drawn}", pres, 4
 
 
-def test_cleared_certified_betti_match_references(monkeypatch, reference_betti):
-    """The one-pass route against uncleared ranks, exact Q and integral homology.
-
-    Every interval is also run through the exact rational route with the
-    certificate switched off, so clearing over Q is checked everywhere, not
-    only where the certificate declines.
-    """
-    fields = (0, 2, 3)
-    declined = {}
+def test_cleared_certified_betti_match_references(reference_betti):
+    """The one-pass route against uncleared per-field ranks and, on small
+    complexes, integral homology over every field by universal
+    coefficients."""
+    fields = (0, 2, 3, 5, 7)
     for name, pres, degree in _oracle_rings():
         zero = tuple([0] * pres.dimension)
-        declined[name] = 0
         for lam in sorted(pres.degree_window(degree)):
             cx = order_complex(pres.interval(zero, lam))
             got = betti_numbers(cx, fields)
-            for p in fields:
+            for p in (0, 2, 3):
                 assert got[p] == reference_betti(cx, p), (name, lam, p)
-            primes = [got[2], got[3]]
-            declined[name] += rational_from_primes(cx, primes) is None
-            with monkeypatch.context() as m:
-                m.setattr(homology, "rational_from_primes", lambda cx, primes: None)
-                assert betti_numbers(cx, (0,))[0] == got[0], (name, lam)
             if sum(len(fs) for fs in cx.faces) <= 120:  # dense Smith form is cubic
                 integral = integral_homology(cx)
                 assert tuple(free for free, _ in integral) == got[0], (name, lam)
-                got.update(betti_numbers(cx, (5, 7)))  # the sparse modular route
                 for p in (2, 3, 5, 7):
                     assert _betti_from_integral(integral, p) == got[p], (name, lam, p)
-    # the exact fallback ran on real intervals: homology in both parities
-    assert declined["cyclic_split3"] == 13
 
 
 def test_sampled_translation_invariance(sampled):
