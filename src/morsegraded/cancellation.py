@@ -501,9 +501,9 @@ def _apply_reversals(fm: FaceMatching, chosen: list[GradientPath]) -> FaceMatchi
 def _verify_reversals(fm: FaceMatching, chosen: list[GradientPath]) -> None:
     """Raise AcyclicityFailure when reversing chosen closed a cycle in fm.
 
-    Precondition: the matching the paths were reversed in has passed
-    morse._verify_matching, as every matching build_face_matching returns
-    has, so its modified Hasse digraph is acyclic.  Reversing a path
+    Precondition: the matching the paths were reversed in has passed the
+    checks of morse.build_face_matching, as every matching it returns has,
+    so its modified Hasse digraph is acyclic.  Reversing a path
     tau, y1, x1, ..., y_k turns each up-edge y_i -> x_i into a down-edge
     ending at y_i, and each down-edge x_{i-1} -> y_i (x_0 = tau) into an
     up-edge leaving y_i; no other edge changes.  A cycle of fm's digraph
@@ -534,8 +534,9 @@ def cancel_cells(
     deg the length of a shortest saturated chain, and survivors of that
     kind are reported as residual low cells.
 
-    fm must have passed morse._verify_matching: every caller takes it from
-    build_face_matching.  The check of the reversed matching rests on that.
+    fm must have passed the checks of morse.build_face_matching: every
+    caller takes it from there.  The check of the reversed matching rests
+    on that.
     """
     cfg = fm.cfg
     complete = gb.degree <= 2

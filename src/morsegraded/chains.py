@@ -9,6 +9,7 @@ lexicographically using the order's degree-one restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .orders import TermOrder, content_monomial
 from .semigroup import IntervalData, Vector
@@ -31,11 +32,17 @@ class FacetOrderConfig:
         labels = getattr(facet_or_labels, "labels", facet_or_labels)
         return content_monomial(labels, self.order.n)
 
-    def facet_key(self, facet: Facet) -> tuple:
+    def facet_key(self, facet: Facet, content_keys: dict | None = None) -> tuple:
         """Sort key of the facet order: the content's term-order key, then
-        the label ranks."""
+        the label ranks.  A sort passes one dict as content_keys, which
+        keeps each content's term-order key once computed."""
+        content = self.content(facet)
+        keys = {} if content_keys is None else content_keys
+        key = keys.get(content)
+        if key is None:
+            key = keys[content] = self.order.key(content)
         rank = self.order.label_rank
-        return self.order.key(self.content(facet)), tuple([rank[i] for i in facet.labels])
+        return key, tuple([rank[i] for i in facet.labels])
 
 
 def saturated_chains(ivl: IntervalData) -> list[Facet]:
@@ -71,7 +78,8 @@ def saturated_chains(ivl: IntervalData) -> list[Facet]:
 
 
 def ordered_facets(ivl: IntervalData, cfg: FacetOrderConfig) -> list[Facet]:
-    return sorted(saturated_chains(ivl), key=cfg.facet_key)
+    """The saturated chains in facet order, each content keyed once."""
+    return sorted(saturated_chains(ivl), key=partial(cfg.facet_key, content_keys={}))
 
 
 @dataclass(frozen=True)

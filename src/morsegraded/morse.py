@@ -7,12 +7,15 @@ interval.  Everything the theory promises is re-verified at run time
 rather than trusted:
 
 - each facet's new faces are exactly the transversals of its
-  skipped-interval system.  Only the transversals are formed, and lookups
-  in the faces already owned certify the equality (build_face_matching);
+  skipped-interval system.  Only the transversals are inserted, and
+  lookups in the faces already owned certify the equality
+  (build_face_matching);
 - the matching is a perfect matching off the critical cells, and it is
-  acyclic.  The cycle search runs only on facets whose pairs toggle more
-  than one element, which is exact (_verify_matching); verify_acyclic
-  searches from every matched face.
+  acyclic.  Both depend on a facet's shape (interior length and system)
+  alone, so each shape is matched and checked once, on rank subsets, and
+  the cycle search runs only on shapes whose pairs toggle more than one
+  rank, which is exact (build_face_matching, _verify_shape);
+  verify_acyclic searches from every matched face.
 """
 
 from __future__ import annotations
@@ -92,16 +95,6 @@ def _labels_of(facet_or_labels) -> tuple[int, ...]:
     return tuple(getattr(facet_or_labels, "labels", facet_or_labels))
 
 
-def descent_intervals(cfg: FacetOrderConfig, facet) -> list[RankInterval]:
-    labels = _labels_of(facet)
-    rank = cfg.order.label_rank
-    out = []
-    for k in range(len(labels) - 1):
-        if rank[labels[k]] > rank[labels[k + 1]]:
-            out.append(RankInterval(k + 1, k + 1, "descent"))
-    return out
-
-
 def _lead_extremes(rank, lead: Monomial) -> tuple[int, int]:
     vars_ = [i for i, e in enumerate(lead) if e > 0]
     return min(vars_, key=lambda i: rank[i]), max(vars_, key=lambda i: rank[i])
@@ -152,32 +145,78 @@ def syzygy_windows(gb: GroebnerBasis, cfg: FacetOrderConfig) -> SyzygyWindows:
     return tables[cfg.order]
 
 
-def syzygy_intervals(
-    gb: GroebnerBasis, cfg: FacetOrderConfig, facet
-) -> list[RankInterval]:
-    """Minimal weakly increasing runs that are syzygy windows."""
-    labels = _labels_of(facet)
-    rank = cfg.order.label_rank
-    windows = syzygy_windows(gb, cfg)
-    out = []
-    m = len(labels)
-    for a in range(m - 1):
-        for b in range(a + 1, m):
-            if rank[labels[b - 1]] > rank[labels[b]]:
-                break  # longer windows from a are not weakly increasing either
-            if windows[labels[a : b + 1]]:
-                out.append(RankInterval(a + 1, b, "syzygy"))
-    return out
+def _skipped_steps(rank, windows: SyzygyWindows, labels, steps: list) -> None:
+    """Extend steps to every rank of labels.
+
+    steps[b - 1] is (the skipped intervals of labels that end at ranks
+    1 .. b, the start of the weakly increasing run through label b).  Rank
+    b lies between labels b - 1 and b.  A descent there is the interval
+    [b, b] and starts a new run at b.  A weak ascent ends the syzygy
+    intervals [a + 1, b] of the minimal weakly increasing runs
+    labels[a .. b] that are syzygy windows, a at or after the run start.
+    Step b reads labels[:b + 1] alone, so steps already present are kept:
+    they may come from another word with the same first labels.
+    """
+    found, start = steps[-1] if steps else ((), 0)
+    for b in range(len(steps) + 1, len(labels)):
+        if rank[labels[b - 1]] > rank[labels[b]]:
+            found += (RankInterval(b, b, "descent"),)
+            start = b
+        else:
+            for a in range(start, b):
+                if windows[labels[a : b + 1]]:
+                    found += (RankInterval(a + 1, b, "syzygy"),)
+        steps.append((found, start))
+
+
+def _checked_system(found, labels) -> tuple[RankInterval, ...]:
+    out = sorted(found, key=RankInterval.span)
+    _assert_non_nested(out, labels)
+    return tuple(out)
 
 
 def msi_characterization(
     gb: GroebnerBasis, cfg: FacetOrderConfig, facet
 ) -> tuple[RankInterval, ...]:
     """Skipped intervals read off the labels alone: descents plus syzygy runs."""
-    out = descent_intervals(cfg, facet) + syzygy_intervals(gb, cfg, facet)
-    out.sort(key=lambda iv: iv.span())
-    _assert_non_nested(out, _labels_of(facet))
-    return tuple(out)
+    labels = _labels_of(facet)
+    steps: list[tuple] = []
+    _skipped_steps(cfg.order.label_rank, syzygy_windows(gb, cfg), labels, steps)
+    return _checked_system(steps[-1][0] if steps else (), labels)
+
+
+def facet_systems(
+    gb: GroebnerBasis, cfg: FacetOrderConfig, facets: list[Facet]
+) -> list[tuple[RankInterval, ...]]:
+    """msi_characterization of every facet, in one pass over facets in order.
+
+    A facet keeps the steps (_skipped_steps) of the prefix it shares with
+    the previous facet and takes only the steps past it.  Facets that find
+    the same intervals share one system, sorted and nested-checked once;
+    facets come in order, so a nested system names its first facet, as one
+    call per facet would.
+    """
+    rank, windows = cfg.order.label_rank, syzygy_windows(gb, cfg)
+    steps: list[tuple] = []
+    previous: tuple[int, ...] = ()
+    systems: dict[tuple, tuple[RankInterval, ...]] = {}
+    out = []
+    for facet in facets:
+        labels = facet.labels
+        shared = 0
+        for x, y in zip(labels, previous):
+            if x != y:
+                break
+            shared += 1
+        del steps[max(shared - 1, 0) :]  # step b reads labels[:b + 1]
+        _skipped_steps(rank, windows, labels, steps)
+        found = steps[-1][0] if steps else ()
+        system = systems.get(found)
+        if system is None:
+            system = systems[found] = _checked_system(found, labels)
+        out.append(system)
+        previous = labels
+    return out
 
 
 def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int):
@@ -335,14 +374,22 @@ class FaceMatching:
 
 
 # Most interior subsets the facets of one interval may span, summed over
-# the facets; build_face_matching forms only the transversals among them.
+# the facets: each facet's face table has an entry per subset, and
+# build_face_matching inserts only the transversals among them.
 # The largest interval of the benchmark inputs at degree window 7,
 # pair_swap (4,4,1,1,1), spans 255,360.
 FACE_BUDGET = 1 << 21
 
 
-def _facet_masks(ivl: IntervalData, facet: Facet) -> list[int]:
-    return [1 << ivl.index(e) for e in facet.interior]
+def _face_table(ivl: IntervalData, facet: Facet) -> list[int]:
+    """The facet's faces by rank subset: entry sub is the element mask of
+    the interior elements at the ranks in sub (bit r - 1 for rank r)."""
+    index = ivl.index
+    table = [0]
+    for e in facet.interior:
+        bit = 1 << index(e)
+        table += [face | bit for face in table]
+    return table
 
 
 def _breach(fm: FaceMatching, j: int, what: str, kind=InternalInvariantError):
@@ -350,24 +397,131 @@ def _breach(fm: FaceMatching, j: int, what: str, kind=InternalInvariantError):
     return kind(f"face matching at {fm.ivl.top}: facet {fm.facets[j].labels}: {what}")
 
 
-def _transversals(bits: list[int], system) -> list[tuple[int, int]]:
-    """The (rank subset, face) pairs of the transversals of system, ascending.
+def _transversals(r: int, system) -> list[int]:
+    """The nonempty rank subsets of 1 .. r that meet every interval of
+    system, ascending.
 
     A rank subset has bit r - 1 for rank r.  Subsets grow one rank at a
     time, and a partial subset goes as soon as it misses an interval that
-    ends at the rank just placed; subsets without rank r come before those
-    with it, so the list stays in ascending order of rank subset.
+    ends at the rank just placed; subsets without rank k come before those
+    with it, so the list stays in ascending order.
     """
-    ending: list[list[int]] = [[] for _ in bits]
+    ending: list[list[int]] = [[] for _ in range(r)]
     for iv in system:
         ending[iv.hi - 1].append(iv.mask)
-    pairs = [(0, 0)]
-    for k, bit in enumerate(bits):
-        rank_bit = 1 << k
-        pairs += [(sub | rank_bit, mask | bit) for sub, mask in pairs]
+    subs = [0]
+    for k in range(r):
+        subs += [sub | 1 << k for sub in subs]
         for span in ending[k]:
-            pairs = [p for p in pairs if p[0] & span]
-    return pairs if system else pairs[1:]
+            subs = [sub for sub in subs if sub & span]
+    return subs if system else subs[1:]
+
+
+class _ShapeBreach(Exception):
+    """A check failed on a shape.  args: (what, error kind, an outside
+    partner's rank subset or None); the build names the facet."""
+
+
+def _toggle_rule(r: int, system, j_system, subs: list[int]):
+    """Match the transversals subs of one shape by toggling one rank each.
+
+    Returns the partner map on rank subsets and the critical subsets, each
+    with its cell's ranks and whether it is the base cell.  With a rank q
+    that no interval covers, every subset toggles the lowest such q, and
+    {q} alone is the base cell.  Otherwise the cell is the set of lowest
+    ranks of the truncated intervals, and any other subset toggles the
+    lowest rank of the first truncated interval it meets above that rank.
+    """
+    uncovered = ~rank_mask(system) & ((1 << r) - 1)
+    if uncovered:
+        cone = uncovered & -uncovered  # the lowest uncovered rank
+        # {q} is the lowest vertex of the least facet: the base critical cell
+        cell, ranks, is_base = cone, (cone.bit_length(),), True
+        toggles = [(-1, cone)]  # every subset toggles it
+    else:
+        ranks = tuple(iv.lo for iv in j_system)
+        cell, is_base = sum(1 << (q - 1) for q in ranks), False
+        toggles = [(iv.mask & ~(1 << (iv.lo - 1)), 1 << (iv.lo - 1)) for iv in j_system]
+    partner: dict[int, int] = {}
+    critical = {}
+    for sub in subs:
+        if sub == cell:
+            critical[sub] = (ranks, is_base)
+            continue
+        for above, bit in toggles:
+            if sub & above:
+                partner[sub] = sub ^ bit
+                break
+        else:
+            raise _ShapeBreach(
+                "new face differs from the critical cell in no truncated interval",
+                InternalInvariantError, None,
+            )
+    return partner, critical
+
+
+def _verify_shape(subs: list[int], partner: dict[int, int], critical) -> None:
+    """Check that partner is a perfect acyclic matching of subs off critical.
+
+    The checks, in this order: the matching is an involution, matched
+    subsets differ in one rank, every partner is among subs, and every
+    subset is matched or critical.  The cycle search runs only when the
+    pairs toggle more than one rank: if all toggle the same rank v, an
+    up-matched subset x lacks v and every successor of x (a subset of
+    partner[x] other than x) contains v, so it is matched down or critical,
+    and the alternating digraph has no edge.
+    """
+    new = set(subs)
+    toggled = set()
+    for sub, other in partner.items():
+        if partner.get(other) != sub:
+            raise _ShapeBreach("matching is not an involution", InternalInvariantError, None)
+        x = sub ^ other
+        if not x or x & (x - 1):
+            raise _ShapeBreach(
+                "matched faces differ in other than one element", InternalInvariantError, None
+            )
+        if other not in new:
+            raise _ShapeBreach(
+                "matched pair crosses facet ownership", InternalInvariantError, other
+            )
+        toggled.add(x)
+    for sub in subs:
+        if sub not in partner and sub not in critical:
+            raise _ShapeBreach("face neither matched nor critical", InternalInvariantError, None)
+    if len(toggled) > 1 and alternating_cycle(partner, partner) is not None:
+        raise _ShapeBreach("the matching has a directed cycle", AcyclicityFailure, None)
+
+
+@dataclass(slots=True)
+class _Shape:
+    """The matching of one (interior length, skipped-interval system), on
+    rank subsets, which a facet maps to faces through its face table."""
+
+    j_system: tuple[RankInterval, ...]
+    complements: tuple[int, ...]  # facet minus I, for each I leaving a face
+    transversals: list[int]  # ascending: the new faces
+    partner: dict[int, int]
+    critical: dict[int, tuple[tuple[int, ...], bool]]  # subset -> (cell ranks, is base)
+    breach: tuple | None  # _ShapeBreach's args
+
+
+def _match_shape(r: int, system) -> _Shape:
+    """Form, match and verify the transversals of one shape on rank subsets.
+
+    A check that fails is kept as the shape's breach, for the build to
+    raise with a facet's name once that facet's own checks have passed.
+    """
+    j_system = truncate_to_j_intervals(system)
+    full = (1 << r) - 1
+    complements = tuple(rest for iv in system if (rest := full & ~iv.mask))
+    subs = _transversals(r, system)
+    try:
+        partner, critical = _toggle_rule(r, system, j_system, subs)
+        _verify_shape(subs, partner, critical)
+    except _ShapeBreach as err:
+        return _Shape(j_system, complements, subs, {}, {}, err.args)
+    return _Shape(j_system, complements, subs, partner, critical, None)
 
 
 def build_face_matching(
@@ -375,10 +529,10 @@ def build_face_matching(
 ) -> FaceMatching:
     """The full facet-by-facet acyclic matching for one interval.
 
-    Each facet's skipped-interval system is the Groebner characterization,
-    and the faces the facet adds must be exactly its transversals.  Only
-    the transversals are formed (_transversals), and two checks certify
-    that they are the new faces:
+    Each facet's skipped-interval system is the Groebner characterization
+    (facet_systems), and the faces the facet adds must be exactly its
+    transversals.  Only the transversals are inserted, and two checks
+    certify that they are the new faces:
 
     (a) no transversal is owned yet;
     (b) for each skipped interval I whose complement in the facet is
@@ -393,6 +547,32 @@ def build_face_matching(
     adding them to owner makes it the faces of this facet and the earlier
     ones.  This is the equality an all-subsets comparison would check.
 
+    Everything else depends on the facet's shape, its interior length r
+    and system, alone.  Each shape is matched and verified once, on rank
+    subsets (_match_shape): its transversals, the toggle rule
+    (_toggle_rule), and the checks of _verify_shape.  A facet maps the
+    shape's subsets to faces through its face table (_face_table), runs
+    (b), then (a) with the owner inserts, raises the shape's breach if it
+    has one, and inserts the partners and critical cells.  A shape's
+    breach therefore names the first facet, in facet order, of that shape.
+
+    Proof that this checks what a check of the built maps would.  The map
+    from a rank subset S to the face of facet j at those ranks is injective
+    (the interior elements are distinct), preserves containment both ways,
+    and maps subsets differing in one rank to faces differing in one
+    element and back.  Its image on the transversals is the new faces, by
+    (a) and (b).  So facet j's pairs form an involution, differ in one
+    element, stay among its new faces (owner[partner] == j), and leave no
+    new face unmatched and not critical, exactly when the shape's pairs
+    do the same on subsets.  The pairs keep their owner, and a face's
+    faces are owned by its own facet or earlier ones, so no cycle of the
+    alternating digraph leaves a facet: every cycle lies in one facet's
+    new faces.  There the map is an isomorphism of alternating digraphs
+    (a successor is a face of the partner, up-matched, other than the
+    face), so facet j's new faces carry a cycle exactly when the shape's
+    subsets do.  The shape searches for one only when its pairs toggle
+    more than one rank, which is exact (_verify_shape).
+
     Intervals whose facets span more than FACE_BUDGET interior subsets in
     all are refused before any face is built.
     """
@@ -401,30 +581,36 @@ def build_face_matching(
         raise MorsegradedError(
             f"face matching at {ivl.top}: more than {FACE_BUDGET} faces to enumerate"
         )
-    systems = [msi_characterization(gb, cfg, f) for f in facets]
-    j_systems = [truncate_to_j_intervals(s) for s in systems]
-    fm = FaceMatching(ivl, cfg, facets, systems, j_systems)
+    systems = facet_systems(gb, cfg, facets)
+    memo: dict[tuple, _Shape] = {}
+    shapes = []
+    for facet, system in zip(facets, systems):
+        key = (len(facet.interior), system)
+        shape = memo.get(key)
+        if shape is None:
+            shape = memo[key] = _match_shape(*key)
+        shapes.append(shape)
+    fm = FaceMatching(ivl, cfg, facets, systems, [s.j_system for s in shapes])
 
     if len(facets) == 1 and not facets[0].interior:
         fm.empty_cell = _cell(facets[0], ())
         return fm
 
-    owner = fm.owner
-    for j, facet in enumerate(facets):
-        bits = _facet_masks(ivl, facet)
-        full = sum(bits)
-        for iv in systems[j]:
-            rest = full & ~sum(bits[iv.lo - 1 : iv.hi])
-            if rest and rest not in owner:  # (b)
+    owner, partner, critical = fm.owner, fm.partner, fm.critical
+    for j, (facet, shape) in enumerate(zip(facets, shapes)):
+        face = _face_table(ivl, facet)
+        for rest in shape.complements:
+            if face[rest] not in owner:  # (b)
                 raise _transversal_breach(fm, j)
-        new_faces = _transversals(bits, systems[j])
-        for _, mask in new_faces:
-            if mask in owner:  # (a)
-                raise _transversal_breach(fm, j)
-            owner[mask] = j
-        _match_within_facet(fm, j, facet, bits, new_faces)
-
-    _verify_matching(fm)
+        owned = len(owner)
+        owner.update(dict.fromkeys(map(face.__getitem__, shape.transversals), j))
+        if len(owner) - owned != len(shape.transversals):  # (a); the faces are distinct
+            raise _transversal_breach(fm, j)
+        if shape.breach is not None:
+            raise _shape_breach(fm, j, shape.breach, face)
+        partner.update([(face[sub], face[other]) for sub, other in shape.partner.items()])
+        for sub, (ranks, is_base) in shape.critical.items():
+            critical[face[sub]] = _cell(facet, ranks, is_base)
     return fm
 
 
@@ -434,80 +620,13 @@ def _transversal_breach(fm: FaceMatching, j: int) -> InternalInvariantError:
     )
 
 
-def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
-    """Match facet j's new faces, given as (rank subset, face) pairs.
-
-    A rank subset has bit r - 1 for rank r.
-    """
-    uncovered = ~rank_mask(fm.systems[j]) & ((1 << len(bits)) - 1)
-    if uncovered:
-        q = (uncovered & -uncovered).bit_length()  # the lowest uncovered rank
-        cone_bit = bits[q - 1]
-        for _, mask in new_faces:
-            other = mask ^ cone_bit
-            if other == 0:
-                # lowest vertex of the least facet: the base critical cell
-                fm.critical[mask] = _cell(facet, (q,), is_base=True)
-                continue
-            fm.partner[mask] = other
-        return
-    j_sys = fm.j_systems[j]
-    cell = _cell(facet, tuple(iv.lo for iv in j_sys))
-    cell_sub = sum(1 << (q - 1) for q in cell.ranks)
-    # a face toggles the lowest rank of the first truncated interval it
-    # meets above that rank
-    toggles = [(iv.mask & ~(1 << (iv.lo - 1)), bits[iv.lo - 1]) for iv in j_sys]
-    for sub, mask in new_faces:
-        if sub == cell_sub:
-            fm.critical[mask] = cell
-            continue
-        for above, bit in toggles:
-            if sub & above:
-                fm.partner[mask] = mask ^ bit
-                break
-        else:
-            raise _breach(
-                fm, j, "new face differs from the critical cell in no truncated interval"
-            )
-
-
-def _verify_matching(fm: FaceMatching) -> None:
-    """Check that fm is a perfect acyclic matching off its critical cells.
-
-    The cycle search runs only on the faces of facets whose pairs toggle
-    more than one element, which is exact.  Pairs keep their owner (checked
-    here), and a face's faces are owned by its own facet or earlier ones,
-    so no cycle leaves a facet: every cycle lies in one facet's new faces.
-    If all pairs of a facet toggle the same element v, an up-matched face
-    x of it lacks v, and every successor of x (a face of partner[x] other
-    than x) contains v; one owned by this facet is therefore matched down
-    or critical, never up, so no edge of the alternating digraph stays in
-    the facet.  The toggles are read off the built partner map, whichever
-    rule made it.
-    """
-    owner, partner = fm.owner, fm.partner
-    toggle: dict[int, int] = {}  # facet -> the one element its pairs toggle, or 0
-    for mask, other in partner.items():
-        if partner.get(other) != mask:
-            raise _breach(fm, owner[mask], "matching is not an involution")
-        x = mask ^ other
-        if not x or x & (x - 1):
-            raise _breach(fm, owner[mask], "matched faces differ in other than one element")
-        j = owner[mask]
-        if j != owner[other]:
-            raise _breach(
-                fm, j,
-                f"matched pair crosses facet ownership (partner owned by facet "
-                f"{fm.facets[owner[other]].labels})",
-            )
-        if toggle.setdefault(j, x) != x:
-            toggle[j] = 0
-    for mask in owner:
-        if mask not in partner and mask not in fm.critical:
-            raise _breach(fm, owner[mask], "face neither matched nor critical")
-    face = alternating_cycle(partner, [m for m in partner if not toggle[owner[m]]])
-    if face is not None:
-        raise _breach(fm, owner[face], "the matching has a directed cycle", AcyclicityFailure)
+def _shape_breach(fm: FaceMatching, j: int, breach, face) -> InternalInvariantError:
+    """Facet j's error for its shape's breach; an outside partner is named
+    by the facet that owns its face."""
+    what, kind, outside = breach
+    if outside is not None:
+        what += f" (partner owned by facet {fm.facets[fm.owner[face[outside]]].labels})"
+    return _breach(fm, j, what, kind)
 
 
 def verify_acyclic(fm: FaceMatching) -> bool:
@@ -515,8 +634,9 @@ def verify_acyclic(fm: FaceMatching) -> bool:
 
     Every up-matched face seeds alternating_cycle, which is exact for
     any matching whose pairs differ in one element.  A matching from
-    build_face_matching has already passed the same search on fewer seeds
-    (_verify_matching); this one serves reversed matchings and tests.
+    build_face_matching has already passed the same search, shape by shape
+    on rank subsets (_verify_shape); this one serves reversed matchings
+    and tests.
     """
     return alternating_cycle(fm.partner, fm.partner) is None
 

@@ -20,6 +20,7 @@ from morsegraded.chains import (
 from morsegraded.errors import CrossingViolation
 from morsegraded.io import parse_input
 from morsegraded.morse import direct_interval_system
+from morsegraded.orders import TermOrder
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -105,6 +106,23 @@ def test_ordered_facets_match_comparator_sort(name):
         ivl = pres.interval(zero, lam)
         expected = sorted(saturated_chains(ivl), key=cmp_to_key(lambda a, b: compare_facets(cfg, a, b)))
         assert ordered_facets(ivl, cfg) == expected, lam
+
+
+def test_ordered_facets_key_each_content_once(pair_swap, monkeypatch):
+    # the sort reads each content's term-order key from a dict local to the
+    # call, and the order is the one facet_key defines
+    cfg = FacetOrderConfig(TermOrder(pair_swap.pres.n))  # the default order, unshared
+    ivl = pair_swap.interval((4, 4, 1, 1, 1))
+    want = sorted(saturated_chains(ivl), key=cfg.facet_key)
+    keyed = []
+    honest = cfg.order.key
+    monkeypatch.setattr(cfg.order, "key", lambda m: keyed.append(m) or honest(m))
+    got = ordered_facets(ivl, cfg)
+    assert got == want and len(got) == 3_990
+    assert len(keyed) == len(set(keyed)) == len({cfg.content(f) for f in got})
+    keyed.clear()
+    ordered_facets(ivl, cfg)  # a second call keys its contents afresh
+    assert len(keyed) == len(set(keyed)) > 0
 
 
 def test_earlier_content_comes_first(squares):

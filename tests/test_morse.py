@@ -2,7 +2,6 @@
 
 import json
 import random
-import re
 from itertools import combinations
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from morsegraded.cancellation import (
     gradient_paths_from,
     label_cell,
 )
-from morsegraded.chains import FacetOrderConfig, ordered_facets
+from morsegraded.chains import Facet, FacetOrderConfig, ordered_facets
 from morsegraded.errors import AcyclicityFailure, InternalInvariantError, MorsegradedError
 from morsegraded.groebner import GroebnerBasis, groebner_for
 from morsegraded.homology import order_complex
@@ -29,6 +28,7 @@ from morsegraded.morse import (
     build_face_matching,
     covers_all_ranks,
     direct_interval_system,
+    facet_systems,
     morse_numbers,
     msi_characterization,
     truncate_to_j_intervals,
@@ -69,14 +69,20 @@ def test_descending_witness_facet_system(squares):
 
 def test_nested_skipped_intervals_name_the_facet(squares, monkeypatch):
     # plant a syzygy run over the descents at ranks 1 and 2
-    monkeypatch.setattr(
-        morse, "syzygy_intervals", lambda gb, cfg, facet: [RankInterval(1, 3, "syzygy")]
-    )
-    with pytest.raises(
-        InternalInvariantError,
-        match=r"^facet \(3, 2, 1, 4\): nested skipped intervals \(1, 1\) in \(1, 3\)$",
-    ):
+    honest = morse._skipped_steps
+
+    def planted(rank, windows, labels, steps):
+        honest(rank, windows, labels, steps)
+        found, start = steps[-1]  # the step of rank 3, the last
+        steps[-1] = (found + (RankInterval(1, 3, "syzygy"),), start)
+
+    monkeypatch.setattr(morse, "_skipped_steps", planted)
+    nested = r"^facet \(3, 2, 1, 4\): nested skipped intervals \(1, 1\) in \(1, 3\)$"
+    with pytest.raises(InternalInvariantError, match=nested):
         msi_characterization(squares.gb, squares.cfg, (3, 2, 1, 4))
+    # the pass over a facet list takes the same steps and makes the same check
+    with pytest.raises(InternalInvariantError, match=nested):
+        facet_systems(squares.gb, squares.cfg, [Facet((3, 2, 1, 4), ())])
 
 
 def test_interspersed_witness_facet_system(squares):
@@ -109,6 +115,18 @@ def test_characterization_equals_direct_everywhere(squares, pair_swap, minor, cy
                 direct = spans(direct_interval_system(facets, j))
                 implied = spans(msi_characterization(ring.gb, ring.cfg, facet))
                 assert direct == implied, (ring.name, lam, facet.labels)
+
+
+def test_facet_systems_equal_per_facet_characterization(squares, pair_swap, minor, cyclic3):
+    # one pass over the facets in order, reusing each shared prefix's steps,
+    # gives every facet its own characterization, and equal systems are one
+    # object
+    for ring, depth in ((squares, 5), (pair_swap, 5), (minor, 5), (cyclic3, 5)):
+        for lam in sorted(ring.pres.degree_window(depth)):
+            facets = ordered_facets(ring.interval(lam), ring.cfg)
+            systems = facet_systems(ring.gb, ring.cfg, facets)
+            assert systems == [msi_characterization(ring.gb, ring.cfg, f) for f in facets]
+            assert len({id(s) for s in systems}) == len(set(systems)), (ring.name, lam)
 
 
 # -- truncation -----------------------------------------------------------------
@@ -328,7 +346,7 @@ def test_verify_acyclic_detects_cyclic_matching(squares):
     fm.critical = {}
     assert not verify_acyclic(fm)
     with pytest.raises(AcyclicityFailure, match=r"^face matching at \(2, 2, 0, 0\): facet \("):
-        morse._verify_matching(fm)
+        reference_verify_matching(fm)
     # breaking one pair breaks the only cycle
     del fm.partner[v3], fm.partner[e31]
     assert verify_acyclic(fm)
@@ -430,8 +448,79 @@ def reference_verify_acyclic(fm):
     return seen == len(fm.owner)
 
 
+def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
+    """Match facet j's new faces, given as (rank subset, face) pairs.
+
+    A rank subset has bit r - 1 for rank r.
+    """
+    uncovered = ~morse.rank_mask(fm.systems[j]) & ((1 << len(bits)) - 1)
+    if uncovered:
+        q = (uncovered & -uncovered).bit_length()  # the lowest uncovered rank
+        cone_bit = bits[q - 1]
+        for _, mask in new_faces:
+            other = mask ^ cone_bit
+            if other == 0:
+                # lowest vertex of the least facet: the base critical cell
+                fm.critical[mask] = morse._cell(facet, (q,), is_base=True)
+                continue
+            fm.partner[mask] = other
+        return
+    j_sys = fm.j_systems[j]
+    cell = morse._cell(facet, tuple(iv.lo for iv in j_sys))
+    cell_sub = sum(1 << (q - 1) for q in cell.ranks)
+    # a face toggles the lowest rank of the first truncated interval it
+    # meets above that rank
+    toggles = [(iv.mask & ~(1 << (iv.lo - 1)), bits[iv.lo - 1]) for iv in j_sys]
+    for sub, mask in new_faces:
+        if sub == cell_sub:
+            fm.critical[mask] = cell
+            continue
+        for above, bit in toggles:
+            if sub & above:
+                fm.partner[mask] = mask ^ bit
+                break
+        else:
+            raise morse._breach(
+                fm, j, "new face differs from the critical cell in no truncated interval"
+            )
+
+
+def reference_verify_matching(fm: FaceMatching) -> None:
+    """Check that fm is a perfect acyclic matching off its critical cells,
+    on the built maps: involution, one-element differences, pairs within
+    one facet's faces, every face matched or critical, then the cycle
+    search seeded from the facets whose pairs toggle more than one element.
+    """
+    owner, partner = fm.owner, fm.partner
+    toggle: dict[int, int] = {}  # facet -> the one element its pairs toggle, or 0
+    for mask, other in partner.items():
+        if partner.get(other) != mask:
+            raise morse._breach(fm, owner[mask], "matching is not an involution")
+        x = mask ^ other
+        if not x or x & (x - 1):
+            raise morse._breach(fm, owner[mask], "matched faces differ in other than one element")
+        j = owner[mask]
+        if j != owner[other]:
+            raise morse._breach(
+                fm, j,
+                f"matched pair crosses facet ownership (partner owned by facet "
+                f"{fm.facets[owner[other]].labels})",
+            )
+        if toggle.setdefault(j, x) != x:
+            toggle[j] = 0
+    for mask in owner:
+        if mask not in partner and mask not in fm.critical:
+            raise morse._breach(fm, owner[mask], "face neither matched nor critical")
+    face = alternating_cycle(partner, [m for m in partner if not toggle[owner[m]]])
+    if face is not None:
+        raise morse._breach(
+            fm, owner[face], "the matching has a directed cycle", AcyclicityFailure
+        )
+
+
 def reference_face_matching(ivl, cfg, gb):
-    """Every face rebuilt from scratch, held to the reference checks."""
+    """Every face rebuilt from scratch, facet by facet, held to the
+    reference checks."""
     facets = ordered_facets(ivl, cfg)
     systems = [morse.msi_characterization(gb, cfg, f) for f in facets]
     fm = FaceMatching(ivl, cfg, facets, systems, [truncate_to_j_intervals(s) for s in systems])
@@ -451,7 +540,8 @@ def reference_face_matching(ivl, cfg, gb):
                 fm.owner[mask] = j
                 new_faces.append((sub, mask))
         reference_check_transversals(ivl.top, facet, systems[j], new_faces, r)
-        morse._match_within_facet(fm, j, facet, bits, new_faces)
+        _match_within_facet(fm, j, facet, bits, new_faces)
+    reference_verify_matching(fm)
     assert reference_verify_acyclic(fm)
     return fm
 
@@ -474,13 +564,24 @@ def test_face_kernel_equals_reference_across_window(squares, pair_swap, minor, c
             assert_kernel_equals_reference(ring, lam)
 
 
-def test_face_kernel_equals_reference_deep_interval(squares):
+def test_face_kernel_equals_reference_deep_interval(squares, pair_swap, cyclic3):
+    # the deep intervals of the benchmark's faces workload; cyclic3 is the
+    # ring of the cyclic_split3 fixture
     assert_kernel_equals_reference(squares, (5, 5, 1, 1))
+    assert_kernel_equals_reference(pair_swap, (4, 4, 1, 1, 1))
+    assert_kernel_equals_reference(cyclic3, (3, 3, 2, 2, 2, 2))
+
+
+def plant_in_systems(monkeypatch, edit):
+    """Apply edit to every facet's system, in the build's systems pass and
+    in the per-facet characterization the reference reads."""
+    honest_pass, honest = morse.facet_systems, morse.msi_characterization
+    monkeypatch.setattr(morse, "facet_systems", lambda *a: [edit(s) for s in honest_pass(*a)])
+    monkeypatch.setattr(morse, "msi_characterization", lambda *a: edit(honest(*a)))
 
 
 def test_dropped_skipped_interval_breaks_transversal_check(squares, monkeypatch):
-    honest = morse.msi_characterization
-    monkeypatch.setattr(morse, "msi_characterization", lambda *a: honest(*a)[1:])
+    plant_in_systems(monkeypatch, lambda system: system[1:])
     ivl = squares.interval((2, 2, 1, 1))
     with pytest.raises(InternalInvariantError, match="transversals") as err:
         build_face_matching(ivl, squares.cfg, squares.gb)
@@ -493,9 +594,8 @@ def test_spurious_skipped_interval_breaks_transversal_check(squares, monkeypatch
     # an extra interval leaves new faces off the transversals, which only
     # the complement lookup sees: the least facet, with an empty system,
     # now misses its face without rank 1
-    honest = morse.msi_characterization
     spurious = RankInterval(1, 1, "descent")
-    monkeypatch.setattr(morse, "msi_characterization", lambda *a: honest(*a) + (spurious,))
+    plant_in_systems(monkeypatch, lambda system: system + (spurious,))
     ivl = squares.interval((2, 2, 1, 1))
     least = ordered_facets(ivl, squares.cfg)[0]
     with pytest.raises(InternalInvariantError, match="transversals") as err:
@@ -522,23 +622,151 @@ def test_planted_cycle_fails_both_acyclicity_checks(squares):
     assert not reference_verify_acyclic(fm)
 
 
-def test_matched_pair_must_be_face_and_coface(squares):
-    # swap the partners of two pairs in one facet and dimension so that a
-    # face is matched one dimension up to a face that does not contain it
-    fm = editable_copy(squares.matching((2, 2, 1, 1)))
-    ups = [(a, b) for a, b in fm.partner.items() if a.bit_count() < b.bit_count()]
-    a, big_a, b, big_b = next(
-        (a, big_a, b, big_b)
-        for a, big_a in ups
-        for b, big_b in ups
-        if fm.owner[a] == fm.owner[b]
-        and a.bit_count() == b.bit_count()
-        and a & big_b != a
+def test_transversal_checks_come_before_the_shape_breach(squares, monkeypatch):
+    # one facet's system loses an interval, so the facet adds faces already
+    # owned and fails (a); a fault planted in its new shape must not hide that
+    lam = (2, 2, 1, 1)
+    fm = squares.matching(lam)
+    j, system = next(
+        (j, s[1:]) for j, s in enumerate(fm.systems) if len(s) > 1 and s[1:] not in fm.systems[:j]
     )
-    fm.partner.update({a: big_b, big_b: a, b: big_a, big_a: b})
-    assert abs(fm.dim(a) - fm.dim(big_b)) == 1  # the dimension test alone passes
-    with pytest.raises(InternalInvariantError, match="other than one element"):
-        morse._verify_matching(fm)
+    honest_pass, honest_rule = morse.facet_systems, morse._toggle_rule
+
+    def systems(*args):
+        return [system if i == j else s for i, s in enumerate(honest_pass(*args))]
+
+    def rule(r, planted, j_system, subs):
+        partner, critical = honest_rule(r, planted, j_system, subs)
+        if planted == system:
+            partner.clear()  # every subset unmatched
+        return partner, critical
+
+    monkeypatch.setattr(morse, "facet_systems", systems)
+    monkeypatch.setattr(morse, "_toggle_rule", rule)
+    with pytest.raises(InternalInvariantError) as err:
+        build_face_matching(squares.interval(lam), squares.cfg, squares.gb)
+    assert str(err.value) == (
+        f"face matching at {lam}: facet {fm.facets[j].labels}: "
+        "new faces do not match the transversals of its skipped-interval system"
+    )
+
+
+def plant_in_first_shape(monkeypatch, ring, lam, edit):
+    """Build lam's matching with a fault planted in the toggle rule's output.
+
+    edit(system, subs, partner, critical) changes the rank-subset maps in
+    place and returns True once it has planted; it is offered each shape, in
+    facet order, until then.  Asserts that the error names the first facet of
+    the planted shape, and returns the error, the honest matching and the
+    index of that facet.
+    """
+    fm = build_face_matching(ring.interval(lam), ring.cfg, ring.gb)
+    honest, planted = morse._toggle_rule, []
+
+    def rule(r, system, j_system, subs):
+        partner, critical = honest(r, system, j_system, subs)
+        if not planted and edit(system, subs, partner, critical):
+            planted.append((r, system))
+        return partner, critical
+
+    monkeypatch.setattr(morse, "_toggle_rule", rule)
+    with pytest.raises(InternalInvariantError) as err:
+        build_face_matching(ring.interval(lam), ring.cfg, ring.gb)
+    (shape,) = planted
+    j = next(j for j, f in enumerate(fm.facets) if (len(f.interior), fm.systems[j]) == shape)
+    assert str(err.value).startswith(f"face matching at {lam}: facet {fm.facets[j].labels}: ")
+    return err.value, fm, j
+
+
+def test_matched_pair_must_be_face_and_coface(squares, monkeypatch):
+    # swap the partners of two pairs in one shape and dimension so that a
+    # subset is matched one rank up to a subset that does not contain it
+    def swap(system, subs, partner, critical):
+        if not system:
+            return False  # past the least facet
+        ups = [(a, big) for a, big in partner.items() if a < big]
+        for a, big_a in ups:
+            for b, big_b in ups:
+                if a.bit_count() == b.bit_count() and a & big_b != a:
+                    assert big_b.bit_count() - a.bit_count() == 1  # the dimension test passes
+                    partner.update({a: big_b, big_b: a, b: big_a, big_a: b})
+                    return True
+        return False
+
+    err, _, _ = plant_in_first_shape(monkeypatch, squares, (2, 2, 1, 1), swap)
+    assert type(err) is InternalInvariantError
+    assert str(err).endswith(": matched faces differ in other than one element")
+
+
+def test_non_involution_is_a_breach(squares, monkeypatch):
+    def unpair_one_side(system, subs, partner, critical):
+        if not (system and partner):
+            return False
+        del partner[partner[next(iter(partner))]]
+        return True
+
+    err, _, _ = plant_in_first_shape(monkeypatch, squares, (2, 2, 1, 1), unpair_one_side)
+    assert str(err).endswith(": matching is not an involution")
+
+
+def test_unmatched_face_is_a_breach(squares, monkeypatch):
+    def unpair(system, subs, partner, critical):
+        if not (system and partner):
+            return False
+        del partner[partner.pop(next(iter(partner)))]
+        return True
+
+    err, _, _ = plant_in_first_shape(monkeypatch, squares, (2, 2, 1, 1), unpair)
+    assert str(err).endswith(": face neither matched nor critical")
+
+
+def test_partner_owned_by_an_earlier_facet_is_a_breach(squares, monkeypatch):
+    # match a transversal one rank down, to a subset that misses an interval:
+    # its face belongs to an earlier facet, which the error names
+    outside = []
+
+    def pair_outside(system, subs, partner, critical):
+        new = set(subs)
+        for sub in list(partner):
+            for k in range(sub.bit_length()):
+                down = sub ^ (1 << k)
+                if sub >> k & 1 and down and down not in new:
+                    del partner[partner[sub]]
+                    partner[sub], partner[down] = down, sub
+                    outside.append(down)
+                    return True
+        return False
+
+    lam = (2, 2, 1, 1)
+    err, fm, j = plant_in_first_shape(monkeypatch, squares, lam, pair_outside)
+    ivl = squares.interval(lam)
+    interior = fm.facets[j].interior
+    face = sum(1 << ivl.index(e) for k, e in enumerate(interior) if outside[0] >> k & 1)
+    earlier = fm.owner[face]
+    assert earlier < j
+    assert str(err).endswith(
+        f": matched pair crosses facet ownership (partner owned by facet "
+        f"{fm.facets[earlier].labels})"
+    )
+
+
+def test_face_outside_every_truncated_interval_is_a_breach(squares, monkeypatch):
+    # a truncation that loses its last interval leaves the cell plus that
+    # interval's lowest rank toggling nothing; the first facet whose system
+    # covers every rank is the first to meet it
+    lam = (2, 2, 1, 1)
+    fm = squares.matching(lam)
+    honest = morse.truncate_to_j_intervals
+    monkeypatch.setattr(morse, "truncate_to_j_intervals", lambda system: honest(system)[:-1])
+    with pytest.raises(InternalInvariantError) as err:
+        build_face_matching(squares.interval(lam), squares.cfg, squares.gb)
+    first = next(
+        f for f, s in zip(fm.facets, fm.systems) if s and covers_all_ranks(s, len(f.interior))
+    )
+    assert str(err.value) == (
+        f"face matching at {lam}: facet {first.labels}: "
+        "new face differs from the critical cell in no truncated interval"
+    )
 
 
 # -- the alternating cycle search against Kahn's sort ------------------------------
@@ -677,49 +905,66 @@ def test_restricted_cycle_search_agrees_with_full_search():
 
 
 def test_cycle_search_seeds_only_facets_with_several_toggles(squares, monkeypatch):
-    seeded = []
-    search = morse.alternating_cycle
+    matched, searched = [], []
+    match, search = morse._match_shape, morse.alternating_cycle
 
-    def spy(partner, seeds):
-        seeded.append(list(seeds))
-        return search(partner, seeded[-1])
+    def match_spy(r, system):
+        matched.append((r, system))
+        return match(r, system)
 
-    monkeypatch.setattr(morse, "alternating_cycle", spy)
+    def search_spy(partner, seeds):
+        searched.append(dict(partner))
+        return search(partner, seeds)
+
+    monkeypatch.setattr(morse, "_match_shape", match_spy)
+    monkeypatch.setattr(morse, "alternating_cycle", search_spy)
     fm = build_face_matching(squares.interval((5, 5, 1, 1)), squares.cfg, squares.gb)
+    shapes = [(len(f.interior), s) for f, s in zip(fm.facets, fm.systems)]
+    # one shape routine per distinct (interior length, system)
+    assert len(fm.facets) == 2_142
+    assert len(matched) == len(set(matched)) == 353 and set(matched) == set(shapes)
+    # the cycle search runs once per shape whose pairs toggle more than one
+    # rank, on that shape's rank subsets
     toggles = facet_toggles(fm)
-    several = {j for j, xs in toggles.items() if len(xs) > 1}
-    assert len(fm.facets) == 2_142 and len(toggles) == 2_129 and len(several) == 2
-    (seeds,) = seeded
-    assert seeds == [m for m in fm.partner if fm.owner[m] in several]
+    several = {shapes[j] for j, xs in toggles.items() if len(xs) > 1}
+    assert len(toggles) == 2_129 and sum(len(xs) > 1 for xs in toggles.values()) == 2
+    # the two facets with several toggles share one shape, searched once
+    assert len(several) == len(searched) == 1
+    for partner in searched:
+        assert len({a ^ b for a, b in partner.items()}) > 1
 
 
-def test_cycle_planted_in_a_one_toggle_facet_is_found(squares):
+def test_cycle_planted_in_a_one_toggle_facet_is_found(squares, monkeypatch):
     # the certificate is read off the partner map: a cycle planted among
-    # the new faces of a facet whose pairs all toggled one element gives
-    # that facet several toggles, so the search reaches it
-    fm = editable_copy(squares.matching((4, 4, 1, 1)))
-    toggles = facet_toggles(fm)
-    j, a, b, c, base = next(
-        (j, a, b, c, face ^ a ^ b ^ c)
-        for face, j in fm.owner.items()
-        if len(toggles.get(j, ())) == 1 and face.bit_count() >= 3
-        for a, b, c in combinations([1 << i for i in range(face.bit_length()) if face >> i & 1], 3)
-        if all(fm.owner.get(face ^ x) == j for x in (b | c, a | c, a | b, c, a, b))
-    )
-    cycle = {base | a: base | a | b, base | b: base | b | c, base | c: base | c | a}
-    cell = next(iter(fm.critical.values()))
-    for face in [*cycle, *cycle.values()]:
-        other = fm.partner.pop(face, None)
-        if other is not None:
-            del fm.partner[other]
-            fm.critical[other] = cell  # left unmatched, so critical
-        fm.critical.pop(face, None)
-    for lo, hi in cycle.items():
-        fm.partner[lo], fm.partner[hi] = hi, lo
-    assert not verify_acyclic(fm)
-    breach = f"face matching at (4, 4, 1, 1): facet {fm.facets[j].labels}: "
-    with pytest.raises(AcyclicityFailure, match="^" + re.escape(breach)):
-        morse._verify_matching(fm)
+    # the subsets of a shape whose pairs all toggled one rank gives that
+    # shape several toggles, so the search reaches it
+    def plant_cycle(system, subs, partner, critical):
+        if not system or len({a ^ b for a, b in partner.items()}) != 1:
+            return False  # past the least facet, and one toggle
+        new = set(subs)
+        for face in subs:
+            ranks = [1 << i for i in range(face.bit_length()) if face >> i & 1]
+            for a, b, c in combinations(ranks, 3):
+                if not all(face ^ x in new for x in (b | c, a | c, a | b, c, a, b)):
+                    continue
+                base = face ^ a ^ b ^ c
+                cycle = {base | a: base | a | b, base | b: base | b | c, base | c: base | c | a}
+                for sub in [*cycle, *cycle.values()]:
+                    other = partner.pop(sub, None)
+                    if other is not None:
+                        del partner[other]
+                        # left unmatched, so critical
+                        ranks = tuple(k + 1 for k in range(other.bit_length()) if other >> k & 1)
+                        critical[other] = (ranks, False)
+                    critical.pop(sub, None)
+                for lo, hi in cycle.items():
+                    partner[lo], partner[hi] = hi, lo
+                return True
+        return False
+
+    err, _, _ = plant_in_first_shape(monkeypatch, squares, (4, 4, 1, 1), plant_cycle)
+    assert type(err) is AcyclicityFailure
+    assert str(err).endswith(": the matching has a directed cycle")
 
 
 # -- the transversal kernel against the all-subsets reference on sampled rings --
