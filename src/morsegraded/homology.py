@@ -1,14 +1,13 @@
 """Independent ground truth: reduced simplicial homology in exact arithmetic.
 
-The oracle builds order complexes straight from interval data: the order on
-the open interval is the transitive closure of its cover edges, one bitset
-per element.  Beat points are deleted first (Stong, Trans. AMS 123, 1966):
-each deletion is a collapse of the order complex, so the core's complex
-has the homotopy type, hence the integral homology, of the whole open
-interval's (McCord, Duke Math. J. 33, 1966; Barmak, LNM 2032, 2011).
-Chains of the core grow one dimension at a time, and empty layers pad the
-complex to the whole interval's dimension, so Betti tuples keep their
-length.  Nothing here touches the Morse pipeline.
+The oracle builds the order complex of each open interval (0, lam) straight
+from the presentation's poset: its down-sets and strict up-sets, bitmasks
+over an index order that is a linear extension.  Beat points are deleted
+first (Stong, Trans. AMS 123, 1966), each deletion a collapse, so the
+core's complex has the homotopy type of the open interval's.  Empty
+layers pad it to the interval's dimension, so Betti tuples keep their
+length, and a one-vertex core is a point.  Nothing here touches the Morse
+pipeline.
 
 A face is a vertex bitmask, and a boundary column is the pair (plus, minus)
 of bitmasks of the rows where it is +1 and -1: an integer vector with
@@ -56,7 +55,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from math import gcd
 
-from .semigroup import IntervalData, SemigroupPresentation, Vector, bit_indices
+from .semigroup import SemigroupPresentation, Vector, bit_indices
 
 Column = tuple[int, int]  # (plus, minus): bitmasks of the rows at +1 and at -1
 
@@ -65,14 +64,15 @@ Column = tuple[int, int]  # (plus, minus): bitmasks of the rows at +1 and at -1
 class OrderComplex:
     """The chains of an open interval's beat-point core, by dimension.
 
-    A face is a bitmask with bit v for each vertex v on the chain; faces of
-    each dimension are in lexicographic order of their vertex sequences.
-    The empty face is implicit (reduced convention).  Layers above the
-    core's dimension are empty, so `dim` is the dimension of the order
-    complex of the whole open interval.
+    A face is a bitmask with bit v for each vertex v, the core element
+    elements[v]; faces of each dimension are in lexicographic order of
+    their vertex sequences.  The empty face is implicit (reduced
+    convention).  Layers above the core's dimension are empty, so `dim` is
+    the dimension of the order complex of the whole open interval.
     """
 
     faces: tuple[tuple[int, ...], ...]  # faces[d] lists d-faces
+    elements: tuple[Vector, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -89,15 +89,14 @@ class OrderComplex:
         return sum((-1) ** d * len(fs) for d, fs in enumerate(self.faces))
 
 
-def order_complex(ivl: IntervalData) -> OrderComplex:
-    """The order complex of the beat-point core of the open interval
-    (bottom, top), padded with empty layers to the dimension of the order
-    complex of the whole open interval.
+def order_complex(pres: SemigroupPresentation, lam: Vector) -> OrderComplex:
+    """The order complex of the beat-point core of the open interval (0, lam),
+    padded with empty layers to the whole open interval's dimension.
 
-    The interval's elements are a linear extension with the bottom first
-    and the top last, and every relation u < v inside it is a chain of
-    cover edges, so the order is their transitive closure.  Vertex v is
-    element v + 1, and the core keeps those vertex bits.
+    The vertices are the poset indices in lam's down-set but 0 and lam,
+    ordered by the stored down-sets and strict up-sets.  The index order is
+    a linear extension: the poset adds an element only after all its lower
+    covers (`SemigroupPresentation.grow`), so u < v gives index u < index v.
 
     The core: sweep the surviving vertices upward, deleting each x whose
     surviving elements strictly below have a maximum or strictly above
@@ -112,56 +111,41 @@ def order_complex(ivl: IntervalData) -> OrderComplex:
     deformation retraction, so the core's order complex is homotopy
     equivalent to that of the open interval (Stong, Trans. AMS 123, 1966;
     McCord, Duke Math. J. 33, 1966; Barmak, LNM 2032, 2011), and reduced
-    integral homology, torsion included, is unchanged.  Hence so is every
-    Betti number over every field, and the Euler characteristic.  The
-    empty layers have no homology.
+    integral homology, torsion included, is unchanged, hence so is every
+    Betti number over every field, and the Euler characteristic.
 
-    A face grows by a core vertex above its highest one, so faces of each
-    dimension come out in lexicographic order.  The padding is the longest
-    chain of the open interval, from a height pass over the cover edges.
+    The survivors are renumbered 0..k-1 in index order; a face grows by a
+    core vertex above its highest one, so each dimension comes out in
+    lexicographic order.  A longest chain of the open interval has
+    height(lam) - 1 elements: that many layers, the empty ones with no
+    homology, make up the complex.  A one-vertex core is a point, which is
+    contractible, so `betti_numbers` eliminates nothing for it.
     """
-    n = len(ivl.elements)
-    reach = [0] * n  # reach[i]: bitset of the elements strictly above element i
-    height = [0] * n  # height[i]: cover steps on a longest chain from i to the top
-    for i in range(n - 1, -1, -1):
-        bits = steps = 0
-        for _, j in ivl.cover_edges[i]:
-            bits |= reach[j] | (1 << j)
-            steps = max(steps, height[j] + 1)
-        reach[i], height[i] = bits, steps
-    down = [0] * n  # down[i]: bitset of the elements strictly below element i
-    for i in range(n):
-        bits = down[i] | (1 << i)
-        for _, j in ivl.cover_edges[i]:
-            down[j] |= bits
-    m = max(n - 2, 0)  # the number of vertices
-    everything = (1 << m) - 1
-    above = [reach[v + 1] >> 1 & everything for v in range(m)]
-    below = [down[v + 1] >> 1 for v in range(m)]
-    alive = everything
+    top = pres.index(lam)
+    down, above = pres.down, pres.above
+    alive = down[top] & ~(1 | 1 << top)  # index 0 is the bottom, 0
     swept = -1
     while swept != alive:
         swept = alive
         for x in bit_indices(swept):
-            low = below[x] & alive
-            if low:
-                y = low.bit_length() - 1
-                if low & ~below[y] == 1 << y:
-                    alive ^= 1 << x
-                    continue
+            low = down[x] & alive ^ 1 << x
+            if low and not low & ~down[low.bit_length() - 1]:
+                alive ^= 1 << x
+                continue
             high = above[x] & alive
-            if high:
-                z = high & -high
-                if high & ~above[z.bit_length() - 1] == z:
-                    alive ^= 1 << x
-    up = {v: [1 << j for j in bit_indices(above[v] & alive)] for v in bit_indices(alive)}
+            z = high & -high
+            if high and not high & ~above[z.bit_length() - 1] ^ z:
+                alive ^= 1 << x
+    core = bit_indices(alive)
+    local = {v: 1 << k for k, v in enumerate(core)}
+    up = [[local[w] for w in bit_indices(above[v] & alive)] for v in core]
     by_dim: list[list[int]] = []
-    layer = [1 << v for v in up]
+    layer = list(local.values())
     while layer:
         by_dim.append(layer)
         layer = [f | b for f in layer for b in up[f.bit_length() - 1]]
-    by_dim.extend([] for _ in range(height[0] - 1 - len(by_dim)))
-    return OrderComplex(tuple(tuple(fs) for fs in by_dim))
+    by_dim.extend([] for _ in range(pres.height[top] - 1 - len(by_dim)))
+    return OrderComplex(tuple(map(tuple, by_dim)), tuple(map(pres.elements.__getitem__, core)))
 
 
 def boundary_matrix(cx: OrderComplex, d: int) -> list[Column]:
@@ -250,34 +234,27 @@ def _field_rank(factors: list[int], characteristic: int) -> int:
     return sum(t % characteristic != 0 for t in factors)
 
 
-def matrix_rank(
-    columns: list[Column], characteristic: int, leads: set[int] | None = None
-) -> int:
-    """Rank of (plus, minus) columns over Q (characteristic 0) or F_p.
-
-    When `leads` is given and the unit elimination succeeds, the lead row of
-    every pivot is added to it: the columns of the next boundary map down
-    that clearing skips.
-    """
-    factors, rows = _invariant_factors(columns)
-    if leads is not None:
-        leads.update(rows)
-    return _field_rank(factors, characteristic)
+def matrix_rank(columns: list[Column], characteristic: int) -> int:
+    """Rank of (plus, minus) columns over Q (characteristic 0) or F_p."""
+    return _field_rank(_invariant_factors(columns)[0], characteristic)
 
 
 def betti_numbers(cx: OrderComplex, characteristics) -> dict[int, tuple[int, ...]]:
     """Reduced Betti numbers b~_{-1} .. b~_dim over every requested field.
 
-    The boundary maps are eliminated once over Z, top dimension first with
-    clearing, and every field reads its ranks off the same invariant
-    factors.
+    The nonempty layers' boundary maps are eliminated once over Z, top
+    dimension first with clearing, and every field reads its ranks off the
+    same invariant factors.  A one-vertex complex is a point, which is
+    contractible: every reduced Betti number is 0, with nothing eliminated.
     """
     wanted = tuple(dict.fromkeys(characteristics))
     if cx.dim < 0 or not wanted:
         return {c: (1,) for c in wanted}
+    if cx.face_count(0) == 1:
+        return {c: (0,) * (cx.dim + 2) for c in wanted}
     factors: list[list[int]] = [[] for _ in range(cx.dim + 2)]
     leads: Collection[int] = ()
-    for d in range(cx.dim, -1, -1):
+    for d in range(sum(map(bool, cx.faces)) - 1, -1, -1):
         kept = [col for k, col in enumerate(boundary_matrix(cx, d)) if k not in leads]
         factors[d], leads = _invariant_factors(kept)
     betti = {}
@@ -390,8 +367,9 @@ def tor_tables(
     """
     zero = tuple([0] * pres.dimension)
     tables = {c: BettiTable(c, {(0, zero): 1}, {}) for c in characteristics}
+    pres.grow(window)
     for lam in sorted(window):
-        cx = order_complex(pres.interval(zero, lam))
+        cx = order_complex(pres, lam)
         for char, betti in betti_numbers(cx, characteristics).items():
             table = tables[char]
             table.interval_betti[lam] = betti

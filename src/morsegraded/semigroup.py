@@ -3,8 +3,10 @@
 A presentation is a list of n distinct nonzero generator vectors.  The
 divisibility order is mu <= lam iff lam - mu is an N-combination of the
 generators; pointedness inside N^e keeps every interval finite.  Each
-presentation grows one down-closed poset of this order on demand, and every
-interval is a slice of it.
+presentation grows one down-closed poset of this order on demand, holding
+each element's down-set and strict up-set as bitmasks over the poset's
+indices and its height, and every interval is a slice of it.  The index
+order is a linear extension of the order (see `grow`).
 """
 
 from __future__ import annotations
@@ -98,13 +100,15 @@ class SemigroupPresentation:
         zero = tuple([0] * dimension)
         self._member: dict[Vector, bool] = {zero: True}
         # The divisibility poset grown so far, down-closed: element -> index,
-        # and per index the element, its (sum, e) sort key, the bitmask of
-        # its down-set and its upper covers (generator index, index) in
-        # generator order.
+        # and per index the element, its (sum, e) sort key, the bitmasks of
+        # its down-set (itself included) and strict up-set, its height (the
+        # longest chain from 0) and its upper covers (generator, index).
         self._poset: dict[Vector, int] = {zero: 0}
-        self._elements: list[Vector] = [zero]
+        self.elements: list[Vector] = [zero]
         self._keys: list[tuple[int, Vector]] = [(0, zero)]
-        self._down: list[int] = [1]
+        self.down: list[int] = [1]
+        self.above: list[int] = [0]
+        self.height: list[int] = [0]
         self._up: list[list[tuple[int, int]]] = [[]]
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
@@ -201,33 +205,41 @@ class SemigroupPresentation:
         elements in (sum, e) order, cover edges in generator order.
         """
         diff = vec_sub(lam, mu)
-        top = self._poset.get(diff)
-        if top is None:
-            if not self.leq(mu, lam):
-                raise NotComparable(f"{mu} !<= {lam}")
-            top = self._grow(diff)
-        order = bit_indices(self._down[top])
+        if diff not in self._poset and not self.member(diff):
+            raise NotComparable(f"{mu} !<= {lam}")
+        order = bit_indices(self.down[self.index(diff)])
         order.sort(key=self._keys.__getitem__)
         local = {p: j for j, p in enumerate(order)}
         up = self._up
         edges = tuple(
             tuple((gi, local[w]) for gi, w in up[p] if w in local) for p in order
         )
-        elements = tuple(map(self._elements.__getitem__, order))
+        elements = tuple(map(self.elements.__getitem__, order))
         if any(mu):  # translating by 0 is the identity
             elements = tuple(vec_add(mu, e) for e in elements)
         return IntervalData(mu, lam, elements, edges)
 
-    def _grow(self, lam: Vector) -> int:
-        """Add the down-set of the member lam to the poset; return lam's index.
+    def index(self, lam: Vector) -> int:
+        """lam's index in the poset, growing lam's down-set first if need be."""
+        if lam not in self._poset:
+            if not self.member(lam):
+                raise NotComparable(f"{lam} is not in the semigroup")
+            self.grow((lam,))
+        return self._poset[lam]
 
-        Walks down from lam by generator steps, stopping at held elements,
-        whose down-sets are held already.  New elements go in by (sum, e),
-        so every lower cover w - g of a new w is present when w is added.
+    def grow(self, tops) -> None:
+        """Add the down-sets of tops, all members, to the poset in one pass.
+
+        Walks down from the tops by generator steps, stopping at held
+        elements.  New elements go in by (sum, e), so every lower cover of a
+        new w is present when w is added: the index order is a linear
+        extension, as u < w is a chain of cover steps to ever later indices.
+        Adding w at index i sets bit i in the up-set of every element below
+        it; w's height is one more than its highest lower cover's.
         """
         poset = self._poset
-        new = {lam}
-        stack = [lam]
+        new = {v for v in tops if v not in poset}
+        stack = list(new)
         while stack:
             v = stack.pop()
             for g in self.generators:
@@ -236,21 +248,26 @@ class SemigroupPresentation:
                     if u not in poset and u not in new and self.member(u):
                         new.add(u)
                         stack.append(u)
+        above = self.above
         for key in sorted((sum(e), e) for e in new):
             w = key[1]
-            i = len(self._elements)
-            down = 1 << i
+            i = len(self.elements)
+            down, steps = 1 << i, 0
             for gi, g in enumerate(self.generators):
                 j = poset.get(vec_sub(w, g))
                 if j is not None:
-                    down |= self._down[j]
+                    down |= self.down[j]
+                    steps = max(steps, self.height[j] + 1)
                     insort(self._up[j], (gi, i))
+            for j in bit_indices(down ^ 1 << i):
+                above[j] |= 1 << i
             poset[w] = i
-            self._elements.append(w)
+            self.elements.append(w)
             self._keys.append(key)
-            self._down.append(down)
+            self.down.append(down)
+            above.append(0)
+            self.height.append(steps)
             self._up.append([])
-        return poset[lam]
 
     def degree_window(self, max_degree: int) -> dict[Vector, int]:
         """All nonzero lam with degree(lam) <= max_degree, with their degrees.

@@ -64,7 +64,7 @@ def test_criterion_01_worked_quadratic_interval(squares):
     res = cancel_cells(fm, squares.gb)
     m = res.morse_numbers()
     ok = ok and (m.get(0, 0), m.get(1, 0), m.get(2, 0)) == (1, 0, 2)
-    betti = reduced_betti(order_complex(squares.interval((2, 2, 1, 1))), 0)
+    betti = reduced_betti(order_complex(squares.pres, (2, 2, 1, 1)), 0)
     ok = ok and betti == (0, 0, 0, 2)
     report("1 worked-example interval", ok)
 
@@ -124,7 +124,7 @@ def test_criterion_04_sharpness(minor, cyclic3):
     for ring, lam in ((minor, (1, 1, 1, 1)), (cyclic3, (1, 1, 1, 1, 1, 1))):
         d = ring.gb.degree
         ok = ok and ring.pres.degree(lam) == d
-        betti = reduced_betti(order_complex(ring.interval(lam)), 0)
+        betti = reduced_betti(order_complex(ring.pres, lam), 0)
         ok = ok and betti[1] >= 1  # reduced b_0
         ok = ok and not below_vanishing_bound(0, d, d)  # the bound permits it
     report("4 sharpness of the bound", ok)
@@ -136,7 +136,7 @@ def test_criterion_05_morse_inequalities(squares, pair_swap, minor, cyclic3):
     for ring, depth in ((squares, 5), (pair_swap, 4), (minor, 4), (cyclic3, 4)):
         for lam in sorted(ring.pres.degree_window(depth)):
             res = cancel_interval(ring.pres, lam, ring.cfg, ring.gb)
-            betti = reduced_betti(order_complex(ring.interval(lam)), 0)
+            betti = reduced_betti(order_complex(ring.pres, lam), 0)
             cmp = morse_vs_betti(res, betti)
             ok = ok and cmp["inequality_ok"] and cmp["euler_ok"]
     report("5 Morse inequalities and Euler identity", ok)

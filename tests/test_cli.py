@@ -468,6 +468,24 @@ def test_full_cancels_each_target_once(tmp_path, monkeypatch):
     assert "2,2,1,1" in json.loads(out.read_text())["report"]["targets"]
 
 
+@pytest.mark.parametrize("command", ["betti", "verify-bounds"])
+def test_oracle_commands_slice_no_interval(command, monkeypatch, capsys):
+    # the oracle reads every order complex off the presentation's poset
+    from morsegraded.semigroup import SemigroupPresentation
+
+    sliced = []
+    original = SemigroupPresentation.interval
+
+    def spy(self, mu, lam):
+        sliced.append(lam)
+        return original(self, mu, lam)
+
+    monkeypatch.setattr(SemigroupPresentation, "interval", spy)
+    argv = ["--input", str(FIXTURES / "squares.json"), "--command", command]
+    assert main(argv + ["--degree-window", "5"]) == 0
+    assert sliced == []
+
+
 def run_breach(name, window, capsys):
     """Run cancel on a tests/fixtures/breaches input: its exit code, stdout
     and the lines of stderr."""

@@ -286,14 +286,15 @@ def test_matching_on_relation_interval(squares):
     numbers = morse_numbers(fm.cells())
     assert numbers == {0: 2, 1: 4, 2: 5}
     assert verify_acyclic(fm)
-    assert morse_euler(fm.cells()) == order_complex(fm.ivl).euler_characteristic()
+    cx = order_complex(squares.pres, (2, 2, 1, 1))
+    assert morse_euler(fm.cells()) == cx.euler_characteristic()
 
 
 def test_matching_two_points(free_plane):
     ivl = free_plane.pres.interval((0, 0), (1, 1))
     fm = build_face_matching(ivl, free_plane.cfg, free_plane.gb)
     assert morse_numbers(fm.cells()) == {0: 2}
-    assert order_complex(ivl).euler_characteristic() == 2
+    assert order_complex(free_plane.pres, (1, 1)).euler_characteristic() == 2
 
 
 def test_matching_atom_interval(squares):
@@ -355,7 +356,8 @@ def test_verify_acyclic_detects_cyclic_matching(squares):
 def test_euler_identity_across_window(squares):
     for lam in sorted(squares.pres.degree_window(4)):
         fm = squares.matching(lam)
-        assert morse_euler(fm.cells()) == order_complex(fm.ivl).euler_characteristic(), lam
+        cx = order_complex(squares.pres, lam)
+        assert morse_euler(fm.cells()) == cx.euler_characteristic(), lam
 
 
 def test_cell_dimension_counts_j_intervals(squares):

@@ -22,6 +22,7 @@ from morsegraded.chains import check_crossing_condition
 from morsegraded.errors import CrossingViolation, InternalInvariantError
 from morsegraded.homology import order_complex, reduced_betti, tor_ranks
 from morsegraded.morse import morse_numbers
+from morsegraded.semigroup import SemigroupPresentation
 
 
 def tor_degrees(ring, degree):
@@ -83,9 +84,9 @@ def test_full_suite_builds_one_order_complex_per_multidegree(squares, monkeypatc
     built = []
     original = homology.order_complex
 
-    def spy(*args):
-        built.append(args[-1].top)
-        return original(*args)
+    def spy(pres, lam):
+        built.append(lam)
+        return original(pres, lam)
 
     for module in (homology, pipeline):
         if getattr(module, "order_complex", None) is original:
@@ -94,9 +95,25 @@ def test_full_suite_builds_one_order_complex_per_multidegree(squares, monkeypatc
     assert sorted(built) == sorted(squares.pres.degree_window(4))
 
 
+def test_full_suite_slices_each_deep_multidegree_once(squares, monkeypatch):
+    """The face level slices each deep multidegree's interval once; the
+    oracle slices none."""
+    sliced = []
+    original = SemigroupPresentation.interval
+
+    def spy(self, mu, lam):
+        sliced.append(lam)
+        return original(self, mu, lam)
+
+    monkeypatch.setattr(SemigroupPresentation, "interval", spy)
+    full_consistency_suite(squares.pres, squares.gb, squares.cfg, 4, deep_degree=3)
+    window = squares.pres.degree_window(4)
+    assert sorted(sliced) == sorted(lam for lam, d in window.items() if d <= 3)
+
+
 def test_morse_vs_betti_shapes(squares):
     res = cancel_interval(squares.pres, (2, 2, 1, 1), squares.cfg, squares.gb)
-    betti = reduced_betti(order_complex(squares.interval((2, 2, 1, 1))), 0)
+    betti = reduced_betti(order_complex(squares.pres, (2, 2, 1, 1)), 0)
     cmp = morse_vs_betti(res, betti)
     assert cmp["inequality_ok"] and cmp["euler_ok"]
     assert cmp["euler_morse"] == 3

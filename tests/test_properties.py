@@ -78,7 +78,7 @@ def test_sampled_morse_inequalities(sampled):
             ivl = pres.interval(zero, lam)
             fm = build_face_matching(ivl, cfg, gb)
             m = morse_numbers(fm.cells())
-            betti = reduced_betti(order_complex(ivl), 0)
+            betti = reduced_betti(order_complex(pres, lam), 0)
             padded = {i: b for i, b in enumerate(betti, start=-1)}
             # reduced comparison: the base cell stands in for the empty face
             assert m.get(-1, 0) >= padded.get(-1, 0)
@@ -92,7 +92,7 @@ def test_sampled_field_independence(sampled, reference_betti):
         zero = tuple([0] * pres.dimension)
         window = sorted(pres.degree_window(3))
         for lam in window[:15]:
-            cx = order_complex(pres.interval(zero, lam))
+            cx = order_complex(pres, lam)
             b0 = reference_betti(cx, 0)
             assert b0 == reduced_betti(cx, 2) == reduced_betti(cx, 3)
 
@@ -127,7 +127,7 @@ def test_cleared_certified_betti_match_references(reference_betti):
     for name, pres, degree in _oracle_rings():
         zero = tuple([0] * pres.dimension)
         for lam in sorted(pres.degree_window(degree)):
-            cx = order_complex(pres.interval(zero, lam))
+            cx = order_complex(pres, lam)
             got = betti_numbers(cx, fields)
             for p in (0, 2, 3):
                 assert got[p] == reference_betti(cx, p), (name, lam, p)

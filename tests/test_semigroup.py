@@ -6,14 +6,17 @@ internals they check.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 from conftest import RINGS
 
 from morsegraded.errors import NotComparable, ValidationError
 from morsegraded.homology import tor_tables
+from morsegraded.io import parse_input
 from morsegraded.semigroup import (
     SemigroupPresentation,
+    bit_indices,
     random_presentation,
     vec_add,
     vec_dominates,
@@ -111,13 +114,13 @@ def test_interval_slices_equal_reference_in_hostile_order(name):
     # the largest top first grows the whole poset; the rest are slices of it
     for lam in tops:
         assert_slice_equals_reference(pres, zero, lam)
-    held = len(pres._elements)
+    held = len(pres.elements)
     # prefer a pair whose difference is nonnegative but not in the semigroup
     incomparable = [(a, b) for a in tops for b in tops if not pres.leq(a, b)]
     mu, lam = min(incomparable, key=lambda p: not vec_dominates(p[1], p[0]))
     with pytest.raises(NotComparable):
         pres.interval(mu, lam)
-    assert len(pres._elements) == held
+    assert len(pres.elements) == held
     outside = vec_add(tops[0], gens[-1])
     assert outside not in pres._poset
     assert_slice_equals_reference(pres, zero, outside)
@@ -151,9 +154,76 @@ def test_window_poset_is_built_once(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     closure = {e for lam in window for e in reference_interval(pres, zero, lam)[0]}
-    assert len(pres._elements) == len(closure)
-    assert set(pres._elements) == closure
-    assert pres._poset == {e: i for i, e in enumerate(pres._elements)}
+    assert len(pres.elements) == len(closure)
+    assert set(pres.elements) == closure
+    assert pres._poset == {e: i for i, e in enumerate(pres.elements)}
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GROWTH_FIXTURES = ["cyclic_split3", "minor", "pair_swap", "ring5_seed22", "skew2d", "squares"]
+
+
+def _growth_rings(group):
+    """One fixture to window 5; <2,3> and <3,4,5>; or four seeded rings to
+    window 4.  Each as (dimension, generators, window degree)."""
+    if group in GROWTH_FIXTURES:
+        pres = parse_input((FIXTURES / f"{group}.json").read_text()).presentation
+        yield pres.dimension, pres.generators, 5
+    elif group == "numerical":
+        yield 1, [(2,), (3,)], 6
+        yield 1, [(3,), (4,), (5,)], 4
+    else:
+        rng = random.Random(20261020)
+        for _ in range(4):
+            pres = random_presentation(rng, window_degree=4, face_budget=20_000)
+            yield pres.dimension, pres.generators, 4
+
+
+def _growth_orders(window):
+    """The window's tops sorted, reversed, deepest first and shuffled."""
+    tops = sorted(window)
+    shuffled = list(tops)
+    random.Random(7).shuffle(shuffled)
+    deep = sorted(tops, key=lambda lam: -window[lam])
+    return {"sorted": tops, "reversed": tops[::-1], "deep-first": deep, "shuffle": shuffled}
+
+
+@pytest.mark.parametrize("group", GROWTH_FIXTURES + ["numerical", "seeded"])
+def test_poset_grown_in_any_order_keeps_up_sets_heights_and_tor(group):
+    """Whatever order the tops arrive in, every stored strict up-set is
+    {w : v in down[w], w != v}, every height is the longest chain along
+    the cover edges of the element's interval, and the Tor tables equal
+    those of the sorted growth."""
+    unsorted = False
+    for dim, gens, degree in _growth_rings(group):
+        zero = tuple([0] * dim)
+        expected = None
+        for name, tops in _growth_orders(SemigroupPresentation(dim, gens).degree_window(degree)).items():
+            pres = SemigroupPresentation(dim, gens)
+            window = pres.degree_window(degree)
+            for lam in tops:
+                pres.index(lam)
+            keys = [(sum(e), e) for e in pres.elements]
+            unsorted = unsorted or keys != sorted(keys)
+            up_sets = [0] * len(pres.elements)
+            for w, down in enumerate(pres.down):
+                for v in bit_indices(down):
+                    if v != w:
+                        up_sets[v] |= 1 << w
+            assert pres.above == up_sets, (gens, name)
+            for i, e in enumerate(pres.elements):
+                ivl = pres.interval(zero, e)
+                longest = [0] * len(ivl)
+                for j, edges in enumerate(ivl.cover_edges):
+                    for _, k in edges:
+                        longest[k] = max(longest[k], longest[j] + 1)
+                assert pres.height[i] == longest[-1], (gens, name, e)
+            tables = tor_tables(pres, window, (0, 2, 3))
+            got = {c: (t.ranks, t.interval_betti) for c, t in tables.items()}
+            expected = expected or got
+            assert got == expected, (gens, name)
+    if group != "numerical":
+        assert unsorted  # some growth put an element before a smaller key
 
 
 def test_leq_relation_multidegree(squares):
