@@ -93,34 +93,48 @@ class CrossingReport:
         return self.ok
 
 
-def maximal_overlaps(facets: list[Facet], j: int) -> dict[int, int]:
-    """Ranks of facets[j] skipped by its maximal overlaps with earlier facets.
+def maximal_overlaps(facets: list[Facet], js=None):
+    """Ranks of facets[j] skipped by its maximal overlaps with earlier
+    facets, for each j in js (default every index, ascending).
 
     The overlap with facets[i], i < j, is the set of interior ranks q of
     facets[j] whose element facets[i] also passes through; it is maximal
-    when no overlap with another earlier facet strictly contains it.  Maps
-    each maximal overlap's skipped ranks, as a bitmask with bit q for rank
-    q, to the least i that produces it.
+    when no overlap with another earlier facet strictly contains it.
+    Yields, per j, a map from each maximal overlap's skipped ranks, as a
+    bitmask with bit q for rank q, to the least i that produces it.
+
+    Each facet's interior is one bitmask over the elements the facets pass
+    through, built once per call, so an overlap is one AND of two masks.
+    Ranks are the element order of facets[j], so overlaps map to rank sets
+    one to one: the maximal ones are found on element masks, and only they
+    are mapped to ranks.
     """
-    facet = facets[j]
-    rank_of = {e: q for q, e in enumerate(facet.interior, start=1)}
-    full = (1 << len(facet.interior) + 1) - 2
-    by_shared: dict[int, int] = {}
-    for i in range(j):
-        shared = 0
-        for e in facets[i].interior:
-            q = rank_of.get(e)
-            if q is not None:
-                shared |= 1 << q
-        by_shared.setdefault(shared, i)
-    kept: list[int] = []
-    out: dict[int, list[int]] = {}
-    # a strict superset has more ranks, so it is seen, and kept, first
-    for shared in sorted(by_shared, key=int.bit_count, reverse=True):
-        if not any(shared & other == shared for other in kept):
-            kept.append(shared)
-            out[full ^ shared] = by_shared[shared]
-    return out
+    js = range(len(facets)) if js is None else js
+    slot: dict[Vector, int] = {}
+    masks = []
+    for facet in facets[: max(js, default=-1) + 1]:
+        mask = 0
+        for e in facet.interior:
+            mask |= 1 << slot.setdefault(e, len(slot))
+        masks.append(mask)
+    for j in js:
+        mine = masks[j]
+        overlaps = [mask & mine for mask in masks[:j]]
+        slots = [slot[e] for e in facets[j].interior]
+        full = (1 << len(slots) + 1) - 2
+        kept: list[int] = []
+        out: dict[int, int] = {}
+        # distinct overlaps in order of first appearance; a strict superset
+        # has more ranks, so it is seen, and kept, first
+        for shared in sorted(dict.fromkeys(overlaps), key=int.bit_count, reverse=True):
+            if not any(shared & other == shared for other in kept):
+                kept.append(shared)
+                ranks = 0
+                for q, s in enumerate(slots, start=1):
+                    if shared >> s & 1:
+                        ranks |= 1 << q
+                out[full ^ ranks] = overlaps.index(shared)
+        yield out
 
 
 def skipped_ranks(mask: int) -> tuple[int, ...]:
@@ -141,8 +155,7 @@ def check_crossing_condition(facets: list[Facet]) -> CrossingReport:
     every maximal overlap skips a run.  Returns the first violation, by F
     and then G in facet order.
     """
-    for j, f in enumerate(facets):
-        overlaps = maximal_overlaps(facets, j)
+    for f, overlaps in zip(facets, maximal_overlaps(facets)):
         bad = [(i, skipped) for skipped, i in overlaps.items() if not is_run(skipped)]
         if bad:
             i, skipped = min(bad)

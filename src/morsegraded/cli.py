@@ -86,8 +86,14 @@ def _targets(doc: InputDocument, pres, cfg: RunConfig):
     return sorted(window)
 
 
-def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
-    """Dispatch one command; returns (report payload, optional tsv body)."""
+def run_command(
+    cfg: RunConfig, text: str, stage_s: dict[str, float] | None = None
+) -> tuple[dict, str | None]:
+    """Dispatch one command; returns (report payload, optional tsv body).
+
+    For `full`, a stage_s dict receives the seconds of each stage of the
+    suite (full_consistency_suite).
+    """
     doc = parse_input(text)
     pres = doc.presentation
     fcfg = FacetOrderConfig(doc.order)
@@ -215,6 +221,7 @@ def run_command(cfg: RunConfig, text: str) -> tuple[dict, str | None]:
             cfg.path_cap,
             cfg.state_budget,
             targets=doc.targets,
+            stage_s=stage_s,
         )
     return payload, tsv
 
@@ -235,9 +242,10 @@ def main(argv=None) -> int:
         )
         with open(args.input, encoding="utf-8") as handle:
             text = handle.read()
+        stage_s: dict[str, float] = {}
         start = time.monotonic()
-        payload, tsv = run_command(cfg, text)
-        elapsed = int((time.monotonic() - start) * 1000)
+        payload, tsv = run_command(cfg, text, stage_s)
+        stage_s = {"total": time.monotonic() - start, **stage_s}
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -253,7 +261,8 @@ def main(argv=None) -> int:
     if cfg.output_format == "tsv":
         body = tsv
     else:
-        body = canonical_json(report_envelope(cfg, payload, elapsed)) + "\n"
+        timing_ms = {stage: int(s * 1000) for stage, s in stage_s.items()}
+        body = canonical_json(report_envelope(cfg, payload, timing_ms)) + "\n"
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8") as handle:
             handle.write(body)

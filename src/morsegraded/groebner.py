@@ -66,6 +66,13 @@ class GroebnerBasis:
         """Term order -> morse.SyzygyWindows of this basis, made on first use."""
         return {}
 
+    @cached_property
+    def shape_table(self) -> dict:
+        """(interior length, skipped-interval system) -> the matching of
+        that facet shape on rank subsets (morse._match_shape), filled by
+        every face matching built with this basis."""
+        return {}
+
 
 def phi(pres: SemigroupPresentation, m: Monomial):
     """Multidegree of a monomial under the generator map."""

@@ -163,11 +163,13 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "), indent=1)
 
 
-def report_envelope(cfg: RunConfig, payload: dict, elapsed_ms: int | None) -> dict:
+def report_envelope(cfg: RunConfig, payload: dict, timing_ms: dict[str, int]) -> dict:
+    """The report around payload; timing_ms (milliseconds per stage, with
+    the whole command as "total") is kept only under --timing."""
     return {
         "config": cfg.echo(),
         "version": __version__,
-        "timing_ms": elapsed_ms if cfg.timing else None,
+        "timing_ms": timing_ms if cfg.timing else None,
         "report": payload,
     }
 

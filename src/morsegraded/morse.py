@@ -12,9 +12,10 @@ rather than trusted:
   (build_face_matching);
 - the matching is a perfect matching off the critical cells, and it is
   acyclic.  Both depend on a facet's shape (interior length and system)
-  alone, so each shape is matched and checked once, on rank subsets, and
-  the cycle search runs only on shapes whose pairs toggle more than one
-  rank, which is exact (build_face_matching, _verify_shape);
+  alone, so each shape is matched and checked once per basis, on rank
+  subsets, in a table the basis holds for every interval of a command
+  run, and the cycle search runs only on shapes whose pairs toggle more
+  than one rank, which is exact (build_face_matching, _verify_shape);
   verify_acyclic searches from every matched face.
 """
 
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, leading_ideal_member
 from .orders import Monomial, content_monomial
-from .semigroup import IntervalData, Vector, bit_indices
+from .semigroup import IntervalData, Vector
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ class CriticalCell:
         return len(self.ranks) - 1
 
 
-def _assert_non_nested(intervals, labels) -> None:
-    spans = [iv.span() for iv in intervals]
+def _assert_non_nested(spans, labels) -> None:
     for a in spans:
         for b in spans:
             if a != b and a[0] >= b[0] and a[1] <= b[1]:
@@ -171,7 +171,7 @@ def _skipped_steps(rank, windows: SyzygyWindows, labels, steps: list) -> None:
 
 def _checked_system(found, labels) -> tuple[RankInterval, ...]:
     out = sorted(found, key=RankInterval.span)
-    _assert_non_nested(out, labels)
+    _assert_non_nested([iv.span() for iv in out], labels)
     return tuple(out)
 
 
@@ -288,22 +288,36 @@ def direct_interval_system(facets: list[Facet], j: int) -> tuple[RankInterval, .
     it.  Raises CrossingViolation when a maximal overlap face skips a
     disconnected rank set, which is exactly the crossing condition.
     """
-    facet = facets[j]
+    (spans,) = direct_interval_spans(facets, (j,))
+    return tuple(RankInterval(lo, hi, "overlap") for lo, hi in spans)
+
+
+def direct_interval_spans(facets: list[Facet], js=None) -> list[tuple[tuple[int, int], ...]]:
+    """The spans of direct_interval_system(facets, j) for each j in js
+    (default every index, ascending), from one maximal_overlaps pass.
+
+    Every facet's system is built in order before the caller sees any, so
+    the first duplicate facet or crossing violation, in facet order, is the
+    one raised.
+    """
+    js = range(len(facets)) if js is None else js
     out = []
-    for skipped in maximal_overlaps(facets, j):
-        if not skipped:
-            raise InternalInvariantError(
-                f"facet {facet.labels}: duplicate facet in overlap computation"
-            )
-        ranks = skipped_ranks(skipped)
-        if not is_run(skipped):
-            raise CrossingViolation(
-                f"facet {facet.labels} skips disconnected ranks {list(ranks)}"
-            )
-        out.append(RankInterval(ranks[0], ranks[-1], "overlap"))
-    out.sort(key=lambda iv: iv.span())
-    _assert_non_nested(out, facet.labels)
-    return tuple(out)
+    for j, overlaps in zip(js, maximal_overlaps(facets, js)):
+        facet = facets[j]
+        spans = []
+        for skipped in overlaps:  # bit q for rank q
+            if not skipped:
+                raise InternalInvariantError(
+                    f"facet {facet.labels}: duplicate facet in overlap computation"
+                )
+            if not is_run(skipped):
+                ranks = list(skipped_ranks(skipped))
+                raise CrossingViolation(f"facet {facet.labels} skips disconnected ranks {ranks}")
+            spans.append(((skipped & -skipped).bit_length() - 1, skipped.bit_length() - 1))
+        spans.sort()
+        _assert_non_nested(spans, facet.labels)
+        out.append(tuple(spans))
+    return out
 
 
 # -- truncation and critical cells --------------------------------------------
@@ -364,10 +378,6 @@ class FaceMatching:
         out = [] if self.empty_cell is None else [self.empty_cell]
         out.extend(self.critical.values())
         return out
-
-    def face_elements(self, mask: int) -> tuple[Vector, ...]:
-        elements = self.ivl.elements
-        return tuple(elements[i] for i in bit_indices(mask))
 
     def dim(self, mask: int) -> int:
         return mask.bit_count() - 1
@@ -548,13 +558,19 @@ def build_face_matching(
     ones.  This is the equality an all-subsets comparison would check.
 
     Everything else depends on the facet's shape, its interior length r
-    and system, alone.  Each shape is matched and verified once, on rank
-    subsets (_match_shape): its transversals, the toggle rule
-    (_toggle_rule), and the checks of _verify_shape.  A facet maps the
-    shape's subsets to faces through its face table (_face_table), runs
-    (b), then (a) with the owner inserts, raises the shape's breach if it
-    has one, and inserts the partners and critical cells.  A shape's
-    breach therefore names the first facet, in facet order, of that shape.
+    and system, alone.  Each shape is matched and verified once per basis,
+    on rank subsets (_match_shape): its transversals, the toggle rule
+    (_toggle_rule), and the checks of _verify_shape.  The shapes live in
+    gb.shape_table, which every interval built with gb shares, so one
+    command run matches each shape once.  facet_systems makes equal systems
+    one object, so a build looks its shapes up by (r, id(system)) and reads
+    the shared table, which hashes the system, once per distinct shape.  A
+    facet maps the shape's subsets to faces through its face table
+    (_face_table), runs (b), then (a) with the owner inserts, raises the
+    shape's breach if it has one, and inserts the partners and critical
+    cells.  A shape's breach therefore names the first facet of that shape,
+    in facet order, of the interval being built, whichever interval first
+    put the shape in the table.
 
     Proof that this checks what a check of the built maps would.  The map
     from a rank subset S to the face of facet j at those ranks is injective
@@ -582,13 +598,17 @@ def build_face_matching(
             f"face matching at {ivl.top}: more than {FACE_BUDGET} faces to enumerate"
         )
     systems = facet_systems(gb, cfg, facets)
-    memo: dict[tuple, _Shape] = {}
+    table = gb.shape_table
+    local: dict[tuple[int, int], _Shape] = {}
     shapes = []
     for facet, system in zip(facets, systems):
-        key = (len(facet.interior), system)
-        shape = memo.get(key)
+        r = len(facet.interior)
+        shape = local.get((r, id(system)))
         if shape is None:
-            shape = memo[key] = _match_shape(*key)
+            shape = table.get((r, system))
+            if shape is None:
+                shape = table[r, system] = _match_shape(r, system)
+            local[r, id(system)] = shape
         shapes.append(shape)
     fm = FaceMatching(ivl, cfg, facets, systems, [s.j_system for s in shapes])
 

@@ -2,10 +2,17 @@
 
 Everything here ties the independent routes together: characterization
 against direct overlaps, Morse numbers against oracle Betti numbers,
-survivors against automaton language and commutation classes.
+survivors against automaton language and commutation classes.  Each
+per-interval object is built once per run: the deep window's
+cancellations feed the Morse inequalities, the characterization check
+(one batched overlap pass per interval) and the resolution witness, and
+the matchings share the basis's shape table.  full_consistency_suite can
+report the wall time of each of its stages.
 """
 
 from __future__ import annotations
+
+import time
 
 from .automaton import build_degree_d_automaton, commutation_classes, rational_series
 from .cancellation import CancellationResult, cancel_interval, survivor_words_by_content
@@ -13,7 +20,7 @@ from .chains import FacetOrderConfig
 from .errors import InternalInvariantError
 from .groebner import GroebnerBasis
 from .homology import BettiTable, tor_tables, verify_vanishing
-from .morse import FaceMatching, direct_interval_system
+from .morse import FaceMatching, direct_interval_spans
 from .resolution import morse_boundary
 from .semigroup import SemigroupPresentation, Vector
 
@@ -21,20 +28,22 @@ from .semigroup import SemigroupPresentation, Vector
 def characterization_matches_direct(fm: FaceMatching) -> bool:
     """Do the matching's Groebner-read systems equal the overlap-defined ones?
 
-    direct_interval_system raises CrossingViolation where the facet order
+    direct_interval_spans raises CrossingViolation where the facet order
     breaks the crossing condition.  Every facet's direct system is built
     before any is compared, so a False answer still certifies the crossing
     condition, and a breach is re-raised with the stage and the multidegree
-    in front.
+    in front.  The matching's systems are interned, so each distinct one
+    is turned into spans once.
     """
     try:
-        direct = [direct_interval_system(fm.facets, j) for j in range(len(fm.facets))]
+        direct = direct_interval_spans(fm.facets)
     except InternalInvariantError as exc:
         raise type(exc)(f"characterization at {fm.ivl.top}: {exc}") from exc
-    return all(
-        tuple(iv.span() for iv in a) == tuple(iv.span() for iv in b)
-        for a, b in zip(direct, fm.systems)
-    )
+    spans: dict[int, tuple] = {}
+    for system in fm.systems:
+        if id(system) not in spans:
+            spans[id(system)] = tuple(iv.span() for iv in system)
+    return all(a == spans[id(b)] for a, b in zip(direct, fm.systems))
 
 
 def morse_vs_betti(res: CancellationResult, betti: tuple[int, ...]) -> dict:
@@ -76,6 +85,18 @@ def sharpness_report(table: BettiTable, gb_degree: int, window: dict[Vector, int
     return out
 
 
+class _Laps:
+    """Wall seconds per stage: lap(stage) books the time since the last lap."""
+
+    def __init__(self, spent: dict[str, float]):
+        self.spent, self.last = spent, time.perf_counter()
+
+    def __call__(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.spent[stage] = self.spent.get(stage, 0.0) + now - self.last
+        self.last = now
+
+
 def full_consistency_suite(
     pres: SemigroupPresentation,
     gb: GroebnerBasis,
@@ -86,6 +107,7 @@ def full_consistency_suite(
     state_budget: int = 1_000_000,
     deep_degree: int | None = None,
     targets: tuple[Vector, ...] = (),
+    stage_s: dict[str, float] | None = None,
 ) -> dict:
     """Run every cross-check the package knows on one presentation.
 
@@ -97,11 +119,19 @@ def full_consistency_suite(
     targets block gives the Morse numbers and survivors of each target,
     reusing the deep window's cancellations and cancelling only targets
     outside it.
+
+    A stage_s dict, when given, receives the wall seconds of each stage:
+    oracle (Betti tables, vanishing bound, sharpness), face_level
+    (cancellations and Morse inequalities), characterization (the direct
+    overlap check), labels (automaton, survivors, classes, series) and
+    resolution (the resolution witness).
     """
+    lap = _Laps({} if stage_s is None else stage_s)
     window = pres.degree_window(max_degree)
     deep = deep_degree if deep_degree is not None else min(max_degree, 4)
     deep_window = {lam: d for lam, d in window.items() if d <= deep}
     tables = tor_tables(pres, window, tuple(dict.fromkeys((*characteristics, 0))))
+    lap("oracle")
     rational = tables[0]
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
@@ -113,12 +143,15 @@ def full_consistency_suite(
     for lam in sorted(deep_window):
         res = cancel_interval(pres, lam, cfg, gb, path_cap)
         results[lam] = res
-        # direct_interval_system raises CrossingViolation if the crossing
+        lap("face_level")
+        # direct_interval_spans raises CrossingViolation if the crossing
         # condition fails, so a completed loop also certifies it
         charact_ok = charact_ok and characterization_matches_direct(res.matching)
+        lap("characterization")
         cmp = morse_vs_betti(res, rational.interval_betti[lam])
         ineq_ok = ineq_ok and cmp["inequality_ok"]
         euler_ok = euler_ok and cmp["euler_ok"]
+        lap("face_level")
     checks["crossing_condition"] = True
     checks["characterization_equals_direct"] = charact_ok
     checks["morse_inequalities"] = ineq_ok
@@ -127,6 +160,7 @@ def full_consistency_suite(
     vanishing = verify_vanishing({c: tables[c] for c in characteristics}, gb.degree, window)
     checks["vanishing_bound"] = vanishing["ok"]
     details["vanishing"] = vanishing
+    lap("oracle")
 
     auto = build_degree_d_automaton(gb, cfg, state_budget)
     accepted = {
@@ -162,6 +196,7 @@ def full_consistency_suite(
         details["face_level_survivors"] = len(deep_survivors)
         details["fiber_level_survivors"] = len(deep_fiber)
     details["deep_accepted_words"] = len({w for w in accepted if len(w) <= deep})
+    lap("labels")
 
     data = morse_boundary(pres, gb, results)
     morse_side = {k: v for k, v in data.tor.items() if k[0] >= 1}
@@ -173,8 +208,10 @@ def full_consistency_suite(
     else:
         resolution_ok = all(morse_side.get(k, 0) >= v for k, v in oracle_side.items())
     checks["resolution_" + ("minimal" if gb.degree <= 2 else "bounds")] = resolution_ok
+    lap("resolution")
 
     details["sharpness_witnesses"] = sharpness_report(rational, gb.degree, window)
+    lap("oracle")
     target_reports = {}
     for lam in targets:
         res = results[lam] if lam in results else cancel_interval(pres, lam, cfg, gb, path_cap)
@@ -182,6 +219,7 @@ def full_consistency_suite(
             "morse_numbers": {str(k): v for k, v in res.morse_numbers().items()},
             "survivors": sorted(list(c.facet.labels) for c in res.survivors if not c.is_base),
         }
+    lap("face_level")
     return {
         "checks": checks,
         "ok": all(checks.values()),

@@ -1,11 +1,13 @@
 """Minimal-resolution witness: boundary maps between surviving cells.
 
-Cells of the ambient chain complex are finite chains in the semigroup
-(tuples of multidegrees, ascending), graded by their top element.  The
-per-interval matchings glue into one grade-preserving acyclic matching; the
-boundary of a survivor is computed by flowing its simplicial boundary
-through the matching.  Minimality (no equal-grade incidences) and
-boundary-squared-zero are asserted, not assumed.
+Cells of the ambient chain complex are finite chains in the semigroup,
+graded by their top element.  The per-interval matchings glue into one
+grade-preserving acyclic matching; the boundary of a survivor is computed
+by flowing its simplicial boundary through the matching.  The flow runs on
+chains as bitmasks over the presentation's poset indices, and the result
+names cells by their element tuples, ascending.  Minimality (no
+equal-grade incidences) and boundary-squared-zero are asserted, not
+assumed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .cancellation import CancellationResult
 from .errors import InternalInvariantError
 from .groebner import GroebnerBasis
 from .morse import FaceMatching
-from .semigroup import SemigroupPresentation, Vector
+from .semigroup import SemigroupPresentation, Vector, bit_indices
 
 Chain = tuple[Vector, ...]
 
@@ -41,6 +43,31 @@ def _grade(chain: Chain, zero: Vector) -> Vector:
     return chain[-1] if chain else zero
 
 
+def _faces(chain: int) -> list[tuple[int, int]]:
+    """The simplicial boundary of a chain bitmask: (sign, face) for each
+    element dropped, lowest first, the k-th lowest with sign (-1)^k."""
+    out = []
+    sign, rest = 1, chain
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        out.append((sign, chain ^ low))
+        sign = -sign
+    return out
+
+
+def _lift(mask: int, bits: list[int]) -> int:
+    """An interval's face mask as a poset bitmask: bit k goes to bits[k].
+    Distinct bits go to distinct bits, so _lift(a ^ b) is
+    _lift(a) ^ _lift(b)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= bits[low.bit_length() - 1]
+    return out
+
+
 def morse_boundary(
     pres: SemigroupPresentation,
     gb: GroebnerBasis,
@@ -51,44 +78,52 @@ def morse_boundary(
     results maps each multidegree of a degree window to its cancellation.
     Unit incidences are a hard error exactly when minimality is promised
     (quadratic bases) and a recorded finding otherwise.
+
+    Chains are bitmasks over pres's poset indices.  Each interval's faces
+    are lifted to them once, through pres.index on its elements.  The
+    index order is a linear extension, so within a chain the bit order is
+    the element order: a chain's grade is its highest set bit, and the
+    k-th lowest bit is the k-th element, dropped with sign (-1)^k.  Only
+    the critical chains, and a chain named in an error, are turned back
+    into element tuples.
     """
     zero = tuple([0] * pres.dimension)
-    partner: dict[Chain, Chain] = {}
-    critical: dict[Chain, Vector] = {(): zero}
+    index = pres.index
+    partner: dict[int, int] = {}
+    critical: dict[int, Chain] = {0: ()}  # chain -> its element tuple
 
     for lam in sorted(results):
         res = results[lam]
         fm: FaceMatching = res.matching
+        bits = [1 << index(e) for e in fm.ivl.elements]
+        top = 1 << index(lam)
         for mask, other in fm.partner.items():
-            chain = fm.face_elements(mask) + (lam,)
-            partner[chain] = fm.face_elements(other) + (lam,)
+            chain = top | _lift(mask, bits)
+            partner[chain] = chain ^ _lift(mask ^ other, bits)  # a pair differs in one element
         for cell in res.survivors:
+            chain = top
+            for e in cell.elements:
+                chain |= 1 << index(e)
             if cell.is_base:
                 # reduced convention: the base vertex absorbs the 0-cell {lam}
-                chain = (lam,)
-                up = cell.elements + (lam,)
-                partner[chain] = up
-                partner[up] = chain
+                partner[top] = chain
+                partner[chain] = top
                 continue
-            critical[cell.elements + (lam,)] = lam
+            critical[chain] = cell.elements + (lam,)
 
-    flows: dict[Chain, dict[Chain, int]] = {}
+    flows: dict[int, dict[int, int]] = {}
 
-    def boundary(chain: Chain):
-        for j in range(len(chain)):
-            yield (1 if j % 2 == 0 else -1), chain[:j] + chain[j + 1 :]
-
-    def flow(chain: Chain) -> dict[Chain, int]:
+    def flow(chain: int) -> dict[int, int]:
         """chain's image in the critical cells.  A chain matched up to up
         flows as minus its incidence in up times up's other faces; its first
-        visit scans boundary(up) and its second sums their flows."""
-        stack: list[tuple[Chain, int, list | None]] = [(chain, 0, None)]
+        visit scans up's faces and its second sums their flows."""
+        stack: list[tuple[int, int, list | None]] = [(chain, 0, None)]
         while stack:
             cur, sign_cur, faces = stack.pop()
             if cur in flows:
                 continue
             if faces is not None:
-                acc: dict[Chain, int] = {}
+                acc: dict[int, int] = {}
                 for sgn, face in faces:
                     for tgt, coeff in flows[face].items():
                         acc[tgt] = acc.get(tgt, 0) + (-sign_cur) * sgn * coeff
@@ -99,14 +134,15 @@ def morse_boundary(
                 continue
             up = partner.get(cur)
             if up is None:
+                named = tuple(pres.elements[i] for i in bit_indices(cur))
                 raise _resolution_breach(
-                    _grade(cur, zero), f"chain {cur} neither matched nor critical"
+                    _grade(named, zero), f"chain {named} neither matched nor critical"
                 )
-            if len(up) < len(cur):
+            if up.bit_count() < cur.bit_count():
                 flows[cur] = {}
                 continue
             faces = []
-            for sgn, face in boundary(up):
+            for sgn, face in _faces(up):
                 if face == cur:
                     sign_cur = sgn
                 else:
@@ -116,17 +152,17 @@ def morse_boundary(
         return flows[chain]
 
     differentials: dict[int, dict[tuple[Chain, Chain], int]] = {}
-    for chain in sorted(critical, key=lambda c: (len(c), c)):
+    for chain, cell in sorted(critical.items(), key=lambda kv: (len(kv[1]), kv[1])):
         if not chain:
             continue
-        i = len(chain)  # homological index: Tor_i basis element
-        row: dict[Chain, int] = {}
-        for sgn, face in boundary(chain):
+        i = len(cell)  # homological index: Tor_i basis element
+        row: dict[int, int] = {}
+        for sgn, face in _faces(chain):
             for tgt, coeff in flow(face).items():
                 row[tgt] = row.get(tgt, 0) + sgn * coeff
         for tgt, coeff in row.items():
             if coeff:
-                differentials.setdefault(i, {})[(chain, tgt)] = coeff
+                differentials.setdefault(i, {})[(cell, critical[tgt])] = coeff
 
     units = _unit_incidences(differentials, zero)
     if units and gb.degree <= 2:
@@ -135,11 +171,12 @@ def morse_boundary(
             _grade(hi, zero), f"unit incidence between equal multidegrees: {hi} -> {lo}"
         )
     _assert_square_zero(differentials)
+    cells = {cell: _grade(cell, zero) for cell in critical.values()}
     tor: dict[tuple[int, Vector], int] = {}
-    for chain, grade in critical.items():
-        key = (len(chain), grade)
+    for cell, lam in cells.items():
+        key = (len(cell), lam)
         tor[key] = tor.get(key, 0) + 1
-    return ResolutionData(critical, differentials, tor, units)
+    return ResolutionData(cells, differentials, tor, units)
 
 
 def _resolution_breach(grade: Vector, what: str) -> InternalInvariantError:

@@ -7,17 +7,21 @@ Ring nicknames used throughout:
   cyclic3      6 generators with z3z4z5 = z0z1z2 (cubic relation)
 """
 
+import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from morsegraded.automaton import CommutationClass
-from morsegraded.chains import FacetOrderConfig
+from morsegraded.chains import FacetOrderConfig, is_run, skipped_ranks
+from morsegraded.errors import CrossingViolation, InternalInvariantError
 from morsegraded.groebner import GroebnerBasis, groebner_for
 from morsegraded.homology import Column, boundary_matrix
+from morsegraded.io import parse_input
 from morsegraded.morse import build_face_matching
 from morsegraded.orders import TermOrder
-from morsegraded.semigroup import SemigroupPresentation, bit_indices
+from morsegraded.semigroup import SemigroupPresentation, bit_indices, random_presentation
 
 RINGS = {
     "squares": (4, [(1, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 2, 0, 0)], 2),
@@ -200,6 +204,59 @@ def reference_betti():
     return uncleared_betti
 
 
+# The per-facet overlap computation that maximal_overlaps and
+# direct_interval_spans replaced: each facet's overlaps found by element
+# lookups, one earlier facet at a time.
+
+
+def reference_maximal_overlaps(facets, j):
+    """Ranks of facets[j] skipped by its maximal overlaps with facets[:j],
+    as a bitmask with bit q for rank q, mapped to the least i producing it."""
+    facet = facets[j]
+    rank_of = {e: q for q, e in enumerate(facet.interior, start=1)}
+    full = (1 << len(facet.interior) + 1) - 2
+    by_shared = {}
+    for i in range(j):
+        shared = 0
+        for e in facets[i].interior:
+            q = rank_of.get(e)
+            if q is not None:
+                shared |= 1 << q
+        by_shared.setdefault(shared, i)
+    kept = []
+    out = {}
+    for shared in sorted(by_shared, key=int.bit_count, reverse=True):
+        if not any(shared & other == shared for other in kept):
+            kept.append(shared)
+            out[full ^ shared] = by_shared[shared]
+    return out
+
+
+def reference_direct_spans(facets, j):
+    """The spans of facets[j]'s direct system, sorted, raising what
+    direct_interval_system raised on a duplicate facet, a crossing
+    violation or nested intervals."""
+    facet = facets[j]
+    out = []
+    for skipped in reference_maximal_overlaps(facets, j):
+        if not skipped:
+            raise InternalInvariantError(
+                f"facet {facet.labels}: duplicate facet in overlap computation"
+            )
+        ranks = skipped_ranks(skipped)
+        if not is_run(skipped):
+            raise CrossingViolation(f"facet {facet.labels} skips disconnected ranks {list(ranks)}")
+        out.append((ranks[0], ranks[-1]))
+    out.sort()
+    for a in out:
+        for b in out:
+            if a != b and a[0] >= b[0] and a[1] <= b[1]:
+                raise InternalInvariantError(
+                    f"facet {facet.labels}: nested skipped intervals {a} in {b}"
+                )
+    return tuple(out)
+
+
 def flood_fill_class(gb, word):
     """Every word reached from `word` by swapping adjacent commuting letters."""
     words = {word}
@@ -255,6 +312,30 @@ def reference_commutation_classes(gb, cfg, content):
         if not stutter:
             out.append(CommutationClass(content, min(cls, key=key), len(cls)))
     return out
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_NAMES = ["cyclic_split3", "minor", "pair_swap", "ring5_seed22", "skew2d", "squares"]
+
+
+def fixture_and_seeded_rings(window, seeded=6):
+    """(name, presentation, facet order config, basis at window) for the six
+    input fixtures, then for the first `seeded` rings drawn by
+    random_presentation of dimension at least 2 with a nonempty basis."""
+    for name in FIXTURE_NAMES:
+        doc = parse_input((FIXTURES / f"{name}.json").read_text())
+        yield name, doc.presentation, FacetOrderConfig(doc.order), groebner_for(
+            doc.presentation, doc.order, window
+        )
+    rng = random.Random(20261020)
+    drawn = 0
+    while drawn < seeded:
+        pres = random_presentation(rng, max_dimension=3, window_degree=window, face_budget=20_000)
+        order = TermOrder(pres.n)
+        gb = groebner_for(pres, order, window)
+        if pres.dimension > 1 and gb.elements:
+            yield f"seeded{drawn}", pres, FacetOrderConfig(order), gb
+            drawn += 1
 
 
 class Ring:

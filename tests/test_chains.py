@@ -4,25 +4,29 @@ import json
 import random
 from functools import cmp_to_key
 from math import factorial
-from pathlib import Path
 
 import pytest
 
-from conftest import reference_compare
+from conftest import (
+    FIXTURES,
+    fixture_and_seeded_rings,
+    reference_compare,
+    reference_direct_spans,
+    reference_maximal_overlaps,
+)
 from morsegraded.chains import (
     CrossingReport,
     Facet,
     FacetOrderConfig,
     check_crossing_condition,
+    maximal_overlaps,
     ordered_facets,
     saturated_chains,
 )
-from morsegraded.errors import CrossingViolation
+from morsegraded.errors import CrossingViolation, InternalInvariantError
 from morsegraded.io import parse_input
-from morsegraded.morse import direct_interval_system
+from morsegraded.morse import direct_interval_spans, direct_interval_system
 from morsegraded.orders import TermOrder
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def compare_facets(cfg, a, b):
@@ -270,3 +274,35 @@ def test_least_content_increasing_single_chain(squares):
 def test_facet_content_helper(squares):
     f = Facet((3, 1, 2), ())
     assert squares.cfg.content(f) == (0, 1, 1, 1, 0)
+
+
+def outcome(fn, *args):
+    """("ok", fn's result), or ("error", type, text) of the invariant
+    error it raised."""
+    try:
+        return "ok", fn(*args)
+    except InternalInvariantError as err:
+        return "error", type(err), str(err)
+
+
+def test_batched_overlaps_equal_the_per_facet_reference():
+    # one maximal_overlaps pass over the interval gives each facet the
+    # overlaps, in the same order, and the direct systems of the per-facet
+    # computation it replaced
+    for name, pres, cfg, gb in fixture_and_seeded_rings(4):
+        zero = tuple([0] * pres.dimension)
+        for lam in sorted(pres.degree_window(4)):
+            facets = ordered_facets(pres.interval(zero, lam), cfg)
+            js = range(len(facets))
+            assert [list(o.items()) for o in maximal_overlaps(facets)] == [
+                list(reference_maximal_overlaps(facets, j).items()) for j in js
+            ], (name, lam)
+            expected = [outcome(reference_direct_spans, facets, j) for j in js]
+            per_facet = [
+                outcome(lambda j: tuple(iv.span() for iv in direct_interval_system(facets, j)), j)
+                for j in js
+            ]
+            assert per_facet == expected, (name, lam)
+            first_error = next((e for e in expected if e[0] == "error"), None)
+            batched = first_error or ("ok", [e[1] for e in expected])
+            assert outcome(direct_interval_spans, facets) == batched, (name, lam)

@@ -222,6 +222,28 @@ def test_timing_field_null_by_default(tmp_path):
     assert doc["version"]
 
 
+@pytest.mark.parametrize(
+    "command, stages",
+    [
+        ("gb", {"total"}),
+        ("full", {"total", "oracle", "face_level", "characterization", "labels", "resolution"}),
+    ],
+)
+def test_timing_map_per_stage(tmp_path, command, stages):
+    args = ["--input", str(FIXTURES / "squares.json"), "--command", command]
+    args += ["--degree-window", "3"]
+    timed, plain = tmp_path / "timed.json", tmp_path / "plain.json"
+    assert main(args + ["--timing", "--out", str(timed)]) == 0
+    assert main(args + ["--out", str(plain)]) == 0
+    timing = json.loads(timed.read_text())["timing_ms"]
+    assert set(timing) == stages
+    assert all(isinstance(ms, int) and ms >= 0 for ms in timing.values())
+    assert sum(ms for stage, ms in timing.items() if stage != "total") <= timing["total"]
+    assert json.loads(plain.read_text())["timing_ms"] is None
+    # the timing is the only difference
+    assert json.loads(timed.read_text())["report"] == json.loads(plain.read_text())["report"]
+
+
 def test_exit_code_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 2, "generators": []}')

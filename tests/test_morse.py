@@ -1,12 +1,13 @@
 """Interval systems, truncation, critical cells, the face matching."""
 
+import dataclasses
 import json
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURE_NAMES, FIXTURES
 from morsegraded import cancellation, morse
 from morsegraded.cancellation import (
     SystemTable,
@@ -36,9 +37,6 @@ from morsegraded.morse import (
 )
 from morsegraded.orders import TermOrder
 from morsegraded.semigroup import random_presentation, standard_grading_functional
-
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def spans(system):
@@ -574,16 +572,24 @@ def test_face_kernel_equals_reference_deep_interval(squares, pair_swap, cyclic3)
     assert_kernel_equals_reference(cyclic3, (3, 3, 2, 2, 2, 2))
 
 
-def plant_in_systems(monkeypatch, edit):
+def fresh_shape_table(monkeypatch, gb):
+    """Give gb an empty shape table until the test ends, so the build under
+    test matches every shape itself, and what a test plants or counts stays
+    out of the table the session's rings share."""
+    monkeypatch.setitem(vars(gb), "shape_table", {})
+
+
+def plant_in_systems(monkeypatch, ring, edit):
     """Apply edit to every facet's system, in the build's systems pass and
     in the per-facet characterization the reference reads."""
+    fresh_shape_table(monkeypatch, ring.gb)
     honest_pass, honest = morse.facet_systems, morse.msi_characterization
     monkeypatch.setattr(morse, "facet_systems", lambda *a: [edit(s) for s in honest_pass(*a)])
     monkeypatch.setattr(morse, "msi_characterization", lambda *a: edit(honest(*a)))
 
 
 def test_dropped_skipped_interval_breaks_transversal_check(squares, monkeypatch):
-    plant_in_systems(monkeypatch, lambda system: system[1:])
+    plant_in_systems(monkeypatch, squares, lambda system: system[1:])
     ivl = squares.interval((2, 2, 1, 1))
     with pytest.raises(InternalInvariantError, match="transversals") as err:
         build_face_matching(ivl, squares.cfg, squares.gb)
@@ -597,7 +603,7 @@ def test_spurious_skipped_interval_breaks_transversal_check(squares, monkeypatch
     # the complement lookup sees: the least facet, with an empty system,
     # now misses its face without rank 1
     spurious = RankInterval(1, 1, "descent")
-    plant_in_systems(monkeypatch, lambda system: system + (spurious,))
+    plant_in_systems(monkeypatch, squares, lambda system: system + (spurious,))
     ivl = squares.interval((2, 2, 1, 1))
     least = ordered_facets(ivl, squares.cfg)[0]
     with pytest.raises(InternalInvariantError, match="transversals") as err:
@@ -643,6 +649,7 @@ def test_transversal_checks_come_before_the_shape_breach(squares, monkeypatch):
             partner.clear()  # every subset unmatched
         return partner, critical
 
+    fresh_shape_table(monkeypatch, squares.gb)
     monkeypatch.setattr(morse, "facet_systems", systems)
     monkeypatch.setattr(morse, "_toggle_rule", rule)
     with pytest.raises(InternalInvariantError) as err:
@@ -671,6 +678,7 @@ def plant_in_first_shape(monkeypatch, ring, lam, edit):
             planted.append((r, system))
         return partner, critical
 
+    fresh_shape_table(monkeypatch, ring.gb)
     monkeypatch.setattr(morse, "_toggle_rule", rule)
     with pytest.raises(InternalInvariantError) as err:
         build_face_matching(ring.interval(lam), ring.cfg, ring.gb)
@@ -759,6 +767,7 @@ def test_face_outside_every_truncated_interval_is_a_breach(squares, monkeypatch)
     lam = (2, 2, 1, 1)
     fm = squares.matching(lam)
     honest = morse.truncate_to_j_intervals
+    fresh_shape_table(monkeypatch, squares.gb)
     monkeypatch.setattr(morse, "truncate_to_j_intervals", lambda system: honest(system)[:-1])
     with pytest.raises(InternalInvariantError) as err:
         build_face_matching(squares.interval(lam), squares.cfg, squares.gb)
@@ -875,9 +884,6 @@ def test_reversal_check_visits_few_faces(squares, monkeypatch):
 # -- the cycle search on facets with more than one toggle -----------------------
 
 
-FIXTURE_NAMES = ["cyclic_split3", "minor", "pair_swap", "ring5_seed22", "skew2d", "squares"]
-
-
 def facet_toggles(fm):
     """Facet index -> the elements its matched pairs toggle."""
     out = {}
@@ -918,6 +924,7 @@ def test_cycle_search_seeds_only_facets_with_several_toggles(squares, monkeypatc
         searched.append(dict(partner))
         return search(partner, seeds)
 
+    fresh_shape_table(monkeypatch, squares.gb)
     monkeypatch.setattr(morse, "_match_shape", match_spy)
     monkeypatch.setattr(morse, "alternating_cycle", search_spy)
     fm = build_face_matching(squares.interval((5, 5, 1, 1)), squares.cfg, squares.gb)
@@ -1012,3 +1019,56 @@ def test_face_matching_equals_reference_on_sampled_rings():
             breaches += isinstance(got, str)
     assert any(graded) and not all(graded)
     assert breaches  # the two breach fixtures at least
+
+
+# -- one shape table per basis -------------------------------------------------
+
+
+def test_shared_shape_table_equals_a_fresh_table_per_interval():
+    # every interval of the six fixtures at window 5, built with one shape
+    # table for the whole run, has the owner, partner and critical maps, in
+    # content and insertion order, of a build with a fresh table of its own
+    for name in FIXTURE_NAMES:
+        doc = parse_input((FIXTURES / f"{name}.json").read_text())
+        pres, cfg = doc.presentation, FacetOrderConfig(doc.order)
+        shared, fresh = (groebner_for(pres, doc.order, 5) for _ in range(2))
+        zero = tuple([0] * pres.dimension)
+        per_interval = 0
+        for lam in sorted(pres.degree_window(5)):
+            ivl = pres.interval(zero, lam)
+            vars(fresh).pop("shape_table", None)  # the next read makes a new one
+            got = matching_or_breach(build_face_matching, ivl, cfg, shared)
+            assert got == matching_or_breach(build_face_matching, ivl, cfg, fresh), (name, lam)
+            per_interval += len(fresh.shape_table)
+        assert len(shared.shape_table) < per_interval, name
+
+
+def test_breach_in_a_shape_from_an_earlier_interval_names_the_later_one(squares, monkeypatch):
+    # the earlier interval puts its shapes in the table; a breach planted in
+    # one of them is raised by the later interval, naming its multidegree and
+    # its first facet of that shape
+    fresh_shape_table(monkeypatch, squares.gb)
+    early = (2, 2, 1, 1)
+    build_face_matching(squares.interval(early), squares.cfg, squares.gb)
+    table = squares.gb.shape_table
+
+    def shapes(lam):
+        facets = ordered_facets(squares.interval(lam), squares.cfg)
+        systems = facet_systems(squares.gb, squares.cfg, facets)
+        return facets, [(len(f.interior), s) for f, s in zip(facets, systems)]
+
+    window = squares.pres.degree_window(4)
+    late, facets, key = next(
+        (lam, facets, key)
+        for lam in sorted(window)
+        if lam != early and window[lam] == window[early]
+        for facets, keys in [shapes(lam)]
+        for key in keys
+        if key[1] and key in table and key != keys[0]
+    )
+    j = shapes(late)[1].index(key)
+    assert j > 0
+    table[key] = dataclasses.replace(table[key], breach=("planted", InternalInvariantError, None))
+    with pytest.raises(InternalInvariantError) as err:
+        build_face_matching(squares.interval(late), squares.cfg, squares.gb)
+    assert str(err.value) == f"face matching at {late}: facet {facets[j].labels}: planted"

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import reference_direct_spans
 from morsegraded.cancellation import (
     SystemTable,
     cancel_interval,
@@ -55,6 +56,31 @@ def test_characterization_breaches_name_the_stage_and_multidegree(squares):
     crossed = next(o for o in orders if not check_crossing_condition(o).ok)
     with pytest.raises(CrossingViolation, match=prefix + r".*skips disconnected ranks"):
         characterization_matches_direct(dataclasses.replace(fm, facets=crossed))
+
+
+def test_shuffled_orders_raise_the_reference_first_error(squares):
+    """On each of the 100 shuffled facet orders above, the batched check
+    raises what the per-facet reference raises first, facet by facet, or
+    nothing when the reference raises nothing."""
+    fm = squares.matching((2, 2, 1, 1))
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(100):
+        order = rng.sample(fm.facets, len(fm.facets))
+        try:
+            for j in range(len(order)):
+                reference_direct_spans(order, j)
+            expected = None
+        except InternalInvariantError as err:
+            expected = type(err), f"characterization at (2, 2, 1, 1): {err}"
+        try:
+            characterization_matches_direct(dataclasses.replace(fm, facets=order))
+            got = None
+        except InternalInvariantError as err:
+            got = type(err), str(err)
+        assert got == expected, [f.labels for f in order]
+        raised += expected is not None
+    assert 0 < raised < 100
 
 
 def test_sharpness_report_entries(minor, cyclic3):

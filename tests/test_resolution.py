@@ -4,11 +4,20 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import fixture_and_seeded_rings
 from morsegraded import resolution
 from morsegraded.cancellation import cancel_interval
-from morsegraded.errors import InternalInvariantError
+from morsegraded.errors import InternalInvariantError, MorsegradedError
 from morsegraded.homology import tor_ranks
-from morsegraded.resolution import morse_boundary
+from morsegraded.resolution import (
+    ResolutionData,
+    _assert_square_zero,
+    _grade,
+    _resolution_breach,
+    _unit_incidences,
+    morse_boundary,
+)
+from morsegraded.semigroup import bit_indices
 
 
 def resolve(ring, window):
@@ -64,6 +73,11 @@ def test_boundary_squared_zero_is_enforced(squares, monkeypatch):
         resolve(squares, window)
 
 
+def face_elements(ivl, mask):
+    """The interval's elements at the set bits of a face mask, ascending."""
+    return tuple(ivl.elements[i] for i in bit_indices(mask))
+
+
 def unmatch_one_pair(ring, window):
     """Cancellations of window with one matched pair of faces both made
     critical: the upper one's boundary then meets the lower one in the
@@ -72,11 +86,11 @@ def unmatch_one_pair(ring, window):
     lam = min(lam for lam in results if results[lam].matching.partner)
     fm = results[lam].matching
     pair = min((x, y) for x, y in fm.partner.items() if x < y)
-    cells = [SimpleNamespace(is_base=False, elements=fm.face_elements(x)) for x in pair]
+    cells = [SimpleNamespace(is_base=False, elements=face_elements(fm.ivl, x)) for x in pair]
     results[lam] = SimpleNamespace(
         matching=SimpleNamespace(
+            ivl=fm.ivl,
             partner={x: y for x, y in fm.partner.items() if x not in pair},
-            face_elements=fm.face_elements,
         ),
         survivors=results[lam].survivors + cells,
     )
@@ -154,3 +168,130 @@ def test_degree3_equal_content_pairs_cancel_in_boundary(cyclic3):
         for (hi, lo), coeff in rows.items():
             if (hi[-1] if hi else zero) == (lo[-1] if lo else zero):
                 assert coeff == 0
+
+
+# -- the chain-bitmask witness against the tuple-chain reference -------------
+
+
+def reference_morse_boundary(pres, gb, results):
+    """morse_boundary on chains as element tuples, sliced and compared as
+    tuples: the route the bitmask witness replaced."""
+    zero = tuple([0] * pres.dimension)
+    partner = {}
+    critical = {(): zero}
+    for lam in sorted(results):
+        res = results[lam]
+        fm = res.matching
+        for mask, other in fm.partner.items():
+            chain, up = face_elements(fm.ivl, mask), face_elements(fm.ivl, other)
+            partner[chain + (lam,)] = up + (lam,)
+        for cell in res.survivors:
+            if cell.is_base:
+                chain, up = (lam,), cell.elements + (lam,)
+                partner[chain] = up
+                partner[up] = chain
+                continue
+            critical[cell.elements + (lam,)] = lam
+
+    flows = {}
+
+    def boundary(chain):
+        for j in range(len(chain)):
+            yield (1 if j % 2 == 0 else -1), chain[:j] + chain[j + 1 :]
+
+    def flow(chain):
+        stack = [(chain, 0, None)]
+        while stack:
+            cur, sign_cur, faces = stack.pop()
+            if cur in flows:
+                continue
+            if faces is not None:
+                acc = {}
+                for sgn, face in faces:
+                    for tgt, coeff in flows[face].items():
+                        acc[tgt] = acc.get(tgt, 0) + (-sign_cur) * sgn * coeff
+                flows[cur] = {k: v for k, v in acc.items() if v}
+                continue
+            if cur in critical:
+                flows[cur] = {cur: 1}
+                continue
+            up = partner.get(cur)
+            if up is None:
+                raise _resolution_breach(
+                    _grade(cur, zero), f"chain {cur} neither matched nor critical"
+                )
+            if len(up) < len(cur):
+                flows[cur] = {}
+                continue
+            faces = []
+            for sgn, face in boundary(up):
+                if face == cur:
+                    sign_cur = sgn
+                else:
+                    faces.append((sgn, face))
+            stack.append((cur, sign_cur, faces))
+            stack.extend((face, 0, None) for _, face in faces if face not in flows)
+        return flows[chain]
+
+    differentials = {}
+    for chain in sorted(critical, key=lambda c: (len(c), c)):
+        if not chain:
+            continue
+        row = {}
+        for sgn, face in boundary(chain):
+            for tgt, coeff in flow(face).items():
+                row[tgt] = row.get(tgt, 0) + sgn * coeff
+        for tgt, coeff in row.items():
+            if coeff:
+                differentials.setdefault(len(chain), {})[(chain, tgt)] = coeff
+    units = _unit_incidences(differentials, zero)
+    if units and gb.degree <= 2:
+        hi, lo, _ = units[0]
+        raise _resolution_breach(
+            _grade(hi, zero), f"unit incidence between equal multidegrees: {hi} -> {lo}"
+        )
+    _assert_square_zero(differentials)
+    tor = {}
+    for chain, grade in critical.items():
+        tor[(len(chain), grade)] = tor.get((len(chain), grade), 0) + 1
+    return ResolutionData(critical, differentials, tor, units)
+
+
+def in_order(data):
+    """A witness's fields with every dict as its item list, in order."""
+    return (
+        list(data.critical.items()),
+        [(i, list(rows.items())) for i, rows in data.differentials.items()],
+        list(data.tor.items()),
+        data.unit_incidences,
+    )
+
+
+def test_bitmask_witness_equals_tuple_reference():
+    compared = []
+    for name, pres, cfg, gb in fixture_and_seeded_rings(4):
+        try:
+            results = {lam: cancel_interval(pres, lam, cfg, gb) for lam in pres.degree_window(4)}
+        except MorsegradedError:
+            continue  # a known cancellation breach: no witness to compare
+        data = morse_boundary(pres, gb, results)
+        assert in_order(data) == in_order(reference_morse_boundary(pres, gb, results)), name
+        compared.append(name)
+    assert len(compared) >= 10, compared
+
+
+def test_bitmask_witness_errors_equal_tuple_reference(squares, cyclic3):
+    # the planted unit incidence and the uncancelled multidegree above
+    window = squares.pres.degree_window(3)
+    holed = {lam: cancel_interval(squares.pres, lam, squares.cfg, squares.gb) for lam in window}
+    del holed[(2, 2, 0, 0)]
+    for results in (unmatch_one_pair(squares, window), holed):
+        with pytest.raises(InternalInvariantError) as got:
+            morse_boundary(squares.pres, squares.gb, results)
+        with pytest.raises(InternalInvariantError) as expected:
+            reference_morse_boundary(squares.pres, squares.gb, results)
+        assert str(got.value) == str(expected.value)
+    results = unmatch_one_pair(cyclic3, cyclic3.pres.degree_window(3))
+    assert in_order(morse_boundary(cyclic3.pres, cyclic3.gb, results)) == in_order(
+        reference_morse_boundary(cyclic3.pres, cyclic3.gb, results)
+    )
