@@ -21,7 +21,7 @@ from .errors import (
     UnmatchedUnsaturatedCell,
     ValidationError,
 )
-from .semigroup import IntervalData, SemigroupPresentation, random_presentation
+from .semigroup import IntervalData, SemigroupPresentation
 from .orders import Monomial, TermOrder
 from .groebner import (
     Binomial,

@@ -524,6 +524,49 @@ def _linear_extensions(below) -> int:
     return ways[(1 << len(below)) - 1]
 
 
+class _ClassTable:
+    """The search tree of `commutation_classes` for one basis and one label
+    order, grown one word length at a time.
+
+    `level` holds the (word, below) nodes of length `length`, the longest
+    grown, in lexicographic order.  `classes` maps each rank-sorted content
+    of length at most `length` to its classes, in the same order.
+    """
+
+    def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig):
+        self.rank = cfg.order.label_rank
+        self.commutes = gb.commutes
+        self.letters = sorted(range(cfg.order.n), key=self.rank.__getitem__)
+        self.length = 0
+        self.level = [((), ())]
+        self.classes: dict[tuple[int, ...], list[CommutationClass]] = {
+            (): [CommutationClass((), (), 1)]
+        }
+
+    def _grow(self) -> None:
+        """Append each letter, in rank order, to every node of the last
+        level: the next level comes out in lexicographic order."""
+        rank, commutes, classes = self.rank, self.commutes, self.classes
+        grown = []
+        for word, below in self.level:
+            for a in self.letters:
+                mask = _extend(word, below, a, rank, commutes)
+                if mask is not None:
+                    w, b = word + (a,), below + (mask,)
+                    grown.append((w, b))
+                    content = tuple(sorted(w, key=rank.__getitem__))
+                    classes.setdefault(content, []).append(
+                        CommutationClass(content, w, _linear_extensions(b))
+                    )
+        self.level = grown
+        self.length += 1
+
+    def lookup(self, content: tuple[int, ...]) -> list[CommutationClass]:
+        while self.level and self.length < len(content):
+            self._grow()
+        return self.classes.get(content, [])
+
+
 def commutation_classes(
     gb: GroebnerBasis, cfg: FacetOrderConfig, content
 ) -> list[CommutationClass]:
@@ -535,14 +578,13 @@ def commutation_classes(
     letters whose square also avoids the leading ideal.  Only classes that
     do not stutter are returned, each with its lexicographically least
     member under the label order, in increasing order of that member, and
-    with its number of members.
+    with its number of members.  The list is the caller's own.
 
-    One depth-first search visits only prefixes of such least members.  It
-    pushes letters in reverse label order, so words leave its stack in
-    lexicographic order.  Positions s < t of a word
-    are dependent when their letters are equal or do not commute; the
-    dependence order is the transitive closure, and `_extend` keeps it as
-    one bitmask per position.  Three facts make the search exact:
+    A search tree visits only prefixes of such least members.  Positions
+    s < t of a word are dependent when their letters are equal or do not
+    commute; the dependence order is the transitive closure, and `_extend`
+    keeps it as one bitmask per position.  Three facts make the tree
+    exact:
 
     - Normal forms.  A word is least in its class iff it has no factor
       b·u·a with rank(b) > rank(a), where a commutes with b and with every
@@ -569,22 +611,24 @@ def commutation_classes(
     - Size.  Occurrences of one letter form a chain, so each word of the
       class is one linear extension and back: `size` counts the linear
       extensions over down-sets, at most 2^n states for n letters.
+
+    One tree per basis.  The cut reads the prefix and never the content,
+    so the tree of all words up to length m, grown by every letter, is the
+    union of the trees a search confined to one content of length m would
+    grow, and its nodes of length k with content c are exactly the least
+    members of the non-stuttering classes of c.  `gb.class_tables` keeps
+    that tree for cfg's order (`_ClassTable`): a content of length m grows
+    the missing levels once, each from the last by appending letters in
+    rank order, so every level is in lexicographic order, and files each
+    node with its class size under its content.  Growing to length m
+    visits each node of the union once, so never more nodes than the
+    per-content searches of all contents of length m summed, and one
+    request covers the whole level: every later call, of any length up to
+    m, is a lookup.
     """
+    tables = gb.class_tables
+    table = tables.get(cfg.order)
+    if table is None:
+        table = tables[cfg.order] = _ClassTable(gb, cfg)
     rank = cfg.order.label_rank
-    commutes = gb.commutes
-    content = tuple(sorted(content, key=lambda i: rank[i]))
-    letters = sorted(set(content), key=lambda i: rank[i])
-    out = []
-    stack = [((), (), tuple(content.count(a) for a in letters))]
-    while stack:
-        word, below, left = stack.pop()
-        if len(word) == len(content):
-            out.append(CommutationClass(content, word, _linear_extensions(below)))
-            continue
-        for i in reversed(range(len(letters))):
-            if left[i]:
-                mask = _extend(word, below, letters[i], rank, commutes)
-                if mask is not None:
-                    rest = left[:i] + (left[i] - 1,) + left[i + 1 :]
-                    stack.append((word + (letters[i],), below + (mask,), rest))
-    return out
+    return list(table.lookup(tuple(sorted(content, key=lambda i: rank[i]))))

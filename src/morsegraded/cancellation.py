@@ -71,7 +71,17 @@ def gradient_paths_from(
     its branch.  Critical cells are unmatched, so they end every branch
     anyway, and one traversal finds the paths to all critical targets at
     once.  Complete below cap paths per target.
+
+    Owner floor.  The matching must be one build_face_matching built: its
+    pairs share their owner, since a shape's partners are among its own
+    transversals, and a face's faces are owned by its own facet or by
+    earlier ones.  So the owner never rises along a gradient path, and a
+    face y owned below the least owner of the targets reaches none of
+    them: the search skips it.  A target that is no face of the interval
+    sets no floor.
     """
+    owner = fm.owner
+    floor = min((owner.get(t, 0) for t in targets), default=0)
     found: dict[int, list[GradientPath]] = {}
     stack: list[tuple[int, tuple[int, ...]]] = [(tau_mask, (tau_mask,))]
     while stack:
@@ -88,6 +98,8 @@ def gradient_paths_from(
                 paths.append(GradientPath(trail + (y,)))
                 if len(paths) > cap:
                     raise PathCapExceeded(cap, tau_mask, y)
+                continue
+            if owner[y] < floor:
                 continue
             up = fm.partner.get(y)
             if up is not None and fm.dim(up) == fm.dim(y) + 1 and up != x:

@@ -68,9 +68,16 @@ class GroebnerBasis:
 
     @cached_property
     def shape_table(self) -> dict:
-        """(interior length, skipped-interval system) -> the matching of
+        """(interior length, skipped-interval spans) -> the matching of
         that facet shape on rank subsets (morse._match_shape), filled by
         every face matching built with this basis."""
+        return {}
+
+    @cached_property
+    def class_tables(self) -> dict:
+        """Term order -> the commutation-class search tree of this basis
+        under that label order (automaton._ClassTable), grown one word
+        length at a time by commutation_classes."""
         return {}
 
 

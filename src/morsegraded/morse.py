@@ -505,10 +505,9 @@ def _verify_shape(subs: list[int], partner: dict[int, int], critical) -> None:
 
 @dataclass(slots=True)
 class _Shape:
-    """The matching of one (interior length, skipped-interval system), on
+    """The matching of one (interior length, skipped-interval spans), on
     rank subsets, which a facet maps to faces through its face table."""
 
-    j_system: tuple[RankInterval, ...]
     complements: tuple[int, ...]  # facet minus I, for each I leaving a face
     transversals: list[int]  # ascending: the new faces
     partner: dict[int, int]
@@ -519,19 +518,20 @@ class _Shape:
 def _match_shape(r: int, system) -> _Shape:
     """Form, match and verify the transversals of one shape on rank subsets.
 
-    A check that fails is kept as the shape's breach, for the build to
-    raise with a facet's name once that facet's own checks have passed.
+    Only the spans of system are read, never the interval kinds, so every
+    system with these spans has this shape.  A check that fails is kept as
+    the shape's breach, for the build to raise with a facet's name once
+    that facet's own checks have passed.
     """
-    j_system = truncate_to_j_intervals(system)
     full = (1 << r) - 1
     complements = tuple(rest for iv in system if (rest := full & ~iv.mask))
     subs = _transversals(r, system)
     try:
-        partner, critical = _toggle_rule(r, system, j_system, subs)
+        partner, critical = _toggle_rule(r, system, truncate_to_j_intervals(system), subs)
         _verify_shape(subs, partner, critical)
     except _ShapeBreach as err:
-        return _Shape(j_system, complements, subs, {}, {}, err.args)
-    return _Shape(j_system, complements, subs, partner, critical, None)
+        return _Shape(complements, subs, {}, {}, err.args)
+    return _Shape(complements, subs, partner, critical, None)
 
 
 def build_face_matching(
@@ -558,19 +558,23 @@ def build_face_matching(
     ones.  This is the equality an all-subsets comparison would check.
 
     Everything else depends on the facet's shape, its interior length r
-    and system, alone.  Each shape is matched and verified once per basis,
-    on rank subsets (_match_shape): its transversals, the toggle rule
+    and the spans of its system, alone: the transversals, the toggle rule
+    and the checks read ranks, never the descent or syzygy kind of an
+    interval.  Each shape is matched and verified once per basis, on rank
+    subsets (_match_shape): its transversals, the toggle rule
     (_toggle_rule), and the checks of _verify_shape.  The shapes live in
-    gb.shape_table, which every interval built with gb shares, so one
-    command run matches each shape once.  facet_systems makes equal systems
-    one object, so a build looks its shapes up by (r, id(system)) and reads
-    the shared table, which hashes the system, once per distinct shape.  A
-    facet maps the shape's subsets to faces through its face table
-    (_face_table), runs (b), then (a) with the owner inserts, raises the
-    shape's breach if it has one, and inserts the partners and critical
-    cells.  A shape's breach therefore names the first facet of that shape,
-    in facet order, of the interval being built, whichever interval first
-    put the shape in the table.
+    gb.shape_table, keyed by (r, spans), which every interval built with gb
+    shares, so one command run matches each shape once, whatever the kinds
+    of its intervals.  facet_systems makes equal systems one object, so a
+    build looks its shapes up by (r, id(system)), and only once per
+    distinct system forms the spans, reads the shared table and truncates
+    the system to its J-intervals, which keep the kinds.  A facet maps the
+    shape's subsets to faces through its face table (_face_table), runs
+    (b), then (a) with the owner inserts, raises the shape's breach if it
+    has one, and inserts the partners and critical cells.  A shape's breach
+    therefore names the first facet of that shape, in facet order, of the
+    interval being built, whichever interval first put the shape in the
+    table.
 
     Proof that this checks what a check of the built maps would.  The map
     from a rank subset S to the face of facet j at those ranks is injective
@@ -599,18 +603,20 @@ def build_face_matching(
         )
     systems = facet_systems(gb, cfg, facets)
     table = gb.shape_table
-    local: dict[tuple[int, int], _Shape] = {}
-    shapes = []
+    local: dict[tuple[int, int], tuple[_Shape, tuple[RankInterval, ...]]] = {}
+    shapes, j_systems = [], []
     for facet, system in zip(facets, systems):
         r = len(facet.interior)
-        shape = local.get((r, id(system)))
-        if shape is None:
-            shape = table.get((r, system))
+        hit = local.get((r, id(system)))
+        if hit is None:
+            key = (r, tuple([(iv.lo, iv.hi) for iv in system]))
+            shape = table.get(key)
             if shape is None:
-                shape = table[r, system] = _match_shape(r, system)
-            local[r, id(system)] = shape
-        shapes.append(shape)
-    fm = FaceMatching(ivl, cfg, facets, systems, [s.j_system for s in shapes])
+                shape = table[key] = _match_shape(r, system)
+            hit = local[r, id(system)] = (shape, truncate_to_j_intervals(system))
+        shapes.append(hit[0])
+        j_systems.append(hit[1])
+    fm = FaceMatching(ivl, cfg, facets, systems, j_systems)
 
     if len(facets) == 1 and not facets[0].interior:
         fm.empty_cell = _cell(facets[0], ())

@@ -11,7 +11,6 @@ order is a linear extension of the order (see `grow`).
 
 from __future__ import annotations
 
-import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -303,54 +302,3 @@ def standard_grading_functional(pres: SemigroupPresentation) -> tuple[Fraction, 
     if any(sum(wc * gc for wc, gc in zip(w, g)) != 1 for g in pres.generators):
         return None
     return tuple(w)
-
-
-def random_presentation(
-    rng: random.Random,
-    max_generators: int = 6,
-    max_dimension: int = 5,
-    max_coord: int = 3,
-    face_budget: int = 150_000,
-    window_degree: int = 6,
-) -> SemigroupPresentation:
-    """Sample a pointed presentation whose degree window stays desk-sized.
-
-    Resamples until the generators are distinct atoms and a crude count of
-    chains over the degree window fits the face budget, so downstream
-    property suites stay inside their runtime budgets.
-    """
-    while True:
-        e = rng.randint(1, max_dimension)
-        n = rng.randint(1, max_generators)
-        gens: list[Vector] = []
-        pres = None
-        for _ in range(n * 8):
-            g = tuple(rng.randint(0, max_coord) for _ in range(e))
-            if not any(g) or g in gens:
-                continue
-            try:
-                candidate = SemigroupPresentation(e, gens + [g])
-            except ValidationError:
-                continue  # keeps every generator an atom
-            gens.append(g)
-            pres = candidate
-            if len(gens) == n:
-                break
-        if pres is None:
-            continue
-        work = 0
-        feasible = True
-        for lam in pres.degree_window(window_degree):
-            facs = pres.factorizations(lam)
-            for f in facs:
-                count = 1
-                for k in range(1, len(f) + 1):
-                    count *= k
-                work += count
-                if work > face_budget:
-                    feasible = False
-                    break
-            if not feasible:
-                break
-        if feasible:
-            return pres

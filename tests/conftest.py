@@ -15,13 +15,13 @@ import pytest
 
 from morsegraded.automaton import CommutationClass
 from morsegraded.chains import FacetOrderConfig, is_run, skipped_ranks
-from morsegraded.errors import CrossingViolation, InternalInvariantError
+from morsegraded.errors import CrossingViolation, InternalInvariantError, ValidationError
 from morsegraded.groebner import GroebnerBasis, groebner_for
 from morsegraded.homology import Column, boundary_matrix
 from morsegraded.io import parse_input
 from morsegraded.morse import build_face_matching
 from morsegraded.orders import TermOrder
-from morsegraded.semigroup import SemigroupPresentation, bit_indices, random_presentation
+from morsegraded.semigroup import SemigroupPresentation, Vector, bit_indices
 
 RINGS = {
     "squares": (4, [(1, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 2, 0, 0)], 2),
@@ -312,6 +312,57 @@ def reference_commutation_classes(gb, cfg, content):
         if not stutter:
             out.append(CommutationClass(content, min(cls, key=key), len(cls)))
     return out
+
+
+def random_presentation(
+    rng: random.Random,
+    max_generators: int = 6,
+    max_dimension: int = 5,
+    max_coord: int = 3,
+    face_budget: int = 150_000,
+    window_degree: int = 6,
+) -> SemigroupPresentation:
+    """Sample a pointed presentation whose degree window stays desk-sized.
+
+    Resamples until the generators are distinct atoms and a crude count of
+    chains over the degree window fits the face budget, so downstream
+    property suites stay inside their runtime budgets.
+    """
+    while True:
+        e = rng.randint(1, max_dimension)
+        n = rng.randint(1, max_generators)
+        gens: list[Vector] = []
+        pres = None
+        for _ in range(n * 8):
+            g = tuple(rng.randint(0, max_coord) for _ in range(e))
+            if not any(g) or g in gens:
+                continue
+            try:
+                candidate = SemigroupPresentation(e, gens + [g])
+            except ValidationError:
+                continue  # keeps every generator an atom
+            gens.append(g)
+            pres = candidate
+            if len(gens) == n:
+                break
+        if pres is None:
+            continue
+        work = 0
+        feasible = True
+        for lam in pres.degree_window(window_degree):
+            facs = pres.factorizations(lam)
+            for f in facs:
+                count = 1
+                for k in range(1, len(f) + 1):
+                    count *= k
+                work += count
+                if work > face_budget:
+                    feasible = False
+                    break
+            if not feasible:
+                break
+        if feasible:
+            return pres
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -9,7 +9,7 @@ import random
 import time
 from itertools import combinations
 
-from conftest import flood_fill_class
+from conftest import flood_fill_class, random_presentation
 from morsegraded.automaton import (
     build_degree_d_automaton,
     build_quadratic_automaton,
@@ -41,7 +41,6 @@ from morsegraded.morse import direct_interval_system, msi_characterization
 from morsegraded.orders import TermOrder
 from morsegraded.pipeline import morse_vs_betti
 from morsegraded.resolution import morse_boundary
-from morsegraded.semigroup import random_presentation
 
 
 def report(criterion: str, ok: bool) -> None:

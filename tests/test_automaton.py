@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import distinct_permutations, flood_fill_class, reference_commutation_classes
+from conftest import (
+    distinct_permutations,
+    fixture_and_seeded_rings,
+    flood_fill_class,
+    random_presentation,
+    reference_commutation_classes,
+)
 from morsegraded import automaton
 from morsegraded.automaton import (
     INIT,
@@ -37,7 +43,7 @@ from morsegraded.groebner import (
 )
 from morsegraded.io import parse_input
 from morsegraded.orders import TermOrder, content_monomial
-from morsegraded.semigroup import SemigroupPresentation, random_presentation
+from morsegraded.semigroup import SemigroupPresentation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -241,11 +247,74 @@ def test_class_search_pushes_fewer_words_than_arrangements(pair_swap, monkeypatc
         return mask
 
     monkeypatch.setattr(automaton, "_extend", spy)
+    monkeypatch.setitem(vars(pair_swap.gb), "class_tables", {})  # grown here, not by earlier tests
     for content in contents_to(pair_swap.pres.n, 6):
         commutation_classes(pair_swap.gb, pair_swap.cfg, content)
     # each word of length <= 6 arranges exactly one content
     arrangements = sum(pair_swap.pres.n**d for d in range(7))
     assert 2 * pushed < arrangements
+
+
+# -- one class table per basis ----------------------------------------------------
+
+
+def test_class_table_equals_reference_on_fixture_and_seeded_rings():
+    rings = 0
+    for name, _, cfg, gb in fixture_and_seeded_rings(5):
+        for content in contents_to(cfg.order.n, 5):
+            want = reference_commutation_classes(gb, cfg, content)
+            assert commutation_classes(gb, cfg, content) == want, (name, content)
+        rings += 1
+    assert rings == 12
+
+
+def test_class_table_answers_do_not_depend_on_request_order():
+    # contents asked for longest first grow the table in one request; one
+    # content asked for alone on a fresh basis reads the same list
+    several = 0
+    for name in ("squares", "pair_swap", "cyclic_split3"):
+        gb, cfg = fixture_basis(name)
+        contents = list(contents_to(cfg.order.n, 5))
+        ascending = {c: commutation_classes(gb, cfg, c) for c in contents}
+        gb, cfg = fixture_basis(name)
+        for content in reversed(contents):
+            assert commutation_classes(gb, cfg, content) == ascending[content], (name, content)
+        for content in contents[:: len(contents) // 25]:
+            gb, cfg = fixture_basis(name)
+            assert commutation_classes(gb, cfg, content) == ascending[content], (name, content)
+        several += sum(len(classes) > 1 for classes in ascending.values())
+    assert several
+
+
+def test_second_sweep_over_contents_grows_nothing(monkeypatch):
+    extend = automaton._extend
+    calls = 0
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    monkeypatch.setattr(automaton, "_extend", spy)
+    gb, cfg = fixture_basis("pair_swap")
+    contents = list(contents_to(cfg.order.n, 5))
+    first = [commutation_classes(gb, cfg, c) for c in contents]
+    grown = calls
+    assert grown > 0
+    assert [commutation_classes(gb, cfg, c) for c in contents] == first
+    assert calls == grown
+
+
+def test_returned_class_list_is_the_callers_own(squares):
+    content = (1, 2, 3, 4)
+    got = commutation_classes(squares.gb, squares.cfg, content)
+    want = list(got)
+    assert len(want) == 2
+    got.clear()
+    assert commutation_classes(squares.gb, squares.cfg, content) == want
+    got = commutation_classes(squares.gb, squares.cfg, content)
+    got.append(got[0])
+    assert commutation_classes(squares.gb, squares.cfg, content) == want
 
 
 def test_class_bijection_with_survivors(squares, pair_swap):

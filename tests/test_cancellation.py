@@ -7,15 +7,12 @@ from pathlib import Path
 import pytest
 
 import morsegraded.cancellation as cancellation
+from conftest import FIXTURE_NAMES, random_presentation
 from morsegraded.chains import FacetOrderConfig
 from morsegraded.groebner import groebner_for
 from morsegraded.io import parse_input
 from morsegraded.orders import TermOrder, content_monomial
-from morsegraded.semigroup import (
-    SemigroupPresentation,
-    random_presentation,
-    standard_grading_functional,
-)
+from morsegraded.semigroup import SemigroupPresentation, standard_grading_functional
 from morsegraded.cancellation import (
     DEFAULT_PATH_CAP,
     GradientPath,
@@ -34,6 +31,7 @@ from morsegraded.cancellation import (
 )
 from morsegraded.errors import (
     InternalInvariantError,
+    MorsegradedError,
     PathCapExceeded,
     UnmatchedUnsaturatedCell,
 )
@@ -135,6 +133,63 @@ def test_path_table_equals_per_pair_search(squares, pair_swap, minor, cyclic3):
         table = cancellation._path_table(fm, unsaturated_cells(fm), DEFAULT_PATH_CAP)
         assert table and table == reference_table(fm), (ring.name, lam)
     assert any(len(paths) > 1 for paths in table.values())
+
+
+def unpruned_paths_from(fm, tau_mask, targets, cap=DEFAULT_PATH_CAP):
+    """gradient_paths_from without the owner floor: every branch runs until
+    it reaches a target or a face with no upward partner."""
+    found = {}
+    stack = [(tau_mask, (tau_mask,))]
+    while stack:
+        x, trail = stack.pop()
+        m = x
+        while m:
+            bit = m & -m
+            m ^= bit
+            y = x ^ bit
+            if not y:
+                continue
+            if y in targets:
+                paths = found.setdefault(y, [])
+                paths.append(GradientPath(trail + (y,)))
+                if len(paths) > cap:
+                    raise PathCapExceeded(cap, tau_mask, y)
+                continue
+            up = fm.partner.get(y)
+            if up is not None and fm.dim(up) == fm.dim(y) + 1 and up != x:
+                stack.append((up, trail + (y, up)))
+    for paths in found.values():
+        paths.sort(key=lambda p: p.cells)
+    return found
+
+
+def test_owner_floor_keeps_every_path(monkeypatch):
+    # every query the path table makes, on the six fixtures at window 5 and
+    # the three deep intervals of the benchmark's faces workload at window 7,
+    # finds the paths the search without the owner floor finds
+    queries = []
+    pruned = cancellation.gradient_paths_from
+
+    def both(fm, tau_mask, targets, cap=DEFAULT_PATH_CAP):
+        got = pruned(fm, tau_mask, targets, cap)
+        assert got == unpruned_paths_from(fm, tau_mask, targets, cap)
+        queries.append(len(got))
+        return got
+
+    monkeypatch.setattr(cancellation, "gradient_paths_from", both)
+    deep = {"squares": (5, 5, 1, 1), "pair_swap": (4, 4, 1, 1, 1), "cyclic_split3": (3, 3, 2, 2, 2, 2)}
+    for name in FIXTURE_NAMES:
+        doc = parse_input((FIXTURES / f"{name}.json").read_text())
+        pres, cfg = doc.presentation, FacetOrderConfig(doc.order)
+        gbs = {window: groebner_for(pres, doc.order, window) for window in (5, 7)}
+        cases = [(lam, 5) for lam in sorted(pres.degree_window(5))]
+        cases += [(deep[name], 7)] if name in deep else []
+        for lam, window in cases:
+            try:
+                cancellation.cancel_interval(pres, lam, cfg, gbs[window])
+            except MorsegradedError:
+                continue  # a known breach (ROADMAP item 4) ends the build first
+    assert len(queries) > 500 and sum(queries) > 500
 
 
 def test_one_traversal_per_upper_cell(squares, pair_swap, cyclic3, monkeypatch):

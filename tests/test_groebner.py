@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_presentation
 from morsegraded.errors import InvalidBasis, MorsegradedError
 from morsegraded.groebner import (
     Binomial,
@@ -22,11 +23,7 @@ from morsegraded.groebner import (
     verify_groebner,
 )
 from morsegraded.orders import KINDS, TermOrder, monomial_div, monomial_lcm, monomial_mul
-from morsegraded.semigroup import (
-    SemigroupPresentation,
-    random_presentation,
-    standard_grading_functional,
-)
+from morsegraded.semigroup import SemigroupPresentation, standard_grading_functional
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_presentation
 from morsegraded import homology
 from morsegraded.homology import (
     OrderComplex,
@@ -26,7 +27,6 @@ from morsegraded.io import parse_input
 from morsegraded.semigroup import (
     SemigroupPresentation,
     bit_indices,
-    random_presentation,
     standard_grading_functional,
 )
 

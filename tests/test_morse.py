@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURE_NAMES, FIXTURES
+from conftest import FIXTURE_NAMES, FIXTURES, random_presentation
 from morsegraded import cancellation, morse
 from morsegraded.cancellation import (
     SystemTable,
@@ -36,7 +36,7 @@ from morsegraded.morse import (
     verify_acyclic,
 )
 from morsegraded.orders import TermOrder
-from morsegraded.semigroup import random_presentation, standard_grading_functional
+from morsegraded.semigroup import standard_grading_functional
 
 
 def spans(system):
@@ -912,12 +912,17 @@ def test_restricted_cycle_search_agrees_with_full_search():
     assert breaches == [("skew2d", (5, 15))]
 
 
+def spans(system):
+    """The shape table's key for a system: its spans, kinds left out."""
+    return tuple(iv.span() for iv in system)
+
+
 def test_cycle_search_seeds_only_facets_with_several_toggles(squares, monkeypatch):
     matched, searched = [], []
     match, search = morse._match_shape, morse.alternating_cycle
 
     def match_spy(r, system):
-        matched.append((r, system))
+        matched.append((r, spans(system)))
         return match(r, system)
 
     def search_spy(partner, seeds):
@@ -928,10 +933,12 @@ def test_cycle_search_seeds_only_facets_with_several_toggles(squares, monkeypatc
     monkeypatch.setattr(morse, "_match_shape", match_spy)
     monkeypatch.setattr(morse, "alternating_cycle", search_spy)
     fm = build_face_matching(squares.interval((5, 5, 1, 1)), squares.cfg, squares.gb)
-    shapes = [(len(f.interior), s) for f, s in zip(fm.facets, fm.systems)]
-    # one shape routine per distinct (interior length, system)
+    shapes = [(len(f.interior), spans(s)) for f, s in zip(fm.facets, fm.systems)]
+    # one shape routine per distinct (interior length, spans): the 353
+    # distinct systems, which differ in kinds too, have 151 span tuples
     assert len(fm.facets) == 2_142
-    assert len(matched) == len(set(matched)) == 353 and set(matched) == set(shapes)
+    assert len({(len(f.interior), s) for f, s in zip(fm.facets, fm.systems)}) == 353
+    assert len(matched) == len(set(matched)) == 151 and set(matched) == set(shapes)
     # the cycle search runs once per shape whose pairs toggle more than one
     # rank, on that shape's rank subsets
     toggles = facet_toggles(fm)
@@ -1055,7 +1062,7 @@ def test_breach_in_a_shape_from_an_earlier_interval_names_the_later_one(squares,
     def shapes(lam):
         facets = ordered_facets(squares.interval(lam), squares.cfg)
         systems = facet_systems(squares.gb, squares.cfg, facets)
-        return facets, [(len(f.interior), s) for f, s in zip(facets, systems)]
+        return facets, [(len(f.interior), spans(s)) for f, s in zip(facets, systems)]
 
     window = squares.pres.degree_window(4)
     late, facets, key = next(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_presentation
 from morsegraded.chains import FacetOrderConfig, check_crossing_condition, ordered_facets
 from morsegraded.groebner import groebner_for, phi
 from morsegraded.homology import (
@@ -21,7 +22,6 @@ from morsegraded.morse import (
     msi_characterization,
 )
 from morsegraded.orders import TermOrder
-from morsegraded.semigroup import random_presentation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

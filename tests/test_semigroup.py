@@ -9,7 +9,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import RINGS
+from conftest import RINGS, random_presentation
 
 from morsegraded.errors import NotComparable, ValidationError
 from morsegraded.homology import tor_tables
@@ -17,7 +17,6 @@ from morsegraded.io import parse_input
 from morsegraded.semigroup import (
     SemigroupPresentation,
     bit_indices,
-    random_presentation,
     vec_add,
     vec_dominates,
     vec_sub,
