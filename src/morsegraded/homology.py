@@ -217,13 +217,15 @@ def _invariant_factors(columns: list[Column]) -> tuple[list[int], Collection[int
     """The nonzero invariant factors of the integer matrix with these
     columns, and the lead rows that clearing may skip.
 
-    Unit pivots prove the factors all 1, and their leads are the rows;
-    otherwise the dense Smith normal form gives the factors, and no row.
+    Unit pivots prove the factors all 1, and their leads are the rows,
+    as a set of their own: a view of the pivot dict would keep every pivot
+    alive while the caller ranks the next layer.  Otherwise the dense Smith
+    normal form gives the factors, and no row.
     """
     pivots = _unit_pivots(columns)
     if pivots is None:
         return smith_normal_form(_dense(columns)), ()
-    return [1] * len(pivots), pivots.keys()
+    return [1] * len(pivots), set(pivots)
 
 
 def _field_rank(factors: list[int], characteristic: int) -> int:
@@ -244,8 +246,10 @@ def betti_numbers(cx: OrderComplex, characteristics) -> dict[int, tuple[int, ...
 
     The nonempty layers' boundary maps are eliminated once over Z, top
     dimension first with clearing, and every field reads its ranks off the
-    same invariant factors.  A one-vertex complex is a point, which is
-    contractible: every reduced Betti number is 0, with nothing eliminated.
+    same invariant factors.  Each layer's columns live only while that
+    layer is eliminated, and only its lead rows are kept for the next.  A
+    one-vertex complex is a point, which is contractible: every reduced
+    Betti number is 0, with nothing eliminated.
     """
     wanted = tuple(dict.fromkeys(characteristics))
     if cx.dim < 0 or not wanted:
@@ -255,8 +259,9 @@ def betti_numbers(cx: OrderComplex, characteristics) -> dict[int, tuple[int, ...
     factors: list[list[int]] = [[] for _ in range(cx.dim + 2)]
     leads: Collection[int] = ()
     for d in range(sum(map(bool, cx.faces)) - 1, -1, -1):
-        kept = [col for k, col in enumerate(boundary_matrix(cx, d)) if k not in leads]
-        factors[d], leads = _invariant_factors(kept)
+        factors[d], leads = _invariant_factors(
+            [col for k, col in enumerate(boundary_matrix(cx, d)) if k not in leads]
+        )
     betti = {}
     for c in wanted:
         ranks = [_field_rank(f, c) for f in factors]

@@ -16,7 +16,10 @@ rather than trusted:
   subsets, in a table the basis holds for every interval of a command
   run, and the cycle search runs only on shapes whose pairs toggle more
   than one rank, which is exact (build_face_matching, _verify_shape);
-  verify_acyclic searches from every matched face.
+  verify_acyclic searches from every matched face;
+- the Groebner-read systems are the overlap-defined ones: checks (a) and
+  (b) prove it up to which systems are empty, and the test of that is
+  exact (characterization_certified).
 """
 
 from __future__ import annotations
@@ -384,22 +387,11 @@ class FaceMatching:
 
 
 # Most interior subsets the facets of one interval may span, summed over
-# the facets: each facet's face table has an entry per subset, and
-# build_face_matching inserts only the transversals among them.
+# the facets: this bounds the face-table entries build_face_matching makes,
+# and it inserts only the transversals among them.
 # The largest interval of the benchmark inputs at degree window 7,
 # pair_swap (4,4,1,1,1), spans 255,360.
 FACE_BUDGET = 1 << 21
-
-
-def _face_table(ivl: IntervalData, facet: Facet) -> list[int]:
-    """The facet's faces by rank subset: entry sub is the element mask of
-    the interior elements at the ranks in sub (bit r - 1 for rank r)."""
-    index = ivl.index
-    table = [0]
-    for e in facet.interior:
-        bit = 1 << index(e)
-        table += [face | bit for face in table]
-    return table
 
 
 def _breach(fm: FaceMatching, j: int, what: str, kind=InternalInvariantError):
@@ -569,9 +561,9 @@ def build_face_matching(
     build looks its shapes up by (r, id(system)), and only once per
     distinct system forms the spans, reads the shared table and truncates
     the system to its J-intervals, which keep the kinds.  A facet maps the
-    shape's subsets to faces through its face table (_face_table), runs
-    (b), then (a) with the owner inserts, raises the shape's breach if it
-    has one, and inserts the partners and critical cells.  A shape's breach
+    shape's subsets to faces through its face table, runs (b), then (a)
+    with the owner inserts, raises the shape's breach if it has one, and
+    inserts the partners and critical cells.  A shape's breach
     therefore names the first facet of that shape, in facet order, of the
     interval being built, whichever interval first put the shape in the
     table.
@@ -592,6 +584,22 @@ def build_face_matching(
     face), so facet j's new faces carry a cycle exactly when the shape's
     subsets do.  The shape searches for one only when its pairs toggle
     more than one rank, which is exact (_verify_shape).
+
+    Entry S of facet j's face table is the element mask of its interior
+    elements at the ranks in S (bit r - 1 for rank r).  The table grows one
+    rank at a time, doubling, so the table of the first k ranks is its
+    first 2^k entries.  The build keeps one table across facets: each facet
+    cuts it to the 2^shared entries of the interior prefix it shares with
+    the previous facet, and doubles it once per rank past that prefix.
+
+    Checks (a) and (b) also back full's characterization_equals_direct
+    and crossing_condition: the Groebner-read systems equal the
+    overlap-defined ones, and the crossing condition holds, exactly when
+    characterization_certified says so, which reads the built matching
+    alone.  The direct overlap pass
+    (pipeline.characterization_matches_direct) still runs where it says
+    no, in the tests, and, for an explicit facet order, in
+    chains.check_crossing_condition.
 
     Intervals whose facets span more than FACE_BUDGET interior subsets in
     all are refused before any face is built.
@@ -623,8 +631,21 @@ def build_face_matching(
         return fm
 
     owner, partner, critical = fm.owner, fm.partner, fm.critical
+    index = ivl.index
+    face = [0]  # the current facet's face table
+    previous: tuple[Vector, ...] = ()
     for j, (facet, shape) in enumerate(zip(facets, shapes)):
-        face = _face_table(ivl, facet)
+        interior = facet.interior
+        shared = 0
+        for x, y in zip(interior, previous):
+            if x != y:
+                break
+            shared += 1
+        del face[1 << shared :]  # the table of the shared ranks
+        for e in interior[shared:]:
+            bit = 1 << index(e)
+            face += [f | bit for f in face]
+        previous = interior
         for rest in shape.complements:
             if face[rest] not in owner:  # (b)
                 raise _transversal_breach(fm, j)
@@ -638,6 +659,45 @@ def build_face_matching(
         for sub, (ranks, is_base) in shape.critical.items():
             critical[face[sub]] = _cell(facet, ranks, is_base)
     return fm
+
+
+def characterization_certified(fm: FaceMatching) -> bool:
+    """Is every facet's Groebner-read system its overlap-defined one, with
+    the crossing condition, as the face-matching build already showed?
+
+    Precondition: fm.facets and fm.systems are those of a matching that
+    build_face_matching returned, so every facet passed checks (a) and (b)
+    (cancel_cells keeps both lists).  True when the first facet's system
+    is empty and no later facet's is.  Then, for every j,
+    direct_interval_system(fm.facets, j) has the spans of fm.systems[j],
+    and no maximal overlap skips a disconnected rank set.  False happens
+    exactly when the systems differ from the direct ones, and the caller
+    runs the direct pass (pipeline.characterization_matches_direct) for
+    its verdict and its errors.
+
+    Proof.  Take facet F_j with system S, and let D be the faces of the
+    earlier facets.  By the proof in build_face_matching, the nonempty
+    faces of F_j in D are exactly its rank subsets that are not
+    transversals of S, that is the nonempty faces of the sets F_j - I over
+    I in S.  A face of F_j lies in D exactly when it lies in an overlap
+    F_j & F_i with i < j, so when j > 0 the maximal overlaps are the
+    maximal elements of the faces of F_j in D and the empty face.  S is
+    non-nested (_checked_system asserts it), so the sets F_j - I are
+    pairwise incomparable.  If S is nonempty and j > 0, the maximal overlaps are
+    therefore exactly the sets F_j - I (the one empty set when S is
+    {[1, r]}), and they skip the ranks of the intervals I: the direct
+    system has the spans of S, no overlap is the whole facet, and every
+    skipped set is a run, which is the crossing condition.  If S is empty
+    and j > 0, F_j has no nonempty face in D, its one maximal overlap is
+    the empty face, and the direct system is {[1, r]}, not S.  For j = 0
+    there is no overlap: the direct system is empty, which S must be.  So
+    the systems all equal the direct ones exactly when S is empty for
+    j = 0 alone.  A lone facet with no interior, whose build runs neither
+    check, is the case j = 0, and its system, read off one label, is
+    empty.
+    """
+    systems = fm.systems
+    return not any(systems[:1]) and all(systems[1:])
 
 
 def _transversal_breach(fm: FaceMatching, j: int) -> InternalInvariantError:

@@ -5,9 +5,10 @@ against direct overlaps, Morse numbers against oracle Betti numbers,
 survivors against automaton language and commutation classes.  Each
 per-interval object is built once per run: the deep window's
 cancellations feed the Morse inequalities, the characterization check
-(one batched overlap pass per interval) and the resolution witness, and
-the matchings share the basis's shape table.  full_consistency_suite can
-report the wall time of each of its stages.
+(certified by each matching's build, with one batched overlap pass per
+interval as the fallback) and the resolution witness, and the matchings
+share the basis's shape table.  full_consistency_suite can report the
+wall time of each of its stages.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .chains import FacetOrderConfig
 from .errors import InternalInvariantError
 from .groebner import GroebnerBasis
 from .homology import BettiTable, tor_tables, verify_vanishing
-from .morse import FaceMatching, direct_interval_spans
+from .morse import FaceMatching, characterization_certified, direct_interval_spans
 from .resolution import morse_boundary
 from .semigroup import SemigroupPresentation, Vector
 
@@ -120,11 +121,21 @@ def full_consistency_suite(
     reusing the deep window's cancellations and cancelling only targets
     outside it.
 
+    characterization_equals_direct and crossing_condition rest on each
+    deep matching's build: its transversal checks decide both, up to
+    whether each facet's system is empty, which characterization_certified
+    reads off the matching.  An interval that fails that test goes to the
+    direct overlap pass, characterization_matches_direct, whose answer is
+    then the interval's and which raises CrossingViolation where the
+    crossing condition fails.  The direct pass also runs in the tests and,
+    per facet order, in chains.check_crossing_condition.
+
     A stage_s dict, when given, receives the wall seconds of each stage:
     oracle (Betti tables, vanishing bound, sharpness), face_level
-    (cancellations and Morse inequalities), characterization (the direct
-    overlap check), labels (automaton, survivors, classes, series) and
-    resolution (the resolution witness).
+    (cancellations and Morse inequalities), characterization (the
+    certificate, and the direct overlap pass where it runs), labels
+    (automaton, survivors, classes, series) and resolution (the resolution
+    witness).
     """
     lap = _Laps({} if stage_s is None else stage_s)
     window = pres.degree_window(max_degree)
@@ -144,9 +155,12 @@ def full_consistency_suite(
         res = cancel_interval(pres, lam, cfg, gb, path_cap)
         results[lam] = res
         lap("face_level")
-        # direct_interval_spans raises CrossingViolation if the crossing
-        # condition fails, so a completed loop also certifies it
-        charact_ok = charact_ok and characterization_matches_direct(res.matching)
+        # every interval is certified or passes through the direct pass,
+        # which raises CrossingViolation if the crossing condition fails, so
+        # a completed loop also certifies it
+        fm = res.matching
+        if not (characterization_certified(fm) or characterization_matches_direct(fm)):
+            charact_ok = False
         lap("characterization")
         cmp = morse_vs_betti(res, rational.interval_betti[lam])
         ineq_ok = ineq_ok and cmp["inequality_ok"]

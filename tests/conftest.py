@@ -257,6 +257,21 @@ def reference_direct_spans(facets, j):
     return tuple(out)
 
 
+# The per-facet face table of the face-matching build, before the build
+# kept one table across facets and rebuilt only past the shared prefix.
+
+
+def reference_face_table(ivl, facet):
+    """The facet's faces by rank subset: entry sub is the element mask of
+    the interior elements at the ranks in sub (bit r - 1 for rank r)."""
+    index = ivl.index
+    table = [0]
+    for e in facet.interior:
+        bit = 1 << index(e)
+        table += [face | bit for face in table]
+    return table
+
+
 def flood_fill_class(gb, word):
     """Every word reached from `word` by swapping adjacent commuting letters."""
     words = {word}

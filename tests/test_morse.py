@@ -7,7 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURE_NAMES, FIXTURES, random_presentation
+from conftest import (
+    FIXTURE_NAMES,
+    FIXTURES,
+    fixture_and_seeded_rings,
+    random_presentation,
+    reference_face_table,
+)
 from morsegraded import cancellation, morse
 from morsegraded.cancellation import (
     SystemTable,
@@ -27,15 +33,18 @@ from morsegraded.morse import (
     RankInterval,
     alternating_cycle,
     build_face_matching,
+    characterization_certified,
     covers_all_ranks,
     direct_interval_system,
     facet_systems,
     morse_numbers,
     msi_characterization,
+    rank_mask,
     truncate_to_j_intervals,
     verify_acyclic,
 )
 from morsegraded.orders import TermOrder
+from morsegraded.pipeline import characterization_matches_direct
 from morsegraded.semigroup import standard_grading_functional
 
 
@@ -1079,3 +1088,123 @@ def test_breach_in_a_shape_from_an_earlier_interval_names_the_later_one(squares,
     with pytest.raises(InternalInvariantError) as err:
         build_face_matching(squares.interval(late), squares.cfg, squares.gb)
     assert str(err.value) == f"face matching at {late}: facet {facets[j].labels}: planted"
+
+
+# -- face tables on shared prefixes --------------------------------------------
+
+
+def per_facet_table_build(ivl, cfg, gb):
+    """build_face_matching with a face table of its own for each facet
+    (reference_face_table), its checks and inserts otherwise the build's."""
+    facets = ordered_facets(ivl, cfg)
+    systems = facet_systems(gb, cfg, facets)
+    fm = FaceMatching(ivl, cfg, facets, systems, list(map(truncate_to_j_intervals, systems)))
+    if len(facets) == 1 and not facets[0].interior:
+        fm.empty_cell = morse._cell(facets[0], ())
+        return fm
+    shapes = {}
+    for j, (facet, system) in enumerate(zip(facets, systems)):
+        r = len(facet.interior)
+        key = (r, spans(system))
+        if key not in shapes:
+            shapes[key] = morse._match_shape(r, system)
+        shape = shapes[key]
+        face = reference_face_table(ivl, facet)
+        if any(face[rest] not in fm.owner for rest in shape.complements):
+            raise morse._transversal_breach(fm, j)
+        for sub in shape.transversals:
+            if face[sub] in fm.owner:
+                raise morse._transversal_breach(fm, j)
+            fm.owner[face[sub]] = j
+        if shape.breach is not None:
+            raise morse._shape_breach(fm, j, shape.breach, face)
+        fm.partner.update((face[a], face[b]) for a, b in shape.partner.items())
+        for sub, (ranks, is_base) in shape.critical.items():
+            fm.critical[face[sub]] = morse._cell(facet, ranks, is_base)
+    return fm
+
+
+def shared_prefix_cases():
+    """(name, interval, facet order config, basis): every interval of the
+    six fixtures at window 5, of the three breach fixtures, and the three
+    deep intervals of the benchmark's faces workload at window 7."""
+    deep = {"squares": (5, 5, 1, 1), "pair_swap": (4, 4, 1, 1, 1), "cyclic_split3": (3, 3, 2, 2, 2, 2)}
+    inputs = [(FIXTURES / f"{name}.json", 5) for name in FIXTURE_NAMES]
+    inputs += [(FIXTURES / "breaches" / f"{name}.json", 5) for name in
+               ("two_three", "three_four_five", "graded_pivot")]
+    for path, window in inputs:
+        doc = parse_input(path.read_text())
+        pres, cfg = doc.presentation, FacetOrderConfig(doc.order)
+        gb = groebner_for(pres, doc.order, window)
+        zero = tuple([0] * pres.dimension)
+        for lam in sorted(pres.degree_window(window)):
+            yield path.stem, pres.interval(zero, lam), cfg, gb
+    for name, lam in deep.items():
+        doc = parse_input((FIXTURES / f"{name}.json").read_text())
+        gb = groebner_for(doc.presentation, doc.order, 7)
+        zero = tuple([0] * doc.presentation.dimension)
+        yield name, doc.presentation.interval(zero, lam), FacetOrderConfig(doc.order), gb
+
+
+def test_shared_prefix_face_tables_equal_a_table_per_facet():
+    # owner, partner and critical in content and insertion order, or the
+    # breach text, as a build that makes each facet's table from scratch
+    breaches = set()
+    for name, ivl, cfg, gb in shared_prefix_cases():
+        got = matching_or_breach(build_face_matching, ivl, cfg, gb)
+        assert got == matching_or_breach(per_facet_table_build, ivl, cfg, gb), (name, ivl.top)
+        if isinstance(got, str):
+            breaches.add(name)
+    assert {"skew2d", "two_three", "three_four_five"} <= breaches
+
+
+# -- the characterization certificate -------------------------------------------
+
+
+def test_certificate_equals_the_direct_pass_on_every_accepted_interval():
+    accepted = 0
+    for name, pres, cfg, gb in fixture_and_seeded_rings(5):
+        zero = tuple([0] * pres.dimension)
+        for lam in sorted(pres.degree_window(5)):
+            try:
+                fm = build_face_matching(pres.interval(zero, lam), cfg, gb)
+            except MorsegradedError:
+                continue
+            certified = characterization_certified(fm)
+            assert certified == characterization_matches_direct(fm), (name, lam)
+            accepted += 1
+    assert accepted > 1000
+
+
+def test_one_interval_dropped_or_added_in_one_facet_is_a_transversal_breach(
+    squares, monkeypatch
+):
+    # dropping I leaves the owned face "facet minus I" a transversal, which
+    # (a) sees; adding an uncovered single rank q (r > 1) makes "facet
+    # minus q" a face the system says is owned but is not, which (b) sees.
+    # Either way the breach names the planted facet.
+    fresh_shape_table(monkeypatch, squares.gb)
+    lam = (2, 2, 1, 1)
+    ivl = squares.interval(lam)
+    facets = ordered_facets(ivl, squares.cfg)
+    honest = facet_systems(squares.gb, squares.cfg, facets)
+    plants = {"drop": [], "add": []}
+    for j, (facet, system) in enumerate(zip(facets, honest)):
+        r = len(facet.interior)
+        for k, iv in enumerate(system):
+            if iv.mask != (1 << r) - 1:
+                plants["drop"].append((j, system[:k] + system[k + 1 :]))
+        for q in range(1, r + 1):
+            if r > 1 and not rank_mask(system) >> (q - 1) & 1:
+                grown = sorted(system + (RankInterval(q, q, "descent"),), key=RankInterval.span)
+                plants["add"].append((j, tuple(grown)))
+    assert all(plants.values())
+    for j, planted in plants["drop"] + plants["add"]:
+        systems = honest[:j] + [planted] + honest[j + 1 :]
+        monkeypatch.setattr(morse, "facet_systems", lambda *args: systems)
+        with pytest.raises(InternalInvariantError) as err:
+            build_face_matching(ivl, squares.cfg, squares.gb)
+        assert str(err.value) == (
+            f"face matching at {lam}: facet {facets[j].labels}: "
+            "new faces do not match the transversals of its skipped-interval system"
+        )

@@ -22,7 +22,7 @@ from morsegraded.pipeline import (
 from morsegraded.chains import check_crossing_condition
 from morsegraded.errors import CrossingViolation, InternalInvariantError
 from morsegraded.homology import order_complex, reduced_betti, tor_ranks
-from morsegraded.morse import morse_numbers
+from morsegraded.morse import RankInterval, morse_numbers
 from morsegraded.semigroup import SemigroupPresentation
 
 
@@ -148,6 +148,62 @@ def test_morse_vs_betti_shapes(squares):
 
 def test_characterization_helper(squares):
     assert characterization_matches_direct(squares.matching((2, 2, 1, 1)))
+
+
+def test_full_suite_reads_the_characterization_off_the_builds(squares, monkeypatch):
+    # the certificate answers on every deep interval, so no overlap is
+    # computed
+    import morsegraded.chains as chains
+    import morsegraded.morse as morse
+
+    calls = []
+    original = chains.maximal_overlaps
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (chains, morse):
+        monkeypatch.setattr(module, "maximal_overlaps", spy)
+    out = full_consistency_suite(squares.pres, squares.gb, squares.cfg, 4)
+    assert out["checks"]["characterization_equals_direct"] and out["checks"]["crossing_condition"]
+    assert calls == []
+
+
+def test_systems_failing_the_emptiness_test_go_to_the_direct_pass(squares, monkeypatch):
+    # after cancellation, one interval's least facet gets a nonempty
+    # system and another's second facet an empty one; the certificate
+    # declines both, and the direct pass, run on those two alone, reports
+    # them unequal
+    import morsegraded.pipeline as pipeline
+
+    planted = {
+        (2, 2, 1, 1): lambda j, system: (RankInterval(1, 1, "descent"),) if j == 0 else system,
+        (1, 1, 1, 1): lambda j, system: () if j == 1 else system,
+    }
+    honest_cancel, honest_direct = pipeline.cancel_interval, pipeline.characterization_matches_direct
+
+    def cancel(pres, lam, *args):
+        res = honest_cancel(pres, lam, *args)
+        if lam not in planted:
+            return res
+        fm = res.matching
+        systems = [planted[lam](j, s) for j, s in enumerate(fm.systems)]
+        return dataclasses.replace(res, matching=dataclasses.replace(fm, systems=systems))
+
+    direct = []
+
+    def spy(fm):
+        direct.append((fm.ivl.top, honest_direct(fm)))
+        return direct[-1][1]
+
+    monkeypatch.setattr(pipeline, "cancel_interval", cancel)
+    monkeypatch.setattr(pipeline, "characterization_matches_direct", spy)
+    out = full_consistency_suite(squares.pres, squares.gb, squares.cfg, 4)
+    assert sorted(direct) == [((1, 1, 1, 1), False), ((2, 2, 1, 1), False)]
+    assert out["checks"] == dict.fromkeys(out["checks"], True) | {
+        "characterization_equals_direct": False
+    }
 
 
 def test_witnessed_membership(squares):
