@@ -188,6 +188,16 @@ def msi_characterization(
     return _checked_system(steps[-1][0] if steps else (), labels)
 
 
+def _common_prefix(a, b) -> int:
+    """The length of the longest common prefix of two sequences."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
 def facet_systems(
     gb: GroebnerBasis, cfg: FacetOrderConfig, facets: list[Facet]
 ) -> list[tuple[RankInterval, ...]]:
@@ -206,11 +216,7 @@ def facet_systems(
     out = []
     for facet in facets:
         labels = facet.labels
-        shared = 0
-        for x, y in zip(labels, previous):
-            if x != y:
-                break
-            shared += 1
+        shared = _common_prefix(labels, previous)
         del steps[max(shared - 1, 0) :]  # step b reads labels[:b + 1]
         _skipped_steps(rank, windows, labels, steps)
         found = steps[-1][0] if steps else ()
@@ -636,11 +642,7 @@ def build_face_matching(
     previous: tuple[Vector, ...] = ()
     for j, (facet, shape) in enumerate(zip(facets, shapes)):
         interior = facet.interior
-        shared = 0
-        for x, y in zip(interior, previous):
-            if x != y:
-                break
-            shared += 1
+        shared = _common_prefix(interior, previous)
         del face[1 << shared :]  # the table of the shared ranks
         for e in interior[shared:]:
             bit = 1 << index(e)
