@@ -91,6 +91,8 @@ def run_command(
 ) -> tuple[dict, str | None]:
     """Dispatch one command; returns (report payload, optional tsv body).
 
+    The tsv body is built only for `betti` under `--format tsv`.
+
     For `full`, a stage_s dict receives the seconds of each stage of the
     suite (full_consistency_suite).
     """
@@ -186,7 +188,8 @@ def run_command(
                 for char, table in tables.items()
             }
         }
-        tsv = betti_tsv(tables[cfg.characteristics[0]].to_rows())
+        if cfg.output_format == "tsv":
+            tsv = betti_tsv(tables[cfg.characteristics[0]].to_rows())
     elif cfg.command == "automaton":
         auto = build_degree_d_automaton(gb, fcfg, cfg.state_budget)
         payload = {

@@ -4,14 +4,18 @@ The oracle builds the order complex of each open interval (0, lam) straight
 from the presentation's poset: its down-sets and strict up-sets, bitmasks
 over an index order that is a linear extension.  Beat points are deleted
 first (Stong, Trans. AMS 123, 1966), each deletion a collapse, so the
-core's complex has the homotopy type of the open interval's.  Empty
-layers pad it to the interval's dimension, so Betti tuples keep their
+core's complex has the homotopy type of the open interval's.  The poset
+marks the down-beat points once, as it grows (`SemigroupPresentation.grow`),
+and each interval deletes those below its top before it sweeps for the
+rest.  A core past ORACLE_FACE_BUDGET faces is refused as its layers grow.
+Empty layers pad it to the interval's dimension, so Betti tuples keep their
 length, and a one-vertex core is a point.  Nothing here touches the Morse
 pipeline.
 
 A face is a vertex bitmask, and a boundary column is the pair (plus, minus)
 of bitmasks of the rows where it is +1 and -1: an integer vector with
-entries in {-1, 0, 1}.
+entries in {-1, 0, 1}.  A boundary map is built only at the columns that
+clearing keeps.
 
 `betti_numbers` is the one routine behind every Betti number, over every
 field at once.  It eliminates each boundary map of a complex once, over Z,
@@ -38,7 +42,8 @@ unitriangular, hence invertible over Z.  So every skipped column is an
 integer combination of the kept ones, the kept columns span the lattice
 of all of d_k, and they have its invariant factors (Chen-Kerber,
 "Persistent homology computation with a twist", 2011, over a field; the
-unitriangular block carries the argument to Z).
+unitriangular block carries the argument to Z).  The skipped columns are
+never built.
 
 The fallback.  Where the unit route declines, the dense Smith normal form
 of that map's kept columns gives its invariant factors, and the rank over
@@ -55,9 +60,19 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import MorsegradedError
 from .semigroup import SemigroupPresentation, Vector, bit_indices
 
 Column = tuple[int, int]  # (plus, minus): bitmasks of the rows at +1 and at -1
+
+# Most faces the core of one open interval may have; order_complex refuses
+# a larger one as its layers grow, as morse.FACE_BUDGET bounds the face
+# matching.  The largest core of the test and benchmark inputs, pair_swap
+# (3,3,1,1,1), has 5,217 faces.  Ranking costs memory about quadratic in
+# the faces: `betti --degree-window 9` on squares, whose largest core
+# (7,7,1,1) has 330,793, peaks at 1.3 GB, and pair_swap, cyclic_split3 and
+# skew2d stop at cores of 699,241, 666,867 and 401,920 faces built.
+ORACLE_FACE_BUDGET = 400_000
 
 
 @dataclass(frozen=True)
@@ -98,11 +113,16 @@ def order_complex(pres: SemigroupPresentation, lam: Vector) -> OrderComplex:
     a linear extension: the poset adds an element only after all its lower
     covers (`SemigroupPresentation.grow`), so u < v gives index u < index v.
 
-    The core: sweep the surviving vertices upward, deleting each x whose
-    surviving elements strictly below have a maximum or strictly above
-    have a minimum (a beat point), until a sweep deletes nothing.  In a
-    linear extension the only candidate maximum is the highest surviving
-    element below x, and the only candidate minimum the lowest above it.
+    The core: first delete the poset's marked down-beat points below lam
+    (`pres.beats`) in index order.  Each is a beat point when its turn
+    comes: its strict down-set in (0, lam) is its strict down-set in the
+    poset minus 0, whatever lam is, so what survives below it is what
+    `SemigroupPresentation.grow` found a maximum in.  Then sweep the
+    surviving vertices upward, deleting each x whose surviving elements
+    strictly below have a maximum or strictly above have a minimum (a
+    beat point), until a sweep deletes nothing.  In a linear extension the
+    only candidate maximum is the highest surviving element below x, and
+    the only candidate minimum the lowest above it.
     If y is the maximum below x, the link of x in the order complex is the
     join of the chains below x, a cone with apex y, with the chains above
     x; so the link is a cone, and the complex collapses onto the order
@@ -112,18 +132,23 @@ def order_complex(pres: SemigroupPresentation, lam: Vector) -> OrderComplex:
     equivalent to that of the open interval (Stong, Trans. AMS 123, 1966;
     McCord, Duke Math. J. 33, 1966; Barmak, LNM 2032, 2011), and reduced
     integral homology, torsion included, is unchanged, hence so is every
-    Betti number over every field, and the Euler characteristic.
+    Betti number over every field, and the Euler characteristic.  The
+    core has no beat point, so it is the core of the open interval, unique
+    up to isomorphism (Stong), whichever beat points went first: its size,
+    its face counts and its Betti numbers do not depend on the order.
 
     The survivors are renumbered 0..k-1 in index order; a face grows by a
     core vertex above its highest one, so each dimension comes out in
     lexicographic order.  A longest chain of the open interval has
     height(lam) - 1 elements: that many layers, the empty ones with no
     homology, make up the complex.  A one-vertex core is a point, which is
-    contractible, so `betti_numbers` eliminates nothing for it.
+    contractible, so `betti_numbers` eliminates nothing for it.  A core
+    with more than ORACLE_FACE_BUDGET faces is refused, checked after each
+    layer is built.
     """
     top = pres.index(lam)
     down, above = pres.down, pres.above
-    alive = down[top] & ~(1 | 1 << top)  # index 0 is the bottom, 0
+    alive = down[top] & ~(pres.beats | 1 | 1 << top)  # index 0 is the bottom, 0
     swept = -1
     while swept != alive:
         swept = alive
@@ -141,35 +166,46 @@ def order_complex(pres: SemigroupPresentation, lam: Vector) -> OrderComplex:
     up = [[local[w] for w in bit_indices(above[v] & alive)] for v in core]
     by_dim: list[list[int]] = []
     layer = list(local.values())
+    count = 0
     while layer:
+        count += len(layer)
+        if count > ORACLE_FACE_BUDGET:
+            raise MorsegradedError(
+                f"order complex at {lam}: {count} faces built, "
+                f"more than the budget of {ORACLE_FACE_BUDGET}"
+            )
         by_dim.append(layer)
         layer = [f | b for f in layer for b in up[f.bit_length() - 1]]
     by_dim.extend([] for _ in range(pres.height[top] - 1 - len(by_dim)))
     return OrderComplex(tuple(map(tuple, by_dim)), tuple(map(pres.elements.__getitem__, core)))
 
 
-def boundary_matrix(cx: OrderComplex, d: int) -> list[Column]:
-    """The columns of the boundary map C_d -> C_{d-1}, for 0 <= d <= dim.
+def boundary_matrix(cx: OrderComplex, d: int, skip: Collection[int] = ()) -> list[Column]:
+    """The columns of the boundary map C_d -> C_{d-1}, for 0 <= d <= dim,
+    but for those whose index is in skip, which are not built.
 
     Removing the k-th lowest vertex of a face gives the row of that face
     with sign (-1)^k.  For d = 0 the map is the augmentation onto the one
-    row of the empty face.
+    row of the empty face, and skip holds vertex indices.  The row faces
+    map to their row numbers, and each entry is shifted into place.
     """
     if d == 0:
-        return [(1, 0)] * len(cx.faces[0])
-    index = {f: 1 << i for i, f in enumerate(cx.faces[d - 1])}
+        return [(1, 0)] * (len(cx.faces[0]) - len(skip))
+    index = {f: i for i, f in enumerate(cx.faces[d - 1])}
     cols = []
-    for f in cx.faces[d]:
+    for k, f in enumerate(cx.faces[d]):
+        if k in skip:
+            continue
         plus = minus = 0
         rest = f
         while rest:  # vertices from the lowest up, at signs +1, -1, +1, ...
             bit = rest & -rest
-            plus |= index[f ^ bit]
+            plus |= 1 << index[f ^ bit]
             rest ^= bit
             if not rest:
                 break
             bit = rest & -rest
-            minus |= index[f ^ bit]
+            minus |= 1 << index[f ^ bit]
             rest ^= bit
         cols.append((plus, minus))
     return cols
@@ -230,8 +266,9 @@ def _invariant_factors(columns: list[Column]) -> tuple[list[int], Collection[int
 
 def _field_rank(factors: list[int], characteristic: int) -> int:
     """The rank over a field: the invariant factors its characteristic
-    does not divide."""
-    if characteristic == 0:
+    does not divide.  Each factor divides the next, so where the last is 1,
+    as on the unit route, they all are, and every field counts them all."""
+    if characteristic == 0 or not factors or factors[-1] == 1:
         return len(factors)
     return sum(t % characteristic != 0 for t in factors)
 
@@ -247,7 +284,8 @@ def betti_numbers(cx: OrderComplex, characteristics) -> dict[int, tuple[int, ...
     The nonempty layers' boundary maps are eliminated once over Z, top
     dimension first with clearing, and every field reads its ranks off the
     same invariant factors.  Each layer's columns live only while that
-    layer is eliminated, and only its lead rows are kept for the next.  A
+    layer is eliminated, and only its lead rows are kept for the next,
+    whose columns at those indices `boundary_matrix` never builds.  A
     one-vertex complex is a point, which is contractible: every reduced
     Betti number is 0, with nothing eliminated.
     """
@@ -259,9 +297,7 @@ def betti_numbers(cx: OrderComplex, characteristics) -> dict[int, tuple[int, ...
     factors: list[list[int]] = [[] for _ in range(cx.dim + 2)]
     leads: Collection[int] = ()
     for d in range(sum(map(bool, cx.faces)) - 1, -1, -1):
-        factors[d], leads = _invariant_factors(
-            [col for k, col in enumerate(boundary_matrix(cx, d)) if k not in leads]
-        )
+        factors[d], leads = _invariant_factors(boundary_matrix(cx, d, leads))
     betti = {}
     for c in wanted:
         ranks = [_field_rank(f, c) for f in factors]

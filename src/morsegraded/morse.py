@@ -396,7 +396,8 @@ class FaceMatching:
 # the facets: this bounds the face-table entries build_face_matching makes,
 # and it inserts only the transversals among them.
 # The largest interval of the benchmark inputs at degree window 7,
-# pair_swap (4,4,1,1,1), spans 255,360.
+# pair_swap (4,4,1,1,1), spans 255,360.  The oracle's own budget is
+# homology.ORACLE_FACE_BUDGET.
 FACE_BUDGET = 1 << 21
 
 

@@ -6,7 +6,8 @@ generators; pointedness inside N^e keeps every interval finite.  Each
 presentation grows one down-closed poset of this order on demand, holding
 each element's down-set and strict up-set as bitmasks over the poset's
 indices and its height, and every interval is a slice of it.  The index
-order is a linear extension of the order (see `grow`).
+order is a linear extension of the order, and the poset marks the
+down-beat points that the oracle deletes first (see `grow`).
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ class SemigroupPresentation:
         self.above: list[int] = [0]
         self.height: list[int] = [0]
         self._up: list[list[tuple[int, int]]] = [[]]
+        # The down-beat points that every open interval (0, lam) may delete
+        # first, as a bitmask over the indices (see `grow`).
+        self.beats = 0
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
                 if i != j and vec_dominates(gi, gj) and self.member(vec_sub(gi, gj)):
@@ -230,43 +234,66 @@ class SemigroupPresentation:
         """Add the down-sets of tops, all members, to the poset in one pass.
 
         Walks down from the tops by generator steps, stopping at held
-        elements.  New elements go in by (sum, e), so every lower cover of a
-        new w is present when w is added: the index order is a linear
-        extension, as u < w is a chain of cover steps to ever later indices.
-        Adding w at index i sets bit i in the up-set of every element below
-        it; w's height is one more than its highest lower cover's.
+        elements, and records each new element's lower covers as
+        (generator index, element) pairs, which the insertion reads.  New
+        elements go in by (sum, e), so every lower cover of a new w is
+        present when w is added: the index order is a linear extension, as
+        u < w is a chain of cover steps to ever later indices.  Adding w at
+        index i sets bit i in the up-set of every element below it; w's
+        height is one more than its highest lower cover's.
+
+        `beats` marks down-beat points once for every open interval: w
+        joins it when its strict down-set, minus 0 and minus the earlier
+        members of `beats`, has a maximum, one more test per new element.
+        For any lam above w, w's strict down-set in (0, lam) is its strict
+        down-set in the poset minus 0, which does not depend on lam, and
+        every element of it has an earlier index.  So deleting the members
+        of `beats` below lam from (0, lam) in index order deletes, each
+        time, an element whose surviving elements below have a maximum: a
+        beat point of what is left, and a collapse of its order complex
+        (see `homology.order_complex`).  By induction on the down-sets,
+        whether w is in `beats` does not depend on the order the poset
+        grew in.
         """
         poset = self._poset
-        new = {v for v in tops if v not in poset}
+        new: dict[Vector, list[tuple[int, Vector]]] = {v: [] for v in tops if v not in poset}
         stack = list(new)
         while stack:
             v = stack.pop()
-            for g in self.generators:
+            covers = new[v]
+            for gi, g in enumerate(self.generators):
                 if vec_dominates(v, g):
                     u = vec_sub(v, g)
-                    if u not in poset and u not in new and self.member(u):
-                        new.add(u)
+                    if u not in poset and u not in new:
+                        if not self.member(u):
+                            continue
+                        new[u] = []
                         stack.append(u)
-        above = self.above
+                    covers.append((gi, u))
+        down_sets, above, height, up = self.down, self.above, self.height, self._up
+        beats = self.beats
         for key in sorted((sum(e), e) for e in new):
             w = key[1]
             i = len(self.elements)
             down, steps = 1 << i, 0
-            for gi, g in enumerate(self.generators):
-                j = poset.get(vec_sub(w, g))
-                if j is not None:
-                    down |= self.down[j]
-                    steps = max(steps, self.height[j] + 1)
-                    insort(self._up[j], (gi, i))
+            for gi, u in new[w]:
+                j = poset[u]
+                down |= down_sets[j]
+                steps = max(steps, height[j] + 1)
+                insort(up[j], (gi, i))
             for j in bit_indices(down ^ 1 << i):
                 above[j] |= 1 << i
+            low = down & ~(beats | 1 | 1 << i)
+            if low and not low & ~down_sets[low.bit_length() - 1]:
+                beats |= 1 << i
             poset[w] = i
             self.elements.append(w)
             self._keys.append(key)
-            self.down.append(down)
+            down_sets.append(down)
             above.append(0)
-            self.height.append(steps)
-            self._up.append([])
+            height.append(steps)
+            up.append([])
+        self.beats = beats
 
     def degree_window(self, max_degree: int) -> dict[Vector, int]:
         """All nonzero lam with degree(lam) <= max_degree, with their degrees.

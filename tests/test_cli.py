@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from morsegraded import homology
 from morsegraded.chains import FacetOrderConfig
 from morsegraded.cli import _cells_json, main, run_command
 from morsegraded.errors import InvalidBasis, ParseError
@@ -639,6 +640,20 @@ def test_deep_chain_exceeds_face_budget_exits_1(command, tmp_path, capsys):
     assert code == 1 and captured.out == ""
     assert captured.err == (
         "error: face matching at (1500,): more than 2097152 faces to enumerate\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["betti", "verify-bounds", "full"])
+def test_core_past_oracle_face_budget_exits_1(command, monkeypatch, capsys):
+    """A core whose layers grow past the oracle's face budget ends the run
+    in one error line naming the multidegree and the faces built."""
+    monkeypatch.setattr(homology, "ORACLE_FACE_BUDGET", 20)
+    argv = ["--input", str(FIXTURES / "squares.json"), "--degree-window", "4"]
+    code = main(argv + ["--command", command])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: order complex at (1, 3, 1, 1): 50 faces built, more than the budget of 20\n"
     )
 
 

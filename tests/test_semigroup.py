@@ -225,6 +225,51 @@ def test_poset_grown_in_any_order_keeps_up_sets_heights_and_tor(group):
         assert unsorted  # some growth put an element before a smaller key
 
 
+def _poset_by_element(pres):
+    """The poset's arrays read through the elements their indices stand
+    for: per element its sort key, down-set, strict up-set, height, upper
+    covers and whether it is in `beats`."""
+    els = pres.elements
+    assert pres._poset == {e: i for i, e in enumerate(els)}
+
+    def named(bits):
+        return frozenset(map(els.__getitem__, bit_indices(bits)))
+
+    return {
+        e: (
+            pres._keys[i],
+            named(pres.down[i]),
+            named(pres.above[i]),
+            pres.height[i],
+            tuple((gi, els[j]) for gi, j in pres._up[i]),
+            pres.beats >> i & 1,
+        )
+        for i, e in enumerate(els)
+    }
+
+
+@pytest.mark.parametrize("name", GROWTH_FIXTURES)
+def test_poset_grown_in_pieces_equals_one_grown_at_once(name):
+    """Window 3, then window 5, then one deep target through `index` give
+    the poset that one grow of all of them gives, array by array and
+    `beats` included: `beats` marks no element by the order it came in."""
+    gens = parse_input((FIXTURES / f"{name}.json").read_text()).presentation.generators
+    dim = len(gens[0])
+    deep = gens[0]
+    for g in gens + gens[:2]:  # every generator, and the first two again
+        deep = vec_add(deep, g)
+    pieces = SemigroupPresentation(dim, gens)
+    pieces.grow(pieces.degree_window(3))
+    pieces.grow(pieces.degree_window(5))
+    held = len(pieces.elements)
+    pieces.index(deep)
+    whole = SemigroupPresentation(dim, gens)
+    whole.grow([*whole.degree_window(5), deep])
+    assert len(pieces.elements) > held
+    assert pieces.beats and pieces.beats != (1 << len(pieces.elements)) - 2
+    assert _poset_by_element(pieces) == _poset_by_element(whole)
+
+
 def test_leq_relation_multidegree(squares):
     assert squares.pres.leq((0, 0, 0, 0), (2, 2, 0, 0))
 
