@@ -3,13 +3,13 @@
 A facet is stored bottom-up: labels[k] is the generator applied at step k,
 interior[k] the chain element reached after it (the top is not stored).
 Contents compare by the term order; ties within a fiber break
-lexicographically using the order's degree-one restriction.
+lexicographically using the order's degree-one restriction.  facet_walk
+yields the facets in that order, with no sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .orders import TermOrder, content_monomial
 from .semigroup import IntervalData, Vector
@@ -32,17 +32,11 @@ class FacetOrderConfig:
         labels = getattr(facet_or_labels, "labels", facet_or_labels)
         return content_monomial(labels, self.order.n)
 
-    def facet_key(self, facet: Facet, content_keys: dict | None = None) -> tuple:
+    def facet_key(self, facet: Facet) -> tuple:
         """Sort key of the facet order: the content's term-order key, then
-        the label ranks.  A sort passes one dict as content_keys, which
-        keeps each content's term-order key once computed."""
-        content = self.content(facet)
-        keys = {} if content_keys is None else content_keys
-        key = keys.get(content)
-        if key is None:
-            key = keys[content] = self.order.key(content)
+        the label ranks."""
         rank = self.order.label_rank
-        return key, tuple([rank[i] for i in facet.labels])
+        return self.order.key(self.content(facet)), tuple([rank[i] for i in facet.labels])
 
 
 def saturated_chains(ivl: IntervalData) -> list[Facet]:
@@ -77,9 +71,86 @@ def saturated_chains(ivl: IntervalData) -> list[Facet]:
     return out
 
 
+def interval_contents(ivl: IntervalData, cfg: FacetOrderConfig) -> list[tuple[int, ...]]:
+    """The contents of the interval's facets, the factorizations of
+    top - bottom as exponent vectors, in term order, each keyed once.
+
+    The elements are a linear extension, so one pass in index order
+    collects the contents of the paths from bottom to every element.
+    """
+    reach = [set() for _ in ivl.elements]
+    reach[ivl.index(ivl.bottom)].add((0,) * cfg.order.n)
+    for i, edges in enumerate(ivl.cover_edges):
+        for gen, j in edges:
+            reach[j].update(c[:gen] + (c[gen] + 1,) + c[gen + 1 :] for c in reach[i])
+    return sorted(reach[ivl.index(ivl.top)], key=cfg.order.key)
+
+
+def facet_walk(ivl: IntervalData, cfg: FacetOrderConfig, contents, step=None):
+    """Yield (facet, shared, state) for every facet, in facet order.
+
+    contents are interval_contents(ivl, cfg); shared is the length of the
+    prefix, of labels and of interior alike, that the facet shares with the
+    previous one (0 for the first); state is ((), 0) advanced by
+    step(word, *state, b) at each rank b.  Each frame of the explicit stack
+    keeps its state, so each node of a content's trie takes its step once.
+
+    Proof.  The generators are atoms and every partial sum of a
+    factorization c of top - bottom lies below top, so the facets of
+    content c are exactly the arrangements of c.  Distinct monomials have
+    distinct term-order keys, so the facet order (facet_key) takes the
+    contents in turn, and within one the rank sequences lexicographically.
+    Per content, a depth-first search tries the labels still left in rank
+    order; each has its cover edge, so there is no dead end, and the
+    leaves are c's arrangements, each once, in that order.  So shared is
+    the lowest depth the search backtracked to since the previous facet.
+    Across contents, the last arrangement (ranks descending) and the next
+    first one (ranks ascending) share just a run of one label g, the
+    former's highest and the latter's lowest, as often as both hold it.
+    """
+    bottom, top = ivl.index(ivl.bottom), ivl.index(ivl.top)
+    if bottom == top:
+        yield Facet((), ()), 0, ((), 0)
+        return
+    rank, elements = cfg.order.label_rank, ivl.elements
+    ranked = [sorted(edges, key=lambda e: rank[e[0]]) for edges in ivl.cover_edges]
+    by_rank = sorted(range(cfg.order.n), key=rank.__getitem__)
+    highest = None  # the previous content's highest-rank label and its count
+    for content in contents:
+        left = list(content)
+        g = next(x for x in by_rank if left[x])
+        low = min(highest[1], left[g]) if highest and highest[0] == g else 0
+        interior: list[Vector] = []
+        stack = [(iter(ranked[bottom]), (), ((), 0))]
+        while stack:
+            edges, word, state = stack[-1]
+            b = len(word)  # the rank the next label closes
+            for gen, nxt in edges:
+                if not left[gen]:
+                    continue
+                grown = word + (gen,)
+                after = step(grown, *state, b) if b and step else state
+                if nxt == top:
+                    yield Facet(grown, tuple(interior)), low, after
+                    low = b
+                    continue
+                left[gen] -= 1
+                interior.append(elements[nxt])
+                stack.append((iter(ranked[nxt]), grown, after))
+                break
+            else:
+                stack.pop()
+                if b:
+                    left[word[-1]] += 1
+                    interior.pop()
+                    low = min(low, b - 1)
+        g = next(x for x in reversed(by_rank) if content[x])
+        highest = (g, content[g])
+
+
 def ordered_facets(ivl: IntervalData, cfg: FacetOrderConfig) -> list[Facet]:
-    """The saturated chains in facet order, each content keyed once."""
-    return sorted(saturated_chains(ivl), key=partial(cfg.facet_key, content_keys={}))
+    """The saturated chains in facet order, as facet_walk yields them."""
+    return [facet for facet, _, _ in facet_walk(ivl, cfg, interval_contents(ivl, cfg))]
 
 
 @dataclass(frozen=True)

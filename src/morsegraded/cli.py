@@ -261,6 +261,9 @@ def main(argv=None) -> int:
     except MorsegradedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     if cfg.output_format == "tsv":
         body = tsv
     else:

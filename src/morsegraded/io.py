@@ -14,7 +14,7 @@ from math import isqrt
 from . import __version__
 from .errors import ParseError, ValidationError
 from .groebner import Binomial, GroebnerBasis, verify_groebner
-from .orders import TermOrder
+from .orders import TermOrder, refuse_unknown_fields
 from .semigroup import SemigroupPresentation, Vector
 
 COMMANDS = (
@@ -58,6 +58,9 @@ def parse_input(text: str) -> InputDocument:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
+    refuse_unknown_fields(
+        doc, ("dimension", "generators", "term_order", "groebner_basis", "targets")
+    )
     try:
         dimension = doc["dimension"]
         generators = doc["generators"]

@@ -3,8 +3,9 @@
 Faces of the open-interval complex are bitmasks over the interval's element
 list.  Each facet owns the faces no earlier facet contains; within one
 facet the matching toggles the lowest element of a distinguished skipped
-interval.  Everything the theory promises is re-verified at run time
-rather than trusted:
+interval.  One walk per interval yields the facets in facet order with
+their skipped-interval systems (walk_systems).  Everything the theory
+promises is re-verified at run time rather than trusted:
 
 - each facet's new faces are exactly the transversals of its
   skipped-interval system.  Only the transversals are inserted, and
@@ -25,13 +26,16 @@ rather than trusted:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from math import factorial, prod
 
 from .chains import (
     Facet,
     FacetOrderConfig,
+    facet_walk,
+    interval_contents,
     is_run,
     maximal_overlaps,
-    ordered_facets,
     skipped_ranks,
 )
 from .errors import (
@@ -148,34 +152,35 @@ def syzygy_windows(gb: GroebnerBasis, cfg: FacetOrderConfig) -> SyzygyWindows:
     return tables[cfg.order]
 
 
-def _skipped_steps(rank, windows: SyzygyWindows, labels, steps: list) -> None:
-    """Extend steps to every rank of labels.
+def _skipped_steps(rank, windows: SyzygyWindows, word, found=(), start=0, b=1):
+    """Advance (found, start) through ranks b .. len(word) - 1 of word.
 
-    steps[b - 1] is (the skipped intervals of labels that end at ranks
-    1 .. b, the start of the weakly increasing run through label b).  Rank
-    b lies between labels b - 1 and b.  A descent there is the interval
-    [b, b] and starts a new run at b.  A weak ascent ends the syzygy
-    intervals [a + 1, b] of the minimal weakly increasing runs
-    labels[a .. b] that are syzygy windows, a at or after the run start.
-    Step b reads labels[:b + 1] alone, so steps already present are kept:
-    they may come from another word with the same first labels.
+    found holds the skipped intervals of word that end at ranks 1 .. b - 1,
+    as (lo, hi, kind) tuples, and start is the start of the weakly
+    increasing run through label b - 1.  Rank b lies between labels b - 1
+    and b.  A descent there is the interval [b, b] and starts a new run at
+    b.  A weak ascent ends the syzygy intervals [a + 1, b] of the minimal
+    weakly increasing runs word[a .. b] that are syzygy windows, a at or
+    after the run start.  Rank b reads word[:b + 1] alone.
     """
-    found, start = steps[-1] if steps else ((), 0)
-    for b in range(len(steps) + 1, len(labels)):
-        if rank[labels[b - 1]] > rank[labels[b]]:
-            found += (RankInterval(b, b, "descent"),)
+    for b in range(b, len(word)):
+        if rank[word[b - 1]] > rank[word[b]]:
+            found += ((b, b, "descent"),)
             start = b
         else:
             for a in range(start, b):
-                if windows[labels[a : b + 1]]:
-                    found += (RankInterval(a + 1, b, "syzygy"),)
-        steps.append((found, start))
+                if windows[word[a : b + 1]]:
+                    found += ((a + 1, b, "syzygy"),)
+    return found, start
 
 
 def _checked_system(found, labels) -> tuple[RankInterval, ...]:
-    out = sorted(found, key=RankInterval.span)
-    _assert_non_nested([iv.span() for iv in out], labels)
-    return tuple(out)
+    """The intervals found for labels, sorted by span and checked non-nested.
+    A rank ends one descent or syzygy intervals of distinct starts, so no
+    two share a span, and the (lo, hi, kind) tuples sort by span."""
+    out = sorted(found)
+    _assert_non_nested([iv[:2] for iv in out], labels)
+    return tuple([RankInterval(*iv) for iv in out])
 
 
 def msi_characterization(
@@ -183,49 +188,26 @@ def msi_characterization(
 ) -> tuple[RankInterval, ...]:
     """Skipped intervals read off the labels alone: descents plus syzygy runs."""
     labels = _labels_of(facet)
-    steps: list[tuple] = []
-    _skipped_steps(cfg.order.label_rank, syzygy_windows(gb, cfg), labels, steps)
-    return _checked_system(steps[-1][0] if steps else (), labels)
+    found, _ = _skipped_steps(cfg.order.label_rank, syzygy_windows(gb, cfg), labels)
+    return _checked_system(found, labels)
 
 
-def _common_prefix(a, b) -> int:
-    """The length of the longest common prefix of two sequences."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
+def walk_systems(ivl: IntervalData, cfg: FacetOrderConfig, gb: GroebnerBasis, contents):
+    """Yield (facet, shared, system) for every facet, in facet order.
 
-
-def facet_systems(
-    gb: GroebnerBasis, cfg: FacetOrderConfig, facets: list[Facet]
-) -> list[tuple[RankInterval, ...]]:
-    """msi_characterization of every facet, in one pass over facets in order.
-
-    A facet keeps the steps (_skipped_steps) of the prefix it shares with
-    the previous facet and takes only the steps past it.  Facets that find
-    the same intervals share one system, sorted and nested-checked once;
-    facets come in order, so a nested system names its first facet, as one
-    call per facet would.
+    chains.facet_walk over contents, with _skipped_steps as its step, so
+    system is the facet's msi_characterization and shared the prefix it
+    shares with the previous facet.  Facets that find the same intervals
+    share one system, built and nested-checked once; facets come in order,
+    so a nested system names its first facet, as one call per facet would.
     """
-    rank, windows = cfg.order.label_rank, syzygy_windows(gb, cfg)
-    steps: list[tuple] = []
-    previous: tuple[int, ...] = ()
+    step = partial(_skipped_steps, cfg.order.label_rank, syzygy_windows(gb, cfg))
     systems: dict[tuple, tuple[RankInterval, ...]] = {}
-    out = []
-    for facet in facets:
-        labels = facet.labels
-        shared = _common_prefix(labels, previous)
-        del steps[max(shared - 1, 0) :]  # step b reads labels[:b + 1]
-        _skipped_steps(rank, windows, labels, steps)
-        found = steps[-1][0] if steps else ()
+    for facet, shared, (found, _) in facet_walk(ivl, cfg, contents, step):
         system = systems.get(found)
         if system is None:
-            system = systems[found] = _checked_system(found, labels)
-        out.append(system)
-        previous = labels
-    return out
+            system = systems[found] = _checked_system(found, facet.labels)
+        yield facet, shared, system
 
 
 def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int):
@@ -401,6 +383,16 @@ class FaceMatching:
 FACE_BUDGET = 1 << 21
 
 
+def _interior_subsets(contents) -> int:
+    """Sum of 2^|interior| over the facets: content c has multinomial(c)
+    arrangements of |c| - 1 interior elements (the empty one, one of none)."""
+    total = 0
+    for c in contents:
+        m = sum(c)
+        total += factorial(m) // prod(map(factorial, c)) << m - 1 if m else 1
+    return total
+
+
 def _breach(fm: FaceMatching, j: int, what: str, kind=InternalInvariantError):
     """An invariant error naming the stage, the multidegree and facet j."""
     return kind(f"face matching at {fm.ivl.top}: facet {fm.facets[j].labels}: {what}")
@@ -538,10 +530,12 @@ def build_face_matching(
 ) -> FaceMatching:
     """The full facet-by-facet acyclic matching for one interval.
 
-    Each facet's skipped-interval system is the Groebner characterization
-    (facet_systems), and the faces the facet adds must be exactly its
-    transversals.  Only the transversals are inserted, and two checks
-    certify that they are the new faces:
+    One walk (walk_systems; chains.facet_walk proves the order) yields the
+    facets in facet order, each with its skipped-interval system, the
+    Groebner characterization, and the prefix it shares with the previous
+    facet.  The faces a facet adds must be exactly its transversals.  Only
+    the transversals are inserted, and two checks certify that they are
+    the new faces:
 
     (a) no transversal is owned yet;
     (b) for each skipped interval I whose complement in the facet is
@@ -564,7 +558,7 @@ def build_face_matching(
     (_toggle_rule), and the checks of _verify_shape.  The shapes live in
     gb.shape_table, keyed by (r, spans), which every interval built with gb
     shares, so one command run matches each shape once, whatever the kinds
-    of its intervals.  facet_systems makes equal systems one object, so a
+    of its intervals.  walk_systems makes equal systems one object, so a
     build looks its shapes up by (r, id(system)), and only once per
     distinct system forms the spans, reads the shared table and truncates
     the system to its J-intervals, which keep the kinds.  A facet maps the
@@ -597,7 +591,8 @@ def build_face_matching(
     rank at a time, doubling, so the table of the first k ranks is its
     first 2^k entries.  The build keeps one table across facets: each facet
     cuts it to the 2^shared entries of the interior prefix it shares with
-    the previous facet, and doubles it once per rank past that prefix.
+    the previous facet, which the walk reports, and doubles it once per
+    rank past that prefix.
 
     Checks (a) and (b) also back full's characterization_equals_direct
     and crossing_condition: the Groebner-read systems equal the
@@ -609,18 +604,23 @@ def build_face_matching(
     chains.check_crossing_condition.
 
     Intervals whose facets span more than FACE_BUDGET interior subsets in
-    all are refused before any face is built.
+    all are refused before any chain, system or face is formed: the count
+    is read off the contents alone (_interior_subsets).  The walk runs to
+    its end before the first face, so a nested system is raised before
+    any breach of (a) or (b).
     """
-    facets = ordered_facets(ivl, cfg)
-    if sum(1 << len(f.interior) for f in facets) > FACE_BUDGET:
+    contents = interval_contents(ivl, cfg)
+    if _interior_subsets(contents) > FACE_BUDGET:
         raise MorsegradedError(
             f"face matching at {ivl.top}: more than {FACE_BUDGET} faces to enumerate"
         )
-    systems = facet_systems(gb, cfg, facets)
     table = gb.shape_table
     local: dict[tuple[int, int], tuple[_Shape, tuple[RankInterval, ...]]] = {}
-    shapes, j_systems = [], []
-    for facet, system in zip(facets, systems):
+    facets, prefixes, systems, shapes, j_systems = [], [], [], [], []
+    for facet, shared, system in walk_systems(ivl, cfg, gb, contents):
+        facets.append(facet)
+        prefixes.append(shared)
+        systems.append(system)
         r = len(facet.interior)
         hit = local.get((r, id(system)))
         if hit is None:
@@ -640,15 +640,11 @@ def build_face_matching(
     owner, partner, critical = fm.owner, fm.partner, fm.critical
     index = ivl.index
     face = [0]  # the current facet's face table
-    previous: tuple[Vector, ...] = ()
-    for j, (facet, shape) in enumerate(zip(facets, shapes)):
-        interior = facet.interior
-        shared = _common_prefix(interior, previous)
+    for j, (facet, shape, shared) in enumerate(zip(facets, shapes, prefixes)):
         del face[1 << shared :]  # the table of the shared ranks
-        for e in interior[shared:]:
+        for e in facet.interior[shared:]:
             bit = 1 << index(e)
             face += [f | bit for f in face]
-        previous = interior
         for rest in shape.complements:
             if face[rest] not in owner:  # (b)
                 raise _transversal_breach(fm, j)

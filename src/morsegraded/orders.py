@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 Monomial = tuple[int, ...]
 
@@ -78,6 +78,14 @@ def _integers(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not all(type(x) is int for x in value):
         raise ValidationError(f"{what} must be an array of integers, got {value!r}")
     return tuple(value)
+
+
+def refuse_unknown_fields(doc: dict, fields) -> None:
+    """Refuse the first key of a JSON object that is not among fields: a
+    misspelt optional field would otherwise be ignored silently."""
+    for key in doc:
+        if key not in fields:
+            raise ParseError(f"unknown field {key!r}")
 
 
 class TermOrder:
@@ -155,6 +163,7 @@ class TermOrder:
     def from_json(cls, n: int, doc: dict | None) -> "TermOrder":
         if doc is None:
             return cls(n)
+        refuse_unknown_fields(doc, ("kind", "priority", "rows"))
         return cls(
             n,
             kind=doc.get("kind", "lex"),

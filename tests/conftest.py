@@ -19,6 +19,7 @@ from morsegraded.errors import CrossingViolation, InternalInvariantError, Valida
 from morsegraded.groebner import GroebnerBasis, groebner_for
 from morsegraded.homology import Column, boundary_matrix
 from morsegraded.io import parse_input
+from morsegraded import morse
 from morsegraded.morse import build_face_matching
 from morsegraded.orders import TermOrder
 from morsegraded.semigroup import SemigroupPresentation, Vector, bit_indices
@@ -270,6 +271,49 @@ def reference_face_table(ivl, facet):
         bit = 1 << index(e)
         table += [face | bit for face in table]
     return table
+
+
+# The facet-list pass of the face-matching build, before one walk per
+# interval yielded the facets with their systems and shared prefixes
+# (morse.walk_systems).
+
+
+def common_prefix(a, b) -> int:
+    """The length of the longest common prefix of two sequences."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def facet_systems(gb, cfg, facets):
+    """msi_characterization of every facet, in one pass over facets in order.
+
+    A facet keeps the steps of the prefix it shares with the previous facet
+    and takes only the steps past it (step b reads labels[:b + 1]).  Facets
+    that find the same intervals share one system, sorted and nested-checked
+    once, so a nested system names its first facet.
+    """
+    rank, windows = cfg.order.label_rank, morse.syzygy_windows(gb, cfg)
+    steps = []
+    previous = ()
+    systems = {}
+    out = []
+    for facet in facets:
+        labels = facet.labels
+        del steps[max(common_prefix(labels, previous) - 1, 0) :]
+        for b in range(len(steps) + 1, len(labels)):
+            state = steps[-1] if steps else ((), 0)
+            steps.append(morse._skipped_steps(rank, windows, labels[: b + 1], *state, b))
+        found = steps[-1][0] if steps else ()
+        system = systems.get(found)
+        if system is None:
+            system = systems[found] = morse._checked_system(found, labels)
+        out.append(system)
+        previous = labels
+    return out
 
 
 def flood_fill_class(gb, word):

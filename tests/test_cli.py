@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from morsegraded import homology
+from morsegraded import homology, morse
 from morsegraded.chains import FacetOrderConfig
 from morsegraded.cli import _cells_json, main, run_command
 from morsegraded.errors import InvalidBasis, ParseError
@@ -353,6 +353,28 @@ for _entry, _kind in (("1.5", "fractional"), ('"1"', "string"), ("true", "boolea
     )
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (
+            '{"dimension": 2, "generators": [[1, 0], [0, 1]], "term_oder": {"kind": "graded-lex"}}',
+            "error: unknown field 'term_oder'\n",
+        ),
+        (
+            '{"dimension": 2, "generators": [[1, 0], [0, 1]],'
+            ' "term_order": {"kind": "lex", "prority": [0, 1]}}',
+            "error: bad term_order: unknown field 'prority'\n",
+        ),
+    ],
+)
+def test_unknown_field_exits_1_naming_it(text, err, tmp_path, capsys):
+    # a misspelt optional field would otherwise run the default silently
+    doc = tmp_path / "typo.json"
+    doc.write_text(text)
+    code = main(["--input", str(doc), "--command", "gb"])
+    assert code == 1 and capsys.readouterr() == ("", err)
+
+
 def assert_one_error_line(capsys):
     out, err = capsys.readouterr()
     assert out == ""
@@ -641,6 +663,40 @@ def test_deep_chain_exceeds_face_budget_exits_1(command, tmp_path, capsys):
     assert captured.err == (
         "error: face matching at (1500,): more than 2097152 faces to enumerate\n"
     )
+
+
+@pytest.mark.parametrize("command", ["morse", "cancel"])
+def test_deep_chain_refused_before_any_walk_or_window_lookup(
+    command, tmp_path, capsys, monkeypatch
+):
+    # the budget is read off the interval's contents alone, so no facet is
+    # walked and no syzygy window looked up before the refusal
+    seen = []
+    honest_tables, honest_walk = morse.syzygy_windows, morse.facet_walk
+    honest_missing = morse.SyzygyWindows.__missing__
+    monkeypatch.setattr(
+        morse, "syzygy_windows", lambda *a: seen.append("table") or honest_tables(*a)
+    )
+    monkeypatch.setattr(morse, "facet_walk", lambda *a: seen.append("walk") or honest_walk(*a))
+    monkeypatch.setattr(
+        morse.SyzygyWindows, "__missing__", lambda t, w: seen.append(w) or honest_missing(t, w)
+    )
+    code = main(["--input", str(_deep_chain(tmp_path)), "--command", command])
+    assert code == 1 and "more than 2097152 faces" in capsys.readouterr().err
+    assert seen == []
+
+
+@pytest.mark.parametrize("command, stage", [("betti", "tor_tables"), ("cancel", "cancel_interval")])
+def test_out_of_memory_exits_1_with_one_error_line(command, stage, monkeypatch, capsys):
+    import morsegraded.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, exhausted)
+    argv = ["--input", str(FIXTURES / "squares.json"), "--degree-window", "3"]
+    code = main(argv + ["--command", command])
+    assert code == 1 and capsys.readouterr() == ("", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("command", ["betti", "verify-bounds", "full"])

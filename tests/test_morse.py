@@ -10,6 +10,8 @@ import pytest
 from conftest import (
     FIXTURE_NAMES,
     FIXTURES,
+    common_prefix,
+    facet_systems,
     fixture_and_seeded_rings,
     random_presentation,
     reference_face_table,
@@ -23,7 +25,7 @@ from morsegraded.cancellation import (
     gradient_paths_from,
     label_cell,
 )
-from morsegraded.chains import Facet, FacetOrderConfig, ordered_facets
+from morsegraded.chains import FacetOrderConfig, interval_contents, ordered_facets, saturated_chains
 from morsegraded.errors import AcyclicityFailure, InternalInvariantError, MorsegradedError
 from morsegraded.groebner import GroebnerBasis, groebner_for
 from morsegraded.homology import order_complex
@@ -36,12 +38,12 @@ from morsegraded.morse import (
     characterization_certified,
     covers_all_ranks,
     direct_interval_system,
-    facet_systems,
     morse_numbers,
     msi_characterization,
     rank_mask,
     truncate_to_j_intervals,
     verify_acyclic,
+    walk_systems,
 )
 from morsegraded.orders import TermOrder
 from morsegraded.pipeline import characterization_matches_direct
@@ -78,18 +80,19 @@ def test_nested_skipped_intervals_name_the_facet(squares, monkeypatch):
     # plant a syzygy run over the descents at ranks 1 and 2
     honest = morse._skipped_steps
 
-    def planted(rank, windows, labels, steps):
-        honest(rank, windows, labels, steps)
-        found, start = steps[-1]  # the step of rank 3, the last
-        steps[-1] = (found + (RankInterval(1, 3, "syzygy"),), start)
+    def planted(rank, windows, word, *state):
+        found, start = honest(rank, windows, word, *state)
+        if word == (3, 2, 1, 4):  # through rank 3, the last
+            found += ((1, 3, "syzygy"),)
+        return found, start
 
     monkeypatch.setattr(morse, "_skipped_steps", planted)
     nested = r"^facet \(3, 2, 1, 4\): nested skipped intervals \(1, 1\) in \(1, 3\)$"
     with pytest.raises(InternalInvariantError, match=nested):
         msi_characterization(squares.gb, squares.cfg, (3, 2, 1, 4))
-    # the pass over a facet list takes the same steps and makes the same check
+    # the build's walk takes the same steps and makes the same check
     with pytest.raises(InternalInvariantError, match=nested):
-        facet_systems(squares.gb, squares.cfg, [Facet((3, 2, 1, 4), ())])
+        build_face_matching(squares.interval((2, 2, 1, 1)), squares.cfg, squares.gb)
 
 
 def test_interspersed_witness_facet_system(squares):
@@ -125,13 +128,15 @@ def test_characterization_equals_direct_everywhere(squares, pair_swap, minor, cy
 
 
 def test_facet_systems_equal_per_facet_characterization(squares, pair_swap, minor, cyclic3):
-    # one pass over the facets in order, reusing each shared prefix's steps,
+    # one walk over the facets in order, taking each trie node's step once,
     # gives every facet its own characterization, and equal systems are one
     # object
     for ring, depth in ((squares, 5), (pair_swap, 5), (minor, 5), (cyclic3, 5)):
         for lam in sorted(ring.pres.degree_window(depth)):
-            facets = ordered_facets(ring.interval(lam), ring.cfg)
-            systems = facet_systems(ring.gb, ring.cfg, facets)
+            ivl = ring.interval(lam)
+            walked = list(walk_systems(ivl, ring.cfg, ring.gb, interval_contents(ivl, ring.cfg)))
+            facets = [facet for facet, _, _ in walked]
+            systems = [system for _, _, system in walked]
             assert systems == [msi_characterization(ring.gb, ring.cfg, f) for f in facets]
             assert len({id(s) for s in systems}) == len(set(systems)), (ring.name, lam)
 
@@ -390,7 +395,6 @@ def test_pure_lead_window_height_bound(squares, pair_swap, cyclic3):
         d = ring.gb.degree
         leads = {b.plus for b in ring.gb.elements}
         for lam in sorted(ring.pres.degree_window(4)):
-            from morsegraded.chains import saturated_chains
             from morsegraded.orders import content_monomial
 
             for facet in saturated_chains(ring.interval(lam)):
@@ -589,11 +593,13 @@ def fresh_shape_table(monkeypatch, gb):
 
 
 def plant_in_systems(monkeypatch, ring, edit):
-    """Apply edit to every facet's system, in the build's systems pass and
-    in the per-facet characterization the reference reads."""
+    """Apply edit to every facet's system, in the build's walk and in the
+    per-facet characterization the reference reads."""
     fresh_shape_table(monkeypatch, ring.gb)
-    honest_pass, honest = morse.facet_systems, morse.msi_characterization
-    monkeypatch.setattr(morse, "facet_systems", lambda *a: [edit(s) for s in honest_pass(*a)])
+    honest_walk, honest = morse.walk_systems, morse.msi_characterization
+    monkeypatch.setattr(
+        morse, "walk_systems", lambda *a: ((f, s, edit(sys)) for f, s, sys in honest_walk(*a))
+    )
     monkeypatch.setattr(morse, "msi_characterization", lambda *a: edit(honest(*a)))
 
 
@@ -647,10 +653,11 @@ def test_transversal_checks_come_before_the_shape_breach(squares, monkeypatch):
     j, system = next(
         (j, s[1:]) for j, s in enumerate(fm.systems) if len(s) > 1 and s[1:] not in fm.systems[:j]
     )
-    honest_pass, honest_rule = morse.facet_systems, morse._toggle_rule
+    honest_walk, honest_rule = morse.walk_systems, morse._toggle_rule
 
-    def systems(*args):
-        return [system if i == j else s for i, s in enumerate(honest_pass(*args))]
+    def walk(*args):
+        for i, (f, shared, s) in enumerate(honest_walk(*args)):
+            yield f, shared, system if i == j else s
 
     def rule(r, planted, j_system, subs):
         partner, critical = honest_rule(r, planted, j_system, subs)
@@ -659,7 +666,7 @@ def test_transversal_checks_come_before_the_shape_breach(squares, monkeypatch):
         return partner, critical
 
     fresh_shape_table(monkeypatch, squares.gb)
-    monkeypatch.setattr(morse, "facet_systems", systems)
+    monkeypatch.setattr(morse, "walk_systems", walk)
     monkeypatch.setattr(morse, "_toggle_rule", rule)
     with pytest.raises(InternalInvariantError) as err:
         build_face_matching(squares.interval(lam), squares.cfg, squares.gb)
@@ -1158,6 +1165,30 @@ def test_shared_prefix_face_tables_equal_a_table_per_facet():
     assert {"skew2d", "two_three", "three_four_five"} <= breaches
 
 
+def test_walk_equals_sorted_chains_common_prefixes_and_characterizations():
+    # the facets come in the facet_key order of saturated_chains, each with
+    # the prefix (labels and interior alike) it shares with the previous
+    # facet and its own characterization; equal systems are one object
+    for name, ivl, cfg, gb in shared_prefix_cases():
+        walked = list(walk_systems(ivl, cfg, gb, interval_contents(ivl, cfg)))
+        facets = [facet for facet, _, _ in walked]
+        assert facets == sorted(saturated_chains(ivl), key=cfg.facet_key), (name, ivl.top)
+        labels, interior = (), ()  # the first facet shares nothing
+        for facet, shared, _ in walked:
+            assert shared == common_prefix(facet.labels, labels), (name, facet)
+            assert shared == common_prefix(facet.interior, interior), (name, facet)
+            labels, interior = facet.labels, facet.interior
+        systems = [system for _, _, system in walked]
+        assert systems == [msi_characterization(gb, cfg, f) for f in facets], (name, ivl.top)
+        assert len({id(s) for s in systems}) == len(set(systems)), (name, ivl.top)
+
+
+def test_content_budget_counts_the_interior_subsets_of_every_facet():
+    for name, ivl, cfg, gb in shared_prefix_cases():
+        budget = morse._interior_subsets(interval_contents(ivl, cfg))
+        assert budget == sum(1 << len(f.interior) for f in saturated_chains(ivl)), (name, ivl.top)
+
+
 # -- the characterization certificate -------------------------------------------
 
 
@@ -1188,6 +1219,7 @@ def test_one_interval_dropped_or_added_in_one_facet_is_a_transversal_breach(
     ivl = squares.interval(lam)
     facets = ordered_facets(ivl, squares.cfg)
     honest = facet_systems(squares.gb, squares.cfg, facets)
+    honest_walk = morse.walk_systems
     plants = {"drop": [], "add": []}
     for j, (facet, system) in enumerate(zip(facets, honest)):
         r = len(facet.interior)
@@ -1201,7 +1233,13 @@ def test_one_interval_dropped_or_added_in_one_facet_is_a_transversal_breach(
     assert all(plants.values())
     for j, planted in plants["drop"] + plants["add"]:
         systems = honest[:j] + [planted] + honest[j + 1 :]
-        monkeypatch.setattr(morse, "facet_systems", lambda *args: systems)
+        monkeypatch.setattr(
+            morse,
+            "walk_systems",
+            lambda *args, systems=systems: (
+                (f, shared, s) for (f, shared, _), s in zip(honest_walk(*args), systems)
+            ),
+        )
         with pytest.raises(InternalInvariantError) as err:
             build_face_matching(ivl, squares.cfg, squares.gb)
         assert str(err.value) == (
