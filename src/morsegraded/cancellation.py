@@ -28,10 +28,13 @@ from .morse import (
     RankInterval,
     alternating_cycle,
     build_face_matching,
+    covering_search,
     covering_words,
     covers_all_ranks,
+    interned_system,
     morse_numbers,
     msi_characterization,
+    refuse_deep_target,
     truncate_to_j_intervals,
 )
 from .orders import content_monomial
@@ -183,14 +186,27 @@ def check_321_uniqueness(cfg: FacetOrderConfig, tau_labels, sigma_labels) -> str
 
 
 class SystemTable(dict):
-    """Word -> skipped-interval system, each computed once, on first read."""
+    """Word -> skipped-interval system, each computed once, on first read.
+
+    found maps words a covering search yielded to the intervals it found
+    for them (morse.covering_search).  Such a word's system is built from
+    those on its first read, one per distinct found tuple (interned), and
+    any other word's is computed by msi_characterization.
+    """
 
     def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig, systems=()):
         super().__init__(systems)
         self.gb, self.cfg = gb, cfg
+        self.found: dict[tuple[int, ...], tuple] = {}
+        self.interned: dict[tuple, tuple[RankInterval, ...]] = {}
 
     def __missing__(self, word):
-        system = self[word] = msi_characterization(self.gb, self.cfg, word)
+        found = self.found.get(word)
+        if found is None:
+            system = msi_characterization(self.gb, self.cfg, word)
+        else:
+            system = interned_system(self.interned, found, word)
+        self[word] = system
         return system
 
 
@@ -655,6 +671,7 @@ def cancel_interval(
     gb: GroebnerBasis,
     path_cap: int = DEFAULT_PATH_CAP,
 ) -> CancellationResult:
+    refuse_deep_target(pres, lam)
     zero = tuple([0] * pres.dimension)
     fm = build_face_matching(pres.interval(zero, lam), cfg, gb)
     return cancel_cells(fm, gb, path_cap)
@@ -678,16 +695,12 @@ def fiber_survivor_words(
     m = len(content)
     counts = content_monomial(content, cfg.order.n)
     words = [w for w in covering_words(gb, cfg, counts, m) if len(w) == m]
-    return _fiber_survivors(gb, cfg, content, words)
+    return _fiber_survivors(SystemTable(gb, cfg), content, words)
 
 
-def _fiber_survivors(
-    gb: GroebnerBasis, cfg: FacetOrderConfig, content, words
-) -> list[tuple[int, ...]]:
+def _fiber_survivors(systems: SystemTable, content, words) -> list[tuple[int, ...]]:
     """The survivors among words, the covering words of content in
-    lexicographic order, each checked against its system in one table per
-    content."""
-    systems = SystemTable(gb, cfg)
+    lexicographic order, each checked against its system in systems."""
     cells: dict[tuple[int, ...], LabelCell] = {}
     for word in words:
         c = label_cell(systems, word)
@@ -711,7 +724,7 @@ def _fiber_survivors(
                 f"fiber cancellation of content {content}: words {word} / {other}: "
                 "pivot pair dimensions differ by != 1"
             )
-        status = check_321_uniqueness(cfg, word, other)
+        status = check_321_uniqueness(systems.cfg, word, other)
         if status != "unique-by-theorem":
             continue
         matched.add(word)
@@ -720,7 +733,7 @@ def _fiber_survivors(
     for word, cell in cells.items():
         if word in matched:
             continue
-        if gb.degree <= 2 and _has_interior_window(systems, word):
+        if systems.gb.degree <= 2 and _has_interior_window(systems, word):
             raise UnmatchedUnsaturatedCell(
                 f"fiber cancellation of content {content}: word {word}: "
                 "stranded with a syzygy window with interior"
@@ -760,16 +773,29 @@ def survivor_words_by_content(
 
     Contents are multisets of generator indices of size <= max_degree;
     every such multiset is a factorization of its own multidegree.  One
-    covering_words search over the whole window finds the critical cells
-    of every content at once (see its docstring for why that search is
-    the union of the per-content ones); each content's words then go
-    through the same checks and pivot pass as fiber_survivor_words.  When
-    the label-level matching rules strand a cell (interacting relations),
-    that content falls back to the face-level engine, whose greedy pass
+    covering_search over the whole window finds the critical cells of
+    every content at once (see its docstring for why that search is the
+    union of the per-content ones); each content's words then go through
+    the same checks and pivot pass as fiber_survivor_words.  When the
+    label-level matching rules strand a cell (interacting relations), that
+    content falls back to the face-level engine, whose greedy pass
     certifies pairs by explicit path enumeration under path_cap.
+
+    One SystemTable serves the whole window, seeded with the intervals the
+    search found for each word it yielded.  Those are the intervals
+    msi_characterization finds for that word (covering_search proves it),
+    so each searched word's system is the one a fresh computation gives.
+    Every word a shift helper tries rearranges the content at hand, so a
+    word's system is first read while its own content is processed, in
+    the order a fresh table per content would read it; systems are built
+    on that first read, so a nested system names the word a per-content
+    table would name.  A content with no covering word has no cell and no
+    survivor, so it takes no pass.
     """
+    systems = SystemTable(gb, cfg)
     cells_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for word in covering_words(gb, cfg, [max_degree] * pres.n, max_degree):
+    for word, found in covering_search(gb, cfg, [max_degree] * pres.n, max_degree):
+        systems.found[word] = found
         cells_of.setdefault(tuple(sorted(word)), []).append(word)
     out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     frontier: list[tuple[int, ...]] = [()]
@@ -780,8 +806,11 @@ def survivor_words_by_content(
             for i in range(lo, pres.n):
                 nxt.append(c + (i,))
         for c in nxt:
+            if c not in cells_of:
+                out[c] = []
+                continue
             try:
-                out[c] = _fiber_survivors(gb, cfg, c, cells_of.get(c, []))
+                out[c] = _fiber_survivors(systems, c, cells_of[c])
             except UnmatchedUnsaturatedCell:
                 out[c] = face_level_survivor_words(pres, gb, cfg, c, path_cap)
         frontier = nxt

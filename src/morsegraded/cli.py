@@ -20,7 +20,7 @@ from .io import (
     parse_input,
     report_envelope,
 )
-from .morse import build_face_matching
+from .morse import build_face_matching, refuse_deep_target
 from .pipeline import cancel_interval, full_consistency_suite, sharpness_report
 
 
@@ -138,6 +138,7 @@ def run_command(
     elif cfg.command == "morse":
         entries = []
         for lam in _targets(doc, pres, cfg):
+            refuse_deep_target(pres, lam)
             fm = build_face_matching(pres.interval(zero, lam), fcfg, gb)
             cells = []
             for j, facet in enumerate(fm.facets):
@@ -244,11 +245,26 @@ def main(argv=None) -> int:
             timing=args.timing,
         )
         with open(args.input, encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(
+                    f"{args.input} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+                ) from None
         stage_s: dict[str, float] = {}
         start = time.monotonic()
         payload, tsv = run_command(cfg, text, stage_s)
         stage_s = {"total": time.monotonic() - start, **stage_s}
+        if cfg.output_format == "tsv":
+            body = tsv
+        else:
+            timing_ms = {stage: int(s * 1000) for stage, s in stage_s.items()}
+            body = canonical_json(report_envelope(cfg, payload, timing_ms)) + "\n"
+        if cfg.out_path:
+            with open(cfg.out_path, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        else:
+            sys.stdout.write(body)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -264,16 +280,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
-    if cfg.output_format == "tsv":
-        body = tsv
-    else:
-        timing_ms = {stage: int(s * 1000) for stage, s in stage_s.items()}
-        body = canonical_json(report_envelope(cfg, payload, timing_ms)) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as handle:
-            handle.write(body)
-    else:
-        sys.stdout.write(body)
     return 0
 
 

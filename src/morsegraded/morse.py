@@ -46,7 +46,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, leading_ideal_member
 from .orders import Monomial, content_monomial
-from .semigroup import IntervalData, Vector
+from .semigroup import IntervalData, SemigroupPresentation, Vector
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,12 @@ class SyzygyWindows(dict):
     window weakly increasing; the answer depends on the window alone, so
     each window is tested once, on first read.  syzygy_windows keeps one
     table per basis and term order.
+
+    firsts[x] holds the labels a window ending in label x can start with:
+    the lowest-rank divisor of each lead whose highest-rank divisor is x.
+    A window whose first label is not among them fails _is_window's own
+    first test, so _skipped_steps looks up only the windows that pass it,
+    and every lookup it skips would have read False.
     """
 
     def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig):
@@ -124,6 +130,10 @@ class SyzygyWindows(dict):
         self.gb, self.n = gb, cfg.order.n
         rank = cfg.order.label_rank
         self.extremes = [(_lead_extremes(rank, b.plus), b.plus) for b in gb.elements]
+        firsts: list[set[int]] = [set() for _ in range(self.n)]
+        for (lo, hi), _ in self.extremes:
+            firsts[hi].add(lo)
+        self.firsts = [frozenset(f) for f in firsts]
 
     def __missing__(self, window) -> bool:
         hit = self[window] = self._is_window(window)
@@ -161,15 +171,16 @@ def _skipped_steps(rank, windows: SyzygyWindows, word, found=(), start=0, b=1):
     and b.  A descent there is the interval [b, b] and starts a new run at
     b.  A weak ascent ends the syzygy intervals [a + 1, b] of the minimal
     weakly increasing runs word[a .. b] that are syzygy windows, a at or
-    after the run start.  Rank b reads word[:b + 1] alone.
+    after the run start.  Rank b reads word[:b + 1] alone.  Only windows
+    whose first label passes the table's firsts test are looked up.
     """
     for b in range(b, len(word)):
         if rank[word[b - 1]] > rank[word[b]]:
             found += ((b, b, "descent"),)
             start = b
-        else:
+        elif firsts := windows.firsts[word[b]]:
             for a in range(start, b):
-                if windows[word[a : b + 1]]:
+                if word[a] in firsts and windows[word[a : b + 1]]:
                     found += ((a + 1, b, "syzygy"),)
     return found, start
 
@@ -181,6 +192,16 @@ def _checked_system(found, labels) -> tuple[RankInterval, ...]:
     out = sorted(found)
     _assert_non_nested([iv[:2] for iv in out], labels)
     return tuple([RankInterval(*iv) for iv in out])
+
+
+def interned_system(systems: dict, found, labels) -> tuple[RankInterval, ...]:
+    """The system of the intervals found, from systems (found -> system):
+    built and nested-checked on first read, for labels, the first word read
+    with them, and shared by every later word that found the same."""
+    system = systems.get(found)
+    if system is None:
+        system = systems[found] = _checked_system(found, labels)
+    return system
 
 
 def msi_characterization(
@@ -204,23 +225,26 @@ def walk_systems(ivl: IntervalData, cfg: FacetOrderConfig, gb: GroebnerBasis, co
     step = partial(_skipped_steps, cfg.order.label_rank, syzygy_windows(gb, cfg))
     systems: dict[tuple, tuple[RankInterval, ...]] = {}
     for facet, shared, (found, _) in facet_walk(ivl, cfg, contents, step):
-        system = systems.get(found)
-        if system is None:
-            system = systems[found] = _checked_system(found, facet.labels)
-        yield facet, shared, system
+        yield facet, shared, interned_system(systems, found, facet.labels)
 
 
-def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int):
-    """The words whose skipped intervals cover every gap, at most `length`
-    labels long, with label i used at most counts[i] times.
+def covering_search(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int):
+    """Yield (word, found) for every word whose skipped intervals cover
+    every gap, at most `length` labels long, with label i used at most
+    counts[i] times; found is the word's intervals as _skipped_steps finds
+    them, so interned_system(found, word) is its msi_characterization.
 
     Gap g (1 <= g < m) of a word of m labels lies between labels g-1 and g,
     as rank g of msi_characterization.  A depth-first search appends one
-    label at a time and tracks the covered gaps and the start of the
-    current weakly increasing run.  A descent covers its own gap and closes
-    the run; a weak ascent at position b covers the gaps of every syzygy
-    window (a, b) with a at or after the run start.  Every word the search
-    reaches that covers all its gaps is yielded, the empty word included.
+    label at a time, and each frame carries (found, run start, covered
+    gaps): appending a label at position b takes _skipped_steps at rank b
+    alone.  That rank reads word[:b + 1] alone, so the step a frame takes
+    is the one msi_characterization takes at rank b of every word grown
+    from it, and found is exactly that call's, tuple for tuple.  A descent
+    covers its own gap and closes the run; a weak ascent at position b
+    covers the gaps of every syzygy window (a, b) with a at or after the
+    run start.  Every word the search reaches that covers all its gaps is
+    yielded, the empty word included.
 
     The search cuts a branch when a descent closes a run with a gap left
     uncovered.  That is sound: a syzygy window is weakly increasing, so it
@@ -238,35 +262,42 @@ def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int
     in increasing label order, so the words of each content come out in
     lexicographic order whichever way the search is bounded.
     """
-    rank = cfg.order.label_rank
-    windows = syzygy_windows(gb, cfg)
-    # (word, remaining count per label, covered gap mask, run start)
-    stack = [((), tuple(counts), 0, 0)]
+    step = partial(_skipped_steps, cfg.order.label_rank, syzygy_windows(gb, cfg))
+    # (word, remaining count per label, found, run start, covered gap mask)
+    stack = [((), tuple(counts), (), 0, 0)]
     while stack:
-        word, left, covered, start = stack.pop()
-        b = len(word)
+        word, left, found, start, covered = stack.pop()
+        b = len(word)  # the rank the next label closes
         if covered == ((1 << b) - 2 if b else 0):  # gaps 1 .. b-1
-            yield word
+            yield word, found
         if b == length:
             continue
+        full = (1 << (b + 1)) - 2  # gaps 1 .. b, all of a child's
         children = []
         for x, k in enumerate(left):
             if not k:
                 continue
             grown = word + (x,)
-            cov, run = covered, start
-            if b and rank[word[-1]] > rank[x]:
-                closed = (1 << b) - (1 << (start + 1))  # gaps start+1 .. b-1
-                if covered & closed != closed:
-                    continue
-                cov |= 1 << b
-                run = b
-            else:
-                for a in range(start, b):
-                    if windows[grown[a:]]:
-                        cov |= (1 << (b + 1)) - (1 << (a + 1))  # gaps a+1 .. b
-            children.append((grown, left[:x] + (k - 1,) + left[x + 1 :], cov, run))
+            now, run, cov = found, start, covered
+            if b:
+                now, run = step(grown, found, start, b)
+                if run == b:  # a descent closed the run start .. b-1
+                    closed = (1 << b) - (1 << (start + 1))  # gaps start+1 .. b-1
+                    if covered & closed != closed:
+                        continue
+                if now is not found:  # the step found intervals at rank b
+                    for lo, hi, _ in now[len(found) :]:
+                        cov |= (1 << (hi + 1)) - (1 << lo)  # gaps lo .. hi
+            if b + 1 < length:
+                children.append((grown, left[:x] + (k - 1,) + left[x + 1 :], now, run, cov))
+            elif cov == full:  # a leaf is yielded here, where its pop would
+                yield grown, now
         stack.extend(reversed(children))
+
+
+def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int):
+    """The words covering_search yields, without their intervals."""
+    return (word for word, _ in covering_search(gb, cfg, counts, length))
 
 
 # -- direct computation from earlier facets -----------------------------------
@@ -381,6 +412,26 @@ class FaceMatching:
 # pair_swap (4,4,1,1,1), spans 255,360.  The oracle's own budget is
 # homology.ORACLE_FACE_BUDGET.
 FACE_BUDGET = 1 << 21
+
+
+def refuse_deep_target(pres: SemigroupPresentation, lam: Vector) -> None:
+    """Refuse lam before [0, lam] is sliced when every facet alone spans
+    more than FACE_BUDGET interior subsets, in build_face_matching's words.
+
+    Each label adds at most max_g sum(g) to the coordinate sum, so every
+    factorization of lam has at least m = ceil(sum(lam) / max_g sum(g))
+    labels: each facet has at least m - 1 interior elements, and
+    _interior_subsets is at least 2^(m-1).  So this refuses only what the
+    build would refuse, before the slice, which for such a lam costs far
+    more than the build's count.  A lam outside the semigroup is left to
+    the interval's own refusal.
+    """
+    m = -(-sum(lam) // max(map(sum, pres.generators)))
+    # 2^(m-1) > FACE_BUDGET exactly when m - 1 reaches the budget's bit length
+    if m - 1 >= FACE_BUDGET.bit_length() and pres.member(lam):
+        raise MorsegradedError(
+            f"face matching at {lam}: more than {FACE_BUDGET} faces to enumerate"
+        )
 
 
 def _interior_subsets(contents) -> int:

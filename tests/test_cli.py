@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from morsegraded import homology, morse
 from morsegraded.chains import FacetOrderConfig
 from morsegraded.cli import _cells_json, main, run_command
-from morsegraded.errors import InvalidBasis, ParseError
+from morsegraded.errors import InvalidBasis, MorsegradedError, ParseError
 from morsegraded.io import COMMANDS, RunConfig, canonical_json, parse_input
 from morsegraded.morse import build_face_matching
+from morsegraded.semigroup import SemigroupPresentation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BREACHES = FIXTURES / "breaches"  # valid inputs that end in an invariant breach
@@ -419,6 +421,25 @@ def test_exit_code_missing_file():
     assert main(["--input", "/nonexistent/x.json", "--command", "gb"]) == 1
 
 
+def test_non_utf8_input_exits_1_with_one_error_line(tmp_path, capsys):
+    doc = tmp_path / "latin1.json"
+    doc.write_bytes('{"dimension": 1, "generators": [[1]]} \u00e9'.encode("latin-1"))
+    assert main(["--input", str(doc), "--command", "gb"]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent", "parent is a file"])
+def test_unwritable_out_exits_1_with_one_error_line(where, tmp_path, capsys):
+    (tmp_path / "plain.txt").write_text("")
+    out = {
+        "directory": tmp_path,
+        "missing parent": tmp_path / "absent" / "out.json",
+        "parent is a file": tmp_path / "plain.txt" / "out.json",
+    }[where]
+    assert main(["--input", MINOR, "--command", "gb", "--out", str(out)]) == 1
+    assert_one_error_line(capsys)
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "out.json"
     proc = subprocess.run(
@@ -663,6 +684,41 @@ def test_deep_chain_exceeds_face_budget_exits_1(command, tmp_path, capsys):
     assert captured.err == (
         "error: face matching at (1500,): more than 2097152 faces to enumerate\n"
     )
+
+
+@pytest.mark.parametrize("command", ["morse", "cancel"])
+def test_deep_target_refused_before_slicing(command, tmp_path, capsys, monkeypatch):
+    # every factorization of 20000 over <2, 3> has at least 6,667 labels, so
+    # one facet alone spans 2^6666 interior subsets; slicing [0, 4000]
+    # already takes seconds, and the cost grows faster than quadratically
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"dimension": 1, "generators": [[2], [3]], "targets": [[20000]]}')
+    sliced = []
+    honest = SemigroupPresentation.interval
+    monkeypatch.setattr(
+        SemigroupPresentation, "interval", lambda *a: sliced.append(a) or honest(*a)
+    )
+    start = time.monotonic()
+    code = main(["--input", str(doc), "--command", command, "--degree-window", "2"])
+    assert time.monotonic() - start < 2
+    assert code == 1 and capsys.readouterr() == (
+        "",
+        "error: face matching at (20000,): more than 2097152 faces to enumerate\n",
+    )
+    assert sliced == []
+
+
+def test_deep_target_refusal_bound():
+    # 1 is not in <2, 3>: the interval's own refusal names it, as before
+    pres = SemigroupPresentation(1, [(2,), (3,)])
+    morse.refuse_deep_target(pres, (1,))
+    with pytest.raises(MorsegradedError, match="more than 2097152 faces"):
+        morse.refuse_deep_target(pres, (20000,))
+    # 67 needs 23 labels, so 2^22 interior subsets; 66 needs 22, so 2^21,
+    # which is the budget itself and left to the build's exact count
+    with pytest.raises(MorsegradedError, match="more than 2097152 faces"):
+        morse.refuse_deep_target(pres, (67,))
+    morse.refuse_deep_target(pres, (66,))
 
 
 @pytest.mark.parametrize("command", ["morse", "cancel"])

@@ -3,7 +3,7 @@
 import dataclasses
 import json
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -245,6 +245,58 @@ def test_one_window_predicate_per_basis(squares, monkeypatch):
     # the covering search reads the same table and tests no window again
     assert list(morse.covering_words(gb, squares.cfg, (1, 2, 1, 1, 1), 6))
     assert made == [gb] and len(tested) == len(set(tested))
+
+
+def search_systems(gb, cfg, degree):
+    """Word -> the system covering_search reads off for it, over the window."""
+    interned = {}
+    return {
+        word: morse.interned_system(interned, found, word)
+        for word, found in morse.covering_search(gb, cfg, [degree] * cfg.order.n, degree)
+    }
+
+
+def label_guard_rings():
+    """(name, facet order config, basis at window 6) for the six fixtures and
+    the seeded rings of fixture_and_seeded_rings, drawn at window 5 (draws
+    at window 6 take minutes)."""
+    for name, pres, cfg, _ in fixture_and_seeded_rings(5):
+        yield name, cfg, groebner_for(pres, cfg.order, 6)
+
+
+def test_search_systems_equal_characterization_and_window_prefilter_is_exact():
+    searched = 0
+    for name, cfg, gb in label_guard_rings():
+        got = search_systems(gb, cfg, 6)
+        assert got == {w: msi_characterization(gb, cfg, w) for w in got}, name
+        searched += len(got)
+        # every window a search or walk to degree 6 reaches is weakly
+        # increasing, of 2 .. 6 labels; the step looks one up only when
+        # the prefilter passes it, and must read what _is_window reads
+        table = morse.syzygy_windows(gb, cfg)
+        assert all(hit == table._is_window(w) for w, hit in table.items()), name
+        by_rank = sorted(range(cfg.order.n), key=cfg.order.label_rank.__getitem__)
+        for k in range(2, 7):
+            for w in combinations_with_replacement(by_rank, k):
+                prefiltered = w[0] in table.firsts[w[-1]] and table[w]
+                assert prefiltered == table._is_window(w), (name, w)
+    assert searched > 5000
+
+
+def test_search_guard_catches_a_step_that_drops_a_syzygy_interval(pair_swap, monkeypatch):
+    # the reference is read before the plant, so only the search takes the
+    # planted step, which drops the syzygy interval ending at rank 2
+    gb, cfg = pair_swap.gb, pair_swap.cfg
+    want = {w: msi_characterization(gb, cfg, w) for w in search_systems(gb, cfg, 6)}
+    assert search_systems(gb, cfg, 6) == want
+    honest = morse._skipped_steps
+
+    def planted(rank, windows, word, found=(), start=0, b=1):
+        now, run = honest(rank, windows, word, found, start, b)
+        return tuple(iv for iv in now if iv[1:] != (2, "syzygy")), run
+
+    monkeypatch.setattr(morse, "_skipped_steps", planted)
+    assert search_systems(gb, cfg, 6) != want
 
 
 # -- critical cells ---------------------------------------------------------------
