@@ -19,6 +19,9 @@ from .orders import content_monomial
 
 INIT = ("init",)
 
+# Most states an automaton build may explore before it is refused.
+DEFAULT_STATE_BUDGET = 1_000_000
+
 
 @dataclass
 class MorseAutomaton:
@@ -303,16 +306,16 @@ def _explore(rules, n_labels: int, state_budget: int) -> MorseAutomaton:
 
 
 def build_quadratic_automaton(
-    gb: GroebnerBasis, cfg: FacetOrderConfig, state_budget: int = 1_000_000
+    gb: GroebnerBasis, cfg: FacetOrderConfig, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> MorseAutomaton:
-    """The automaton of a basis of degree <= 2; refuses higher degrees."""
-    if gb.degree > 2:
+    """The automaton of a quadratic basis; refuses higher degrees."""
+    if not gb.quadratic:
         raise MorsegradedError("quadratic automaton needs a basis of degree <= 2")
     return _explore(_Rules(gb, cfg), cfg.order.n, state_budget)
 
 
 def build_degree_d_automaton(
-    gb: GroebnerBasis, cfg: FacetOrderConfig, state_budget: int = 1_000_000
+    gb: GroebnerBasis, cfg: FacetOrderConfig, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> MorseAutomaton:
     """The automaton of a basis of any degree."""
     return _explore(_Rules(gb, cfg), cfg.order.n, state_budget)

@@ -3,15 +3,18 @@
 The matching rules follow the non-essential-set discipline: a cell's
 highest syzygy window with shiftable labels picks a pivot label, and the
 partner is the cell with that pivot shifted across the window boundary.
-No pair is reversed on trust: every match is certified by exhaustive path
-enumeration (exactly one path), the critical-cell multigraph is checked
-acyclic fiber by fiber, and the reversed face matching is checked acyclic
-along every reversed path.
+One pass, mutual_pivots, proposes the pairs at both levels, and each level
+certifies them its own way.  At the face level no pair is reversed on
+trust: every match is certified by exhaustive path enumeration (exactly
+one path), the critical-cell multigraph is checked acyclic fiber by fiber,
+and the reversed face matching is checked acyclic along every reversed
+path.  At the label level a pair is matched only when the 321 theorem
+makes its path unique.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .chains import FacetOrderConfig
 from .errors import (
@@ -360,6 +363,33 @@ def pivot_partner(systems: SystemTable, word) -> tuple[int, ...] | None:
     return min(expanding.members, key=lambda m: rank[m.label]).partner_labels
 
 
+def mutual_pivots(systems: SystemTable, dims: dict, matched, stage: str, notes: list[str]):
+    """Yield (word, partner) for each unmatched word of dims, in dims'
+    order, whose pivot partner is an unmatched word of dims naming it back.
+
+    dims maps the caller's cells to their dimensions.  matched is read as
+    the pass goes, so a pair the caller matches on a yield is skipped after
+    it, and one it declines stays free.  A pivot partner that is no free
+    cell, or that pairs elsewhere, puts a line in notes.  A mutual pair
+    whose dimensions differ by other than one is a breach, raised with
+    stage in front.
+    """
+    for word, dim in dims.items():
+        if word in matched or (other := pivot_partner(systems, word)) is None:
+            continue
+        if other not in dims or other in matched:
+            notes.append(f"pivot partner unavailable for {word}")
+        elif pivot_partner(systems, other) != word:
+            notes.append(f"pivot not mutual for {word}")
+        elif abs(dim - dims[other]) != 1:
+            raise InternalInvariantError(
+                f"{stage} {word} / {other}: matched cells must differ in dimension by "
+                f"exactly one, not by {abs(dim - dims[other])}"
+            )
+        else:
+            yield word, other
+
+
 # -- label-level critical cells -------------------------------------------------
 
 
@@ -520,9 +550,8 @@ def _apply_reversals(fm: FaceMatching, chosen: list[GradientPath]) -> FaceMatchi
             add(cells[2 * i - 2], cells[2 * i - 1])
     partner.update(added)
     cancelled = {p.cells[0] for p in chosen} | {p.cells[-1] for p in chosen}
-    return FaceMatching(
-        fm.ivl, fm.cfg, fm.facets, fm.systems, fm.j_systems, fm.owner, partner,
-        {m: c for m, c in fm.critical.items() if m not in cancelled}, fm.empty_cell,
+    return replace(
+        fm, partner=partner, critical={m: c for m, c in fm.critical.items() if m not in cancelled}
     )
 
 
@@ -556,7 +585,7 @@ def cancel_cells(
     """The cancellation engine over a built face matching.
 
     The pivot rule pairs what it can, then a certified greedy pass pairs the
-    cells the basis calls stranded.  For a basis of degree <= 2 a stranded
+    cells the basis calls stranded.  For a quadratic basis a stranded
     cell keeps a syzygy window with interior, and none may survive.  For
     degree d >= 3 it sits below the vanishing bound -1 + (deg - 1)/(d - 1),
     deg the length of a shortest saturated chain, and survivors of that
@@ -567,13 +596,12 @@ def cancel_cells(
     on that.
     """
     cfg = fm.cfg
-    complete = gb.degree <= 2
     d = max(2, gb.degree)
     deg = min((len(f) for f in fm.facets), default=0)
     systems = SystemTable(gb, cfg, ((f.labels, s) for f, s in zip(fm.facets, fm.systems)))
 
     def stranded(cell: CriticalCell) -> bool:
-        if complete:
+        if gb.quadratic:
             return _has_interior_window(systems, cell.facet.labels)
         return below_vanishing_bound(cell.dimension, deg, d)
 
@@ -602,26 +630,10 @@ def cancel_cells(
         )
 
     # primary pass: pivot of the expanding interval
-    for cell in cells:
-        if cell.facet.labels in matched:
-            continue
-        other = pivot_partner(systems, cell.facet.labels)
-        if other is None:
-            continue
-        partner = by_labels.get(other)
-        if partner is None or other in matched:
-            notes.append(f"pivot partner unavailable for {cell.facet.labels}")
-            continue
-        if pivot_partner(systems, other) != cell.facet.labels:
-            notes.append(f"pivot not mutual for {cell.facet.labels}")
-            continue
-        if abs(cell.dimension - partner.dimension) != 1:
-            raise _cancel_breach(
-                fm, "matched cells must differ in dimension by exactly one, not by "
-                f"{abs(cell.dimension - partner.dimension)}",
-                cell.facet.labels, other,
-            )
-        hi, lo = (cell, partner) if cell.dimension > partner.dimension else (partner, cell)
+    dims = {labels: c.dimension for labels, c in by_labels.items()}
+    stage = f"cancellation at {fm.ivl.top}: facets"
+    for word, other in mutual_pivots(systems, dims, matched, stage, notes):
+        hi, lo = sorted((by_labels[word], by_labels[other]), key=lambda c: -c.dimension)
         certify(hi, lo, "expanding-interval pivot")
 
     # fallback: certified greedy pairing for whatever the rules left behind
@@ -656,7 +668,7 @@ def cancel_cells(
     _verify_reversals(new_fm, chosen)
     survivors = new_fm.cells()
     residual = [c for c in survivors if not c.is_base and c.dimension >= 0 and stranded(c)]
-    if complete and residual:
+    if gb.quadratic and residual:
         raise _cancel_breach(
             fm, "cell kept a syzygy interval with interior", residual[0].facet.labels,
             kind=UnmatchedUnsaturatedCell,
@@ -701,7 +713,7 @@ def fiber_survivor_words(
 def _fiber_survivors(systems: SystemTable, content, words) -> list[tuple[int, ...]]:
     """The survivors among words, the covering words of content in
     lexicographic order, each checked against its system in systems."""
-    cells: dict[tuple[int, ...], LabelCell] = {}
+    dims: dict[tuple[int, ...], int] = {}
     for word in words:
         c = label_cell(systems, word)
         if c is None:
@@ -709,31 +721,18 @@ def _fiber_survivors(systems: SystemTable, content, words) -> list[tuple[int, ..
                 f"fiber cancellation of content {content}: covering search found {word}, "
                 "which is not a critical cell"
             )
-        cells[word] = c
+        dims[word] = c.dimension
     matched: set[tuple[int, ...]] = set()
-    for word in sorted(cells):
-        if word in matched:
-            continue
-        other = pivot_partner(systems, word)
-        if other is None or other not in cells or other in matched:
-            continue
-        if pivot_partner(systems, other) != word:
-            continue
-        if abs(cells[word].dimension - cells[other].dimension) != 1:
-            raise InternalInvariantError(
-                f"fiber cancellation of content {content}: words {word} / {other}: "
-                "pivot pair dimensions differ by != 1"
-            )
-        status = check_321_uniqueness(systems.cfg, word, other)
-        if status != "unique-by-theorem":
-            continue
-        matched.add(word)
-        matched.add(other)
+    stage = f"fiber cancellation of content {content}: words"
+    for word, other in mutual_pivots(systems, dict(sorted(dims.items())), matched, stage, []):
+        # a declined pair stays unmatched, free to pair the other way round
+        if check_321_uniqueness(systems.cfg, word, other) == "unique-by-theorem":
+            matched.update((word, other))
     out = []
-    for word, cell in cells.items():
+    for word in dims:
         if word in matched:
             continue
-        if systems.gb.degree <= 2 and _has_interior_window(systems, word):
+        if systems.gb.quadratic and _has_interior_window(systems, word):
             raise UnmatchedUnsaturatedCell(
                 f"fiber cancellation of content {content}: word {word}: "
                 "stranded with a syzygy window with interior"

@@ -7,7 +7,7 @@ import sys
 import time
 
 from .automaton import build_degree_d_automaton, rational_series
-from .chains import FacetOrderConfig, ordered_facets
+from .chains import FacetOrderConfig, interval_contents, ordered_facets
 from .errors import InternalInvariantError, MorsegradedError, ValidationError
 from .groebner import groebner_for, verify_groebner
 from .homology import tor_tables, verify_vanishing
@@ -20,8 +20,8 @@ from .io import (
     parse_input,
     report_envelope,
 )
-from .morse import build_face_matching, refuse_deep_target
-from .pipeline import cancel_interval, full_consistency_suite, sharpness_report
+from .morse import FACE_BUDGET, arrangements, build_face_matching, refuse_deep_target
+from .pipeline import cancel_interval, full_consistency_suite, sharpness_report, word_count_length
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="field characteristic, repeatable (default: 0 2 3)",
     )
-    parser.add_argument("--path-cap", type=int, default=10_000)
-    parser.add_argument("--state-budget", type=int, default=1_000_000)
+    parser.add_argument("--path-cap", type=int, default=RunConfig.path_cap)
+    parser.add_argument("--state-budget", type=int, default=RunConfig.state_budget)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--out", default=None)
     parser.add_argument("--timing", action="store_true")
@@ -127,7 +127,11 @@ def run_command(
     elif cfg.command == "chains":
         entries = []
         for lam in _targets(doc, pres, cfg):
-            facets = ordered_facets(pres.interval(zero, lam), fcfg)
+            ivl = pres.interval(zero, lam)
+            count = sum(map(arrangements, interval_contents(ivl, fcfg)))
+            if count > FACE_BUDGET:
+                raise MorsegradedError(f"chains at {lam}: {count} facets, more than {FACE_BUDGET}")
+            facets = ordered_facets(ivl, fcfg)
             entries.append(
                 {
                     "multidegree": list(lam),
@@ -195,11 +199,11 @@ def run_command(
         auto = build_degree_d_automaton(gb, fcfg, cfg.state_budget)
         payload = {
             "automaton": auto.to_json(),
-            "word_counts": auto.count_words(min(8, cfg.degree_window + 2)),
+            "word_counts": auto.count_words(word_count_length(cfg.degree_window)),
         }
     elif cfg.command == "series":
         auto = build_degree_d_automaton(gb, fcfg, cfg.state_budget)
-        series = rational_series(auto, verify_len=min(8, cfg.degree_window + 2))
+        series = rational_series(auto, verify_len=word_count_length(cfg.degree_window))
         payload = {
             "numerator": list(series.numerator),
             "denominator": list(series.denominator),
@@ -237,7 +241,7 @@ def main(argv=None) -> int:
             input_path=args.input,
             command=args.command,
             degree_window=args.degree_window,
-            characteristics=tuple(args.field) if args.field else (0, 2, 3),
+            characteristics=tuple(args.field) if args.field else RunConfig.characteristics,
             path_cap=args.path_cap,
             state_budget=args.state_budget,
             output_format=args.format,

@@ -47,6 +47,13 @@ class GroebnerBasis:
     def degree(self) -> int:
         return max((total_degree(b.plus) for b in self.elements), default=0)
 
+    @property
+    def quadratic(self) -> bool:
+        """Is every lead of degree at most 2?  Every quadratic branch reads
+        this: the label rules strand no cell, the automaton is the
+        quadratic one, and the Morse resolution is minimal."""
+        return self.degree <= 2
+
     @cached_property
     def commutes(self) -> tuple[tuple[bool, ...], ...]:
         """commutes[a][b]: the product of labels a and b avoids the leading ideal."""

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from . import __version__
+from .automaton import DEFAULT_STATE_BUDGET
+from .cancellation import DEFAULT_PATH_CAP
 from .errors import ParseError, ValidationError
 from .groebner import Binomial, GroebnerBasis, verify_groebner
 from .orders import TermOrder, refuse_unknown_fields
@@ -114,8 +116,8 @@ class RunConfig:
     command: str
     degree_window: int = 4
     characteristics: tuple[int, ...] = (0, 2, 3)
-    path_cap: int = 10_000
-    state_budget: int = 1_000_000
+    path_cap: int = DEFAULT_PATH_CAP
+    state_budget: int = DEFAULT_STATE_BUDGET
     output_format: str = "json"
     out_path: str | None = None
     timing: bool = False

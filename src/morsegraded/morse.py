@@ -390,7 +390,6 @@ class FaceMatching:
     cfg: FacetOrderConfig
     facets: list[Facet]
     systems: list[tuple[RankInterval, ...]]
-    j_systems: list[tuple[RankInterval, ...]]
     owner: dict[int, int] = field(default_factory=dict)
     partner: dict[int, int] = field(default_factory=dict)
     critical: dict[int, CriticalCell] = field(default_factory=dict)
@@ -434,13 +433,19 @@ def refuse_deep_target(pres: SemigroupPresentation, lam: Vector) -> None:
         )
 
 
+def arrangements(content) -> int:
+    """multinomial(content): the words of that content, which are the
+    facets of that content in an interval it factors (chains.facet_walk)."""
+    return factorial(sum(content)) // prod(map(factorial, content))
+
+
 def _interior_subsets(contents) -> int:
-    """Sum of 2^|interior| over the facets: content c has multinomial(c)
-    arrangements of |c| - 1 interior elements (the empty one, one of none)."""
+    """Sum of 2^|interior| over the facets: content c has arrangements(c)
+    facets of |c| - 1 interior elements (the empty one, one of none)."""
     total = 0
     for c in contents:
         m = sum(c)
-        total += factorial(m) // prod(map(factorial, c)) << m - 1 if m else 1
+        total += arrangements(c) << m - 1 if m else 1
     return total
 
 
@@ -611,11 +616,10 @@ def build_face_matching(
     shares, so one command run matches each shape once, whatever the kinds
     of its intervals.  walk_systems makes equal systems one object, so a
     build looks its shapes up by (r, id(system)), and only once per
-    distinct system forms the spans, reads the shared table and truncates
-    the system to its J-intervals, which keep the kinds.  A facet maps the
-    shape's subsets to faces through its face table, runs (b), then (a)
-    with the owner inserts, raises the shape's breach if it has one, and
-    inserts the partners and critical cells.  A shape's breach
+    distinct system forms the spans and reads the shared table.  A facet
+    maps the shape's subsets to faces through its face table, runs (b),
+    then (a) with the owner inserts, raises the shape's breach if it has
+    one, and inserts the partners and critical cells.  A shape's breach
     therefore names the first facet of that shape, in facet order, of the
     interval being built, whichever interval first put the shape in the
     table.
@@ -666,23 +670,22 @@ def build_face_matching(
             f"face matching at {ivl.top}: more than {FACE_BUDGET} faces to enumerate"
         )
     table = gb.shape_table
-    local: dict[tuple[int, int], tuple[_Shape, tuple[RankInterval, ...]]] = {}
-    facets, prefixes, systems, shapes, j_systems = [], [], [], [], []
+    local: dict[tuple[int, int], _Shape] = {}
+    facets, prefixes, systems, shapes = [], [], [], []
     for facet, shared, system in walk_systems(ivl, cfg, gb, contents):
         facets.append(facet)
         prefixes.append(shared)
         systems.append(system)
         r = len(facet.interior)
-        hit = local.get((r, id(system)))
-        if hit is None:
+        shape = local.get((r, id(system)))
+        if shape is None:
             key = (r, tuple([(iv.lo, iv.hi) for iv in system]))
             shape = table.get(key)
             if shape is None:
                 shape = table[key] = _match_shape(r, system)
-            hit = local[r, id(system)] = (shape, truncate_to_j_intervals(system))
-        shapes.append(hit[0])
-        j_systems.append(hit[1])
-    fm = FaceMatching(ivl, cfg, facets, systems, j_systems)
+            local[r, id(system)] = shape
+        shapes.append(shape)
+    fm = FaceMatching(ivl, cfg, facets, systems)
 
     if len(facets) == 1 and not facets[0].interior:
         fm.empty_cell = _cell(facets[0], ())

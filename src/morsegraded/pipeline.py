@@ -21,6 +21,7 @@ from .chains import FacetOrderConfig
 from .errors import InternalInvariantError
 from .groebner import GroebnerBasis
 from .homology import BettiTable, tor_tables, verify_vanishing
+from .io import RunConfig
 from .morse import FaceMatching, characterization_certified, direct_interval_spans
 from .resolution import morse_boundary
 from .semigroup import SemigroupPresentation, Vector
@@ -86,6 +87,12 @@ def sharpness_report(table: BettiTable, gb_degree: int, window: dict[Vector, int
     return out
 
 
+def word_count_length(window: int) -> int:
+    """How long the words a report over a degree window counts, and checks
+    its series against, run: two past the window, at most 8."""
+    return min(8, window + 2)
+
+
 class _Laps:
     """Wall seconds per stage: lap(stage) books the time since the last lap."""
 
@@ -103,9 +110,9 @@ def full_consistency_suite(
     gb: GroebnerBasis,
     cfg: FacetOrderConfig,
     max_degree: int,
-    characteristics=(0, 2, 3),
-    path_cap: int = 10_000,
-    state_budget: int = 1_000_000,
+    characteristics=RunConfig.characteristics,
+    path_cap: int = RunConfig.path_cap,
+    state_budget: int = RunConfig.state_budget,
     deep_degree: int | None = None,
     targets: tuple[Vector, ...] = (),
     stage_s: dict[str, float] | None = None,
@@ -129,6 +136,12 @@ def full_consistency_suite(
     then the interval's and which raises CrossingViolation where the
     crossing condition fails.  The direct pass also runs in the tests and,
     per facet order, in chains.check_crossing_condition.
+
+    Whether the basis is quadratic is decided in one place,
+    GroebnerBasis.quadratic, which every branch on it reads: here
+    class_bijection, face_level_agrees_with_fiber_level and
+    resolution_minimal against their high-degree counterparts, and in the
+    cancellation and resolution stages below them.
 
     A stage_s dict, when given, receives the wall seconds of each stage:
     oracle (Betti tables, vanishing bound, sharpness), face_level
@@ -185,13 +198,12 @@ def full_consistency_suite(
     by_content = survivor_words_by_content(pres, gb, cfg, max_degree, path_cap)
     for content, words in by_content.items():
         survivor_words.update(tuple(reversed(w)) for w in words)
-        if gb.degree <= 2:
-            if len(commutation_classes(gb, cfg, content)) != len(words):
-                bijection_ok = False
+        if gb.quadratic and len(commutation_classes(gb, cfg, content)) != len(words):
+            bijection_ok = False
     checks["language_equals_survivors"] = accepted == survivor_words
-    if gb.degree <= 2:
+    if gb.quadratic:
         checks["class_bijection"] = bijection_ok
-    series = rational_series(auto, verify_len=min(8, max_degree + 2))
+    series = rational_series(auto, verify_len=word_count_length(max_degree))
     details["series"] = {
         "numerator": list(series.numerator),
         "denominator": list(series.denominator),
@@ -200,7 +212,7 @@ def full_consistency_suite(
 
     deep_survivors = {w for res in results.values() for w in res.survivor_words()}
     deep_fiber = {w for w in survivor_words if len(w) <= deep}
-    if gb.degree <= 2:
+    if gb.quadratic:
         # quadratic survivors are canonical: the engines must coincide
         checks["face_level_agrees_with_fiber_level"] = deep_survivors == deep_fiber
     else:
@@ -217,11 +229,11 @@ def full_consistency_suite(
     oracle_side = {
         (i, lam): v for (i, lam), v in rational.ranks.items() if i >= 1 and lam in deep_window
     }
-    if gb.degree <= 2:
+    if gb.quadratic:
         resolution_ok = morse_side == oracle_side
     else:
         resolution_ok = all(morse_side.get(k, 0) >= v for k, v in oracle_side.items())
-    checks["resolution_" + ("minimal" if gb.degree <= 2 else "bounds")] = resolution_ok
+    checks["resolution_" + ("minimal" if gb.quadratic else "bounds")] = resolution_ok
     lap("resolution")
 
     details["sharpness_witnesses"] = sharpness_report(rational, gb.degree, window)

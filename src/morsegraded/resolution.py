@@ -165,7 +165,7 @@ def morse_boundary(
                 differentials.setdefault(i, {})[(cell, critical[tgt])] = coeff
 
     units = _unit_incidences(differentials, zero)
-    if units and gb.degree <= 2:
+    if units and gb.quadratic:
         hi, lo, _ = units[0]
         raise _resolution_breach(
             _grade(hi, zero), f"unit incidence between equal multidegrees: {hi} -> {lo}"

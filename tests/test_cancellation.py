@@ -624,6 +624,55 @@ def test_non_cell_from_covering_search_is_an_invariant_breach(squares, monkeypat
         fiber_survivor_words(squares.gb, squares.cfg, (1, 2, 3, 4))
 
 
+_EQUAL_DIMENSIONS = ": matched cells must differ in dimension by exactly one, not by 0"
+
+
+def plant_pivots(monkeypatch, a, b):
+    """A pivot rule that pairs the words a and b with each other, and no other."""
+    planted = {a: b, b: a}
+    monkeypatch.setattr(cancellation, "pivot_partner", lambda systems, word: planted.get(word))
+
+
+def test_equal_dimension_pivot_pair_is_one_breach_at_both_levels(squares, monkeypatch):
+    # the face level, on two critical cells of one dimension
+    lam = (2, 2, 1, 1)
+    fm = squares.matching(lam)
+    cells = sorted(
+        (c for c in fm.critical.values() if not c.is_base and c.dimension == 1),
+        key=cancellation._cell_sort_key(squares.cfg),
+    )
+    a, b = cells[0].facet.labels, cells[1].facet.labels
+    plant_pivots(monkeypatch, a, b)
+    with pytest.raises(InternalInvariantError) as err:
+        cancel_cells(fm, squares.gb)
+    assert str(err.value) == f"cancellation at {lam}: facets {a} / {b}" + _EQUAL_DIMENSIONS
+    # the label level, on the two words of content (1, 4), both of dimension 0
+    plant_pivots(monkeypatch, (1, 4), (4, 1))
+    with pytest.raises(InternalInvariantError) as err:
+        fiber_survivor_words(squares.gb, squares.cfg, (1, 4))
+    assert str(err.value) == (
+        "fiber cancellation of content (1, 4): words (1, 4) / (4, 1)" + _EQUAL_DIMENSIONS
+    )
+
+
+def test_fiber_level_pairs_a_declined_pair_the_other_way_round(squares, monkeypatch):
+    # a 321 check that certifies a pair only from its lexicographically
+    # larger word: the pass meets each pair from its smaller word first
+    content = (1, 2, 3, 4)
+    honest = fiber_survivor_words(squares.gb, squares.cfg, content)
+    calls = []
+
+    def one_way(cfg, tau, sigma):
+        calls.append((tau, sigma))
+        return "unique-by-theorem" if tau > sigma else "needs-enumeration"
+
+    monkeypatch.setattr(cancellation, "check_321_uniqueness", one_way)
+    assert fiber_survivor_words(squares.gb, squares.cfg, content) == honest
+    declined = [(w, o) for w, o in calls if w < o]
+    assert len(declined) == 4
+    assert [(o, w) for w, o in declined] == [(w, o) for w, o in calls if w > o]
+
+
 def test_survivor_words_by_content_window(squares):
     table = survivor_words_by_content(squares.pres, squares.gb, squares.cfg, 3)
     assert table[(1, 4)] == [(1, 4), (4, 1)]

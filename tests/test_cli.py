@@ -676,6 +676,19 @@ def test_deep_chain_lists_without_recursion(tmp_path, capsys):
     assert entry["facets"] == [[0] * 1500]
 
 
+def test_chains_past_the_face_budget_exits_1(tmp_path, capsys):
+    # [0, 60] over <2, 3> has sum over 2a + 3b = 60 of binomial(a + b, a)
+    # facets: they are counted off the interval's contents, and none is listed
+    doc = tmp_path / "wide.json"
+    doc.write_text('{"dimension": 1, "generators": [[2], [3]], "targets": [[60]]}')
+    start = time.monotonic()
+    code = main(["--input", str(doc), "--command", "chains"])
+    assert time.monotonic() - start < 2
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: chains at (60,): 8745217 facets, more than 2097152\n"
+
+
 @pytest.mark.parametrize("command", ["morse", "cancel"])
 def test_deep_chain_exceeds_face_budget_exits_1(command, tmp_path, capsys):
     code = main(["--input", str(_deep_chain(tmp_path)), "--command", command])

@@ -430,14 +430,14 @@ def test_cell_dimension_counts_j_intervals(squares):
     for j, facet in enumerate(fm.facets):
         cell = label_cell(systems, facet.labels)
         if cell is not None and j > 0:
-            assert cell.dimension == len(fm.j_systems[j]) - 1
+            assert cell.dimension == len(truncate_to_j_intervals(fm.systems[j])) - 1
 
 
 def test_interval_system_accessor(squares):
     fm = squares.matching((2, 2, 1, 1))
     j = next(i for i, f in enumerate(fm.facets) if f.labels == (2, 1, 3, 4))
     assert spans(fm.systems[j]) == ((1, 1), (2, 3))
-    assert spans(fm.j_systems[j]) == ((1, 1), (2, 3))
+    assert spans(truncate_to_j_intervals(fm.systems[j])) == ((1, 1), (2, 3))
 
 
 def test_pure_lead_window_height_bound(squares, pair_swap, cyclic3):
@@ -463,7 +463,7 @@ def test_pure_lead_window_height_bound(squares, pair_swap, cyclic3):
 
 def editable_copy(fm):
     return FaceMatching(
-        fm.ivl, fm.cfg, fm.facets, fm.systems, fm.j_systems,
+        fm.ivl, fm.cfg, fm.facets, fm.systems,
         dict(fm.owner), dict(fm.partner), dict(fm.critical), fm.empty_cell,
     )
 
@@ -530,7 +530,7 @@ def _match_within_facet(fm: FaceMatching, j, facet, bits, new_faces) -> None:
                 continue
             fm.partner[mask] = other
         return
-    j_sys = fm.j_systems[j]
+    j_sys = truncate_to_j_intervals(fm.systems[j])
     cell = morse._cell(facet, tuple(iv.lo for iv in j_sys))
     cell_sub = sum(1 << (q - 1) for q in cell.ranks)
     # a face toggles the lowest rank of the first truncated interval it
@@ -588,7 +588,7 @@ def reference_face_matching(ivl, cfg, gb):
     reference checks."""
     facets = ordered_facets(ivl, cfg)
     systems = [morse.msi_characterization(gb, cfg, f) for f in facets]
-    fm = FaceMatching(ivl, cfg, facets, systems, [truncate_to_j_intervals(s) for s in systems])
+    fm = FaceMatching(ivl, cfg, facets, systems)
     if len(facets) == 1 and not facets[0].interior:
         fm.empty_cell = morse._cell(facets[0], ())
         return fm
@@ -1157,7 +1157,7 @@ def per_facet_table_build(ivl, cfg, gb):
     (reference_face_table), its checks and inserts otherwise the build's."""
     facets = ordered_facets(ivl, cfg)
     systems = facet_systems(gb, cfg, facets)
-    fm = FaceMatching(ivl, cfg, facets, systems, list(map(truncate_to_j_intervals, systems)))
+    fm = FaceMatching(ivl, cfg, facets, systems)
     if len(facets) == 1 and not facets[0].interior:
         fm.empty_cell = morse._cell(facets[0], ())
         return fm

@@ -96,6 +96,20 @@ def test_full_suite_squares(squares):
     assert out["checks"]["class_bijection"]
 
 
+def test_full_suite_reads_quadratic_off_the_basis(squares, monkeypatch):
+    # squares is quadratic; a basis that says otherwise takes every
+    # high-degree branch of the suite
+    from morsegraded.groebner import GroebnerBasis
+
+    monkeypatch.setattr(GroebnerBasis, "quadratic", property(lambda gb: False))
+    out = full_consistency_suite(squares.pres, squares.gb, squares.cfg, 4)
+    checks, details = out["checks"], out["details"]
+    assert "resolution_bounds" in checks and "resolution_minimal" not in checks
+    assert "class_bijection" not in checks
+    assert "face_level_agrees_with_fiber_level" not in checks
+    assert {"face_level_survivors", "fiber_level_survivors"} <= set(details)
+
+
 def test_full_suite_cyclic3(cyclic3):
     out = full_consistency_suite(cyclic3.pres, cyclic3.gb, cyclic3.cfg, 3)
     assert out["ok"], out["checks"]
