@@ -29,16 +29,15 @@ from .morse import (
     CriticalCell,
     FaceMatching,
     RankInterval,
+    all_ranks,
     alternating_cycle,
     build_face_matching,
+    cell_intervals,
     covering_search,
-    covering_words,
-    covers_all_ranks,
-    interned_system,
     morse_numbers,
     msi_characterization,
+    rank_mask,
     refuse_deep_target,
-    truncate_to_j_intervals,
 )
 from .orders import content_monomial
 from .semigroup import SemigroupPresentation, Vector
@@ -189,27 +188,20 @@ def check_321_uniqueness(cfg: FacetOrderConfig, tau_labels, sigma_labels) -> str
 
 
 class SystemTable(dict):
-    """Word -> skipped-interval system, each computed once, on first read.
+    """Word -> skipped-interval system, seeded and otherwise computed once.
 
-    found maps words a covering search yielded to the intervals it found
-    for them (morse.covering_search).  Such a word's system is built from
-    those on its first read, one per distinct found tuple (interned), and
-    any other word's is computed by msi_characterization.
+    Both levels fill a table one way: it is seeded with the systems a walk
+    or search already built (the face matching's facets for cancel_cells,
+    the words morse.covering_search yields at the label level), and any
+    other word's system is computed by msi_characterization on first read.
     """
 
     def __init__(self, gb: GroebnerBasis, cfg: FacetOrderConfig, systems=()):
         super().__init__(systems)
         self.gb, self.cfg = gb, cfg
-        self.found: dict[tuple[int, ...], tuple] = {}
-        self.interned: dict[tuple, tuple[RankInterval, ...]] = {}
 
     def __missing__(self, word):
-        found = self.found.get(word)
-        if found is None:
-            system = msi_characterization(self.gb, self.cfg, word)
-        else:
-            system = interned_system(self.interned, found, word)
-        self[word] = system
+        system = self[word] = msi_characterization(self.gb, self.cfg, word)
         return system
 
 
@@ -217,6 +209,10 @@ def windows_of(systems: SystemTable, labels) -> list[RankInterval]:
     """The syzygy intervals of labels: window w spans label positions
     w.lo - 1 .. w.hi."""
     return [iv for iv in systems[labels] if iv.kind == "syzygy"]
+
+
+def _has_interior_window(systems: SystemTable, labels) -> bool:
+    return any(w.hi > w.lo for w in windows_of(systems, labels))
 
 
 @dataclass(frozen=True)
@@ -241,24 +237,30 @@ def _not_window_interior(windows: list[RankInterval], pos: int) -> bool:
     return all(not (w.lo <= pos < w.hi) for w in windows)
 
 
+def _is_cell(systems: SystemTable, word) -> bool:
+    """Does word have a critical cell?  The coverage half of
+    morse.cell_intervals, for callers that need no J-intervals."""
+    return rank_mask(systems[word]) == all_ranks(len(word) - 1)
+
+
+def _passes(systems: SystemTable, x: int, passed) -> bool:
+    """Does every label x is shifted past rank below x and commute with it?"""
+    rank = systems.cfg.order.label_rank
+    commutes = systems.gb.commutes[x]
+    return all(rank[y] < rank[x] and commutes[y] for y in passed)
+
+
 def _down_slot(systems: SystemTable, labels, w: RankInterval, p: int):
     """Shift labels[p] out of window w to the highest landing that leaves a
     critical cell with the label outside every window interior."""
     x = labels[p]
-    rank = systems.cfg.order.label_rank
-    commutes = systems.gb.commutes
-    # every label passed on the way down must sort past x and commute with it
-    for y in labels[w.lo : p]:
-        if rank[y] >= rank[x] or not commutes[x][y]:
-            return None
+    if not _passes(systems, x, labels[w.lo : p]):
+        return None
     for q in range(w.lo - 1, -1, -1):
-        y = labels[q]
-        if rank[y] >= rank[x] or not commutes[x][y]:
+        if not _passes(systems, x, labels[q : q + 1]):
             return None
         word = labels[:q] + (x,) + labels[q:p] + labels[p + 1 :]
-        if covers_all_ranks(systems[word], len(word) - 1) and _not_window_interior(
-            windows_of(systems, word), q
-        ):
+        if _is_cell(systems, word) and _not_window_interior(windows_of(systems, word), q):
             return word
     return None
 
@@ -282,11 +284,8 @@ def _upward_shiftable(systems: SystemTable, labels, w: RankInterval, p: int):
     rank = systems.cfg.order.label_rank
     commutes = systems.gb.commutes
     a1, a2 = labels[w.lo - 1], labels[w.hi]
-    if not (rank[a1] < rank[x] < rank[a2]):
+    if not (rank[a1] < rank[x] < rank[a2] and _passes(systems, x, labels[p + 1 : w.lo - 1])):
         return None
-    for y in labels[p + 1 : w.lo - 1]:
-        if rank[y] >= rank[x] or not commutes[x][y]:
-            return None
     for y in labels[w.lo - 1 : w.hi + 1]:
         if not commutes[x][y]:
             return None
@@ -302,9 +301,7 @@ def _upward_shiftable(systems: SystemTable, labels, w: RankInterval, p: int):
         if not (descent or pair_lead):
             return None
     word, at = _insert_sorted(systems.cfg, labels, w, p)
-    if not covers_all_ranks(systems[word], len(word) - 1):
-        return None
-    if _not_window_interior(windows_of(systems, word), at):
+    if not _is_cell(systems, word) or _not_window_interior(windows_of(systems, word), at):
         return None
     return word
 
@@ -388,31 +385,6 @@ def mutual_pivots(systems: SystemTable, dims: dict, matched, stage: str, notes: 
             )
         else:
             yield word, other
-
-
-# -- label-level critical cells -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LabelCell:
-    labels: tuple[int, ...]
-    ranks: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.ranks) - 1
-
-
-def label_cell(systems: SystemTable, labels) -> LabelCell | None:
-    labels = tuple(labels)
-    system = systems[labels]
-    if not covers_all_ranks(system, len(labels) - 1):
-        return None
-    return LabelCell(labels, tuple(iv.lo for iv in truncate_to_j_intervals(system)))
-
-
-def _has_interior_window(systems: SystemTable, labels) -> bool:
-    return any(w.hi > w.lo for w in windows_of(systems, labels))
 
 
 # -- cancellation over a built face matching -----------------------------------
@@ -700,14 +672,15 @@ def fiber_survivor_words(
     Uses only label arithmetic (no face complex): the matching is the pivot
     rule, and uniqueness of each reversed path is by the 321 theorem.  The
     face-level engine must agree on bounded intervals; tests enforce that.
-    The critical cells are the full-length words covering_words yields
-    under the content's counts.
+    The critical cells are the full-length words covering_search yields
+    under the content's counts, and they seed the content's SystemTable.
     """
     content = tuple(sorted(content))
     m = len(content)
     counts = content_monomial(content, cfg.order.n)
-    words = [w for w in covering_words(gb, cfg, counts, m) if len(w) == m]
-    return _fiber_survivors(SystemTable(gb, cfg), content, words)
+    searched = ((w, s) for w, s in covering_search(gb, cfg, counts, m) if len(w) == m)
+    systems = SystemTable(gb, cfg, searched)
+    return _fiber_survivors(systems, content, list(systems))
 
 
 def _fiber_survivors(systems: SystemTable, content, words) -> list[tuple[int, ...]]:
@@ -715,13 +688,13 @@ def _fiber_survivors(systems: SystemTable, content, words) -> list[tuple[int, ..
     lexicographic order, each checked against its system in systems."""
     dims: dict[tuple[int, ...], int] = {}
     for word in words:
-        c = label_cell(systems, word)
-        if c is None:
+        j_system = cell_intervals(systems[word], len(word) - 1)
+        if j_system is None:
             raise InternalInvariantError(
                 f"fiber cancellation of content {content}: covering search found {word}, "
                 "which is not a critical cell"
             )
-        dims[word] = c.dimension
+        dims[word] = len(j_system) - 1
     matched: set[tuple[int, ...]] = set()
     stage = f"fiber cancellation of content {content}: words"
     for word, other in mutual_pivots(systems, dict(sorted(dims.items())), matched, stage, []):
@@ -780,21 +753,17 @@ def survivor_words_by_content(
     content falls back to the face-level engine, whose greedy pass
     certifies pairs by explicit path enumeration under path_cap.
 
-    One SystemTable serves the whole window, seeded with the intervals the
-    search found for each word it yielded.  Those are the intervals
-    msi_characterization finds for that word (covering_search proves it),
-    so each searched word's system is the one a fresh computation gives.
-    Every word a shift helper tries rearranges the content at hand, so a
-    word's system is first read while its own content is processed, in
-    the order a fresh table per content would read it; systems are built
-    on that first read, so a nested system names the word a per-content
-    table would name.  A content with no covering word has no cell and no
-    survivor, so it takes no pass.
+    One SystemTable serves the whole window, seeded with the system the
+    search yields for each word.  That is the word's msi_characterization
+    (covering_search proves it), so each searched word's system is the one
+    a fresh computation gives; any other word a shift helper tries is
+    computed on first read.  A content with no covering word has no cell
+    and no survivor, so it takes no pass.
     """
     systems = SystemTable(gb, cfg)
     cells_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for word, found in covering_search(gb, cfg, [max_degree] * pres.n, max_degree):
-        systems.found[word] = found
+    for word, system in covering_search(gb, cfg, [max_degree] * pres.n, max_degree):
+        systems[word] = system
         cells_of.setdefault(tuple(sorted(word)), []).append(word)
     out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     frontier: list[tuple[int, ...]] = [()]

@@ -58,6 +58,8 @@ def parse_input(text: str) -> InputDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("input is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
     refuse_unknown_fields(

@@ -229,29 +229,32 @@ def walk_systems(ivl: IntervalData, cfg: FacetOrderConfig, gb: GroebnerBasis, co
 
 
 def covering_search(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int):
-    """Yield (word, found) for every word whose skipped intervals cover
-    every gap, at most `length` labels long, with label i used at most
-    counts[i] times; found is the word's intervals as _skipped_steps finds
-    them, so interned_system(found, word) is its msi_characterization.
+    """Yield (word, system) for every word that has a critical cell
+    (cell_intervals), at most `length` labels long, with label i used at
+    most counts[i] times; system is the word's msi_characterization.
 
-    Gap g (1 <= g < m) of a word of m labels lies between labels g-1 and g,
-    as rank g of msi_characterization.  A depth-first search appends one
-    label at a time, and each frame carries (found, run start, covered
-    gaps): appending a label at position b takes _skipped_steps at rank b
-    alone.  That rank reads word[:b + 1] alone, so the step a frame takes
-    is the one msi_characterization takes at rank b of every word grown
-    from it, and found is exactly that call's, tuple for tuple.  A descent
-    covers its own gap and closes the run; a weak ascent at position b
-    covers the gaps of every syzygy window (a, b) with a at or after the
-    run start.  Every word the search reaches that covers all its gaps is
-    yielded, the empty word included.
+    Rank q (1 <= q < m) of a word of m labels lies between labels q-1 and
+    q.  A depth-first search appends one label at a time, and each frame
+    carries (found, run start, covered ranks), the ranks a mask as
+    RankInterval.mask writes them: appending a label at position b takes
+    _skipped_steps at rank b alone.  That rank reads word[:b + 1] alone, so
+    the step a frame takes is the one msi_characterization takes at rank b
+    of every word grown from it, and found is exactly that call's, tuple
+    for tuple.  A descent covers its own rank and closes the run; a weak
+    ascent at position b covers the ranks of every syzygy window (a, b)
+    with a at or after the run start.  A word is yielded when its mask is
+    all_ranks of its interior, which is cell_intervals' coverage test on
+    the mask of the same intervals; the empty word is yielded too.  Words
+    that find the same intervals share one system, built and nested-checked
+    once (interned_system), as in walk_systems, so a nested system names
+    the first word yielded with it.
 
-    The search cuts a branch when a descent closes a run with a gap left
+    The search cuts a branch when a descent closes a run with a rank left
     uncovered.  That is sound: a syzygy window is weakly increasing, so it
     lies inside one run, and whether it is a window depends on its labels
-    alone.  No extension can add a window over a closed run's gaps, and
-    descents cover only the gaps where they occur.  The still-open run is
-    never cut, since a later window may yet cover its gaps.
+    alone.  No extension can add a window over a closed run's ranks, and
+    descents cover only the ranks where they occur.  The still-open run is
+    never cut, since a later window may yet cover its ranks.
 
     One search serves a whole degree window (counts of `length` for every
     label) as well as one content (that content's counts and size).  The
@@ -263,16 +266,18 @@ def covering_search(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: in
     lexicographic order whichever way the search is bounded.
     """
     step = partial(_skipped_steps, cfg.order.label_rank, syzygy_windows(gb, cfg))
-    # (word, remaining count per label, found, run start, covered gap mask)
+    systems: dict[tuple, tuple[RankInterval, ...]] = {}
+    # the mask a word of b labels must reach: all ranks of its interior
+    full = [all_ranks(b - 1) for b in range(length + 2)]
+    # (word, remaining count per label, found, run start, covered rank mask)
     stack = [((), tuple(counts), (), 0, 0)]
     while stack:
         word, left, found, start, covered = stack.pop()
         b = len(word)  # the rank the next label closes
-        if covered == ((1 << b) - 2 if b else 0):  # gaps 1 .. b-1
-            yield word, found
+        if covered == full[b]:
+            yield word, interned_system(systems, found, word)
         if b == length:
             continue
-        full = (1 << (b + 1)) - 2  # gaps 1 .. b, all of a child's
         children = []
         for x, k in enumerate(left):
             if not k:
@@ -282,22 +287,17 @@ def covering_search(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: in
             if b:
                 now, run = step(grown, found, start, b)
                 if run == b:  # a descent closed the run start .. b-1
-                    closed = (1 << b) - (1 << (start + 1))  # gaps start+1 .. b-1
+                    closed = (1 << (b - 1)) - (1 << start)  # ranks start+1 .. b-1
                     if covered & closed != closed:
                         continue
                 if now is not found:  # the step found intervals at rank b
                     for lo, hi, _ in now[len(found) :]:
-                        cov |= (1 << (hi + 1)) - (1 << lo)  # gaps lo .. hi
+                        cov |= (1 << hi) - (1 << (lo - 1))  # RankInterval(lo, hi).mask
             if b + 1 < length:
                 children.append((grown, left[:x] + (k - 1,) + left[x + 1 :], now, run, cov))
-            elif cov == full:  # a leaf is yielded here, where its pop would
-                yield grown, now
+            elif cov == full[b + 1]:  # a leaf is yielded here, where its pop would
+                yield grown, interned_system(systems, now, grown)
         stack.extend(reversed(children))
-
-
-def covering_words(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: int):
-    """The words covering_search yields, without their intervals."""
-    return (word for word, _ in covering_search(gb, cfg, counts, length))
 
 
 # -- direct computation from earlier facets -----------------------------------
@@ -365,8 +365,26 @@ def truncate_to_j_intervals(i_intervals) -> tuple[RankInterval, ...]:
     return tuple(out)
 
 
-def covers_all_ranks(intervals, r: int) -> bool:
-    return rank_mask(intervals) == (1 << max(r, 0)) - 1
+def all_ranks(r: int) -> int:
+    """Ranks 1 .. r as a mask, bit r - 1 for rank r; none when r <= 0."""
+    return (1 << r) - 1 if r > 0 else 0
+
+
+def cell_intervals(system, r: int) -> tuple[RankInterval, ...] | None:
+    """The critical-cell rule, for a facet or word of r interior ranks and
+    its sorted, non-nested skipped-interval system.
+
+    The facet has a critical cell exactly when its intervals cover every
+    rank, rank_mask(system) == all_ranks(r); the cell then sits at the
+    lowest rank of each J-interval, and these J-intervals are returned.
+    None means some rank is left uncovered: no cell but, in the face
+    matching, the base cell when the facet is the least one.  The face
+    matching (_toggle_rule), the label level and covering_search all read
+    this rule; the search tests its coverage half on the mask it grows.
+    """
+    if rank_mask(system) != all_ranks(r):
+        return None
+    return truncate_to_j_intervals(system)
 
 
 def _cell(facet: Facet, ranks, is_base: bool = False) -> CriticalCell:
@@ -479,18 +497,20 @@ class _ShapeBreach(Exception):
     partner's rank subset or None); the build names the facet."""
 
 
-def _toggle_rule(r: int, system, j_system, subs: list[int]):
+def _toggle_rule(r: int, system, subs: list[int]):
     """Match the transversals subs of one shape by toggling one rank each.
 
     Returns the partner map on rank subsets and the critical subsets, each
-    with its cell's ranks and whether it is the base cell.  With a rank q
-    that no interval covers, every subset toggles the lowest such q, and
-    {q} alone is the base cell.  Otherwise the cell is the set of lowest
-    ranks of the truncated intervals, and any other subset toggles the
-    lowest rank of the first truncated interval it meets above that rank.
+    with its cell's ranks and whether it is the base cell.  When
+    cell_intervals finds the cell, it is the set of lowest ranks of the
+    J-intervals, and any other subset toggles the lowest rank of the first
+    J-interval it meets above that rank.  Otherwise some rank q is left
+    uncovered: every subset toggles the lowest such q, and {q} alone is the
+    base cell.
     """
-    uncovered = ~rank_mask(system) & ((1 << r) - 1)
-    if uncovered:
+    j_system = cell_intervals(system, r)
+    if j_system is None:
+        uncovered = ~rank_mask(system) & all_ranks(r)
         cone = uncovered & -uncovered  # the lowest uncovered rank
         # {q} is the lowest vertex of the least facet: the base critical cell
         cell, ranks, is_base = cone, (cone.bit_length(),), True
@@ -574,7 +594,7 @@ def _match_shape(r: int, system) -> _Shape:
     complements = tuple(rest for iv in system if (rest := full & ~iv.mask))
     subs = _transversals(r, system)
     try:
-        partner, critical = _toggle_rule(r, system, truncate_to_j_intervals(system), subs)
+        partner, critical = _toggle_rule(r, system, subs)
         _verify_shape(subs, partner, critical)
     except _ShapeBreach as err:
         return _Shape(complements, subs, {}, {}, err.args)

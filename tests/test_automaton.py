@@ -202,13 +202,13 @@ def test_series_expansion_table_matches_morse_numbers(squares):
 
 def test_word_length_tracks_dimension(squares):
     # every quadratic survivor is saturated: word length = dimension + 2
-    from morsegraded.cancellation import SystemTable, label_cell
+    from morsegraded.morse import cell_intervals, msi_characterization
 
     table = survivor_words_by_content(squares.pres, squares.gb, squares.cfg, 5)
     for words in table.values():
         for w in words:
-            cell = label_cell(SystemTable(squares.gb, squares.cfg), w)
-            assert len(w) == cell.dimension + 2
+            system = msi_characterization(squares.gb, squares.cfg, w)
+            assert len(w) == len(cell_intervals(system, len(w) - 1)) + 1
 
 
 def test_classes_squares(squares):

@@ -24,7 +24,6 @@ from morsegraded.cancellation import (
     face_level_survivor_words,
     fiber_survivor_words,
     is_321_avoiding,
-    label_cell,
     non_essential_sets,
     survivor_words_by_content,
     transforming_permutation,
@@ -35,7 +34,7 @@ from morsegraded.errors import (
     PathCapExceeded,
     UnmatchedUnsaturatedCell,
 )
-from morsegraded.morse import covering_words, verify_acyclic
+from morsegraded.morse import cell_intervals, covering_search, msi_characterization, verify_acyclic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -458,20 +457,29 @@ def _ring_from(generators, degree):
 
 
 def reference_cell_words(gb, cfg, content):
-    """Every distinct arrangement, in lexicographic order, kept when
-    label_cell calls it a critical cell."""
+    """Every distinct arrangement, in lexicographic order, kept when the
+    critical-cell rule, cell_intervals, finds a cell for it."""
     systems = SystemTable(gb, cfg)
-    return [w for w in sorted(set(permutations(content))) if label_cell(systems, w) is not None]
+    return [
+        w
+        for w in sorted(set(permutations(content)))
+        if cell_intervals(systems[w], len(w) - 1) is not None
+    ]
+
+
+def covering_words(gb, cfg, counts, length):
+    """The words covering_search yields, without their systems."""
+    return [word for word, _ in covering_search(gb, cfg, counts, length)]
 
 
 def content_cell_words(gb, cfg, content):
-    """covering_words bounded to one content: its full-length words."""
+    """covering_search bounded to one content: its full-length words."""
     counts = content_monomial(content, cfg.order.n)
     return [w for w in covering_words(gb, cfg, counts, len(content)) if len(w) == len(content)]
 
 
 def window_cell_words(gb, cfg, degree):
-    """One covering_words search over the degree window, grouped by content."""
+    """One covering_search over the degree window, grouped by content."""
     grouped = {}
     for word in covering_words(gb, cfg, [degree] * cfg.order.n, degree):
         grouped.setdefault(tuple(sorted(word)), []).append(word)
@@ -500,7 +508,7 @@ def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cycli
     assert content_cell_words(squares.gb, squares.cfg, ()) == [()]
     assert content_cell_words(squares.gb, squares.cfg, (3,)) == [(3,)]
     n = squares.pres.n
-    assert list(covering_words(squares.gb, squares.cfg, [1] * n, 1)) == [
+    assert covering_words(squares.gb, squares.cfg, [1] * n, 1) == [
         (),
         *((x,) for x in range(n)),
     ]
@@ -508,20 +516,20 @@ def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cycli
 
 def test_fiber_survivors_label_only_covering_words(pair_swap, monkeypatch):
     emitted, labelled = [], []
-    search, original = cancellation.covering_search, cancellation.label_cell
+    search, original = cancellation.covering_search, cancellation._fiber_survivors
 
     def spy_search(gb, cfg, counts, length):
-        for word, found in search(gb, cfg, counts, length):
+        for word, system in search(gb, cfg, counts, length):
             emitted.append(word)
-            yield word, found
+            yield word, system
 
-    def spy_label(systems, labels):
-        cell = original(systems, labels)
-        labelled.append((tuple(labels), cell is not None))
-        return cell
+    def spy_survivors(systems, content, words):
+        # the words the pivot pass labels, each with the rule's verdict
+        labelled.extend((w, cell_intervals(systems[w], len(w) - 1) is not None) for w in words)
+        return original(systems, content, words)
 
     monkeypatch.setattr(cancellation, "covering_search", spy_search)
-    monkeypatch.setattr(cancellation, "label_cell", spy_label)
+    monkeypatch.setattr(cancellation, "_fiber_survivors", spy_survivors)
     survivor_words_by_content(pair_swap.pres, pair_swap.gb, pair_swap.cfg, 6)
     # one search emits the whole window in preorder; each content's words,
     # in order, are labelled.  The empty word's content is not in the window
@@ -617,8 +625,10 @@ def test_cancel_cells_computes_no_system(name, lam, request, monkeypatch):
 
 
 def test_non_cell_from_covering_search_is_an_invariant_breach(squares, monkeypatch):
+    word = (1, 3, 2, 4)
+    system = msi_characterization(squares.gb, squares.cfg, word)
     monkeypatch.setattr(
-        cancellation, "covering_words", lambda gb, cfg, counts, length: iter([(1, 3, 2, 4)])
+        cancellation, "covering_search", lambda gb, cfg, counts, length: iter([(word, system)])
     )
     with pytest.raises(InternalInvariantError, match=r"\(1, 2, 3, 4\).*\(1, 3, 2, 4\)"):
         fiber_survivor_words(squares.gb, squares.cfg, (1, 2, 3, 4))
@@ -705,10 +715,15 @@ def test_fallback_honours_path_cap(monkeypatch):
 
 def test_label_cell_dimensions(squares):
     systems = SystemTable(squares.gb, squares.cfg)
-    assert label_cell(systems, (1, 2, 3, 4)).dimension == 0
-    assert label_cell(systems, (4, 3, 2, 1)).dimension == 2
-    assert label_cell(systems, (1, 3, 2, 4)) is None
-    assert label_cell(systems, (2,)).dimension == -1
+
+    def dimension(word):
+        j_system = cell_intervals(systems[word], len(word) - 1)
+        return None if j_system is None else len(j_system) - 1
+
+    assert dimension((1, 2, 3, 4)) == 0
+    assert dimension((4, 3, 2, 1)) == 2
+    assert dimension((1, 3, 2, 4)) is None
+    assert dimension((2,)) == -1
 
 
 def test_commutation_table(squares):

@@ -354,6 +354,13 @@ for _entry, _kind in (("1.5", "fractional"), ('"1"', "string"), ("true", "boolea
         ' "term_order": {"kind": "lex", "priority": %s}}' % PRIORITY.format(_entry)
     )
 
+# json.loads gives up on deep nesting with a RecursionError, not a decode error
+DEEP = "[" * 100_000 + "]" * 100_000
+MALFORMED["deeply nested document"] = DEEP
+MALFORMED["deeply nested term_order"] = (
+    '{"dimension": 2, "generators": [[1, 0], [0, 1]], "term_order": %s}' % DEEP
+)
+
 
 @pytest.mark.parametrize(
     "text, err",

@@ -18,12 +18,10 @@ from conftest import (
 )
 from morsegraded import cancellation, morse
 from morsegraded.cancellation import (
-    SystemTable,
     _apply_reversals,
     _verify_reversals,
     cancel_cells,
     gradient_paths_from,
-    label_cell,
 )
 from morsegraded.chains import FacetOrderConfig, interval_contents, ordered_facets, saturated_chains
 from morsegraded.errors import AcyclicityFailure, InternalInvariantError, MorsegradedError
@@ -35,8 +33,8 @@ from morsegraded.morse import (
     RankInterval,
     alternating_cycle,
     build_face_matching,
+    cell_intervals,
     characterization_certified,
-    covers_all_ranks,
     direct_interval_system,
     morse_numbers,
     msi_characterization,
@@ -243,17 +241,13 @@ def test_one_window_predicate_per_basis(squares, monkeypatch):
     assert made == [gb]
     assert tested and len(tested) == len(set(tested))
     # the covering search reads the same table and tests no window again
-    assert list(morse.covering_words(gb, squares.cfg, (1, 2, 1, 1, 1), 6))
+    assert list(morse.covering_search(gb, squares.cfg, (1, 2, 1, 1, 1), 6))
     assert made == [gb] and len(tested) == len(set(tested))
 
 
 def search_systems(gb, cfg, degree):
-    """Word -> the system covering_search reads off for it, over the window."""
-    interned = {}
-    return {
-        word: morse.interned_system(interned, found, word)
-        for word, found in morse.covering_search(gb, cfg, [degree] * cfg.order.n, degree)
-    }
+    """Word -> the system covering_search yields for it, over the window."""
+    return dict(morse.covering_search(gb, cfg, [degree] * cfg.order.n, degree))
 
 
 def label_guard_rings():
@@ -283,6 +277,12 @@ def test_search_systems_equal_characterization_and_window_prefilter_is_exact():
     assert searched > 5000
 
 
+def test_search_yields_one_system_object_per_distinct_system(pair_swap):
+    # as in the facet walk, words that find the same intervals share one system
+    systems = search_systems(pair_swap.gb, pair_swap.cfg, 6).values()
+    assert len({id(s) for s in systems}) == len(set(systems)) > 1
+
+
 def test_search_guard_catches_a_step_that_drops_a_syzygy_interval(pair_swap, monkeypatch):
     # the reference is read before the plant, so only the search takes the
     # planted step, which drops the syzygy interval ending at rank 2
@@ -308,8 +308,8 @@ def test_cell_of_descending_witness(squares):
         for f in ordered_facets(squares.interval((2, 2, 1, 1)), squares.cfg)
         if f.labels == (3, 2, 1, 4)
     )
-    cell = label_cell(SystemTable(squares.gb, squares.cfg), facet.labels)
-    assert cell.ranks == (1, 2, 3) and cell.dimension == 2
+    j_system = cell_intervals(msi_characterization(squares.gb, squares.cfg, facet), 3)
+    assert tuple(iv.lo for iv in j_system) == (1, 2, 3)
 
 
 def test_cell_of_interspersed_witness(squares):
@@ -318,8 +318,8 @@ def test_cell_of_interspersed_witness(squares):
         for f in ordered_facets(squares.interval((2, 2, 1, 1)), squares.cfg)
         if f.labels == (2, 1, 3, 4)
     )
-    cell = label_cell(SystemTable(squares.gb, squares.cfg), facet.labels)
-    assert cell.ranks == (1, 2) and cell.dimension == 1
+    j_system = cell_intervals(msi_characterization(squares.gb, squares.cfg, facet), 3)
+    assert tuple(iv.lo for iv in j_system) == (1, 2)
 
 
 def test_non_covering_system_gives_no_cell(squares):
@@ -329,17 +329,53 @@ def test_non_covering_system_gives_no_cell(squares):
         if f.labels == (1, 3, 2, 4)
     )
     system = msi_characterization(squares.gb, squares.cfg, facet)
-    assert not covers_all_ranks(system, 3)
-    assert label_cell(SystemTable(squares.gb, squares.cfg), facet.labels) is None
+    assert rank_mask(system) != morse.all_ranks(3)
+    assert cell_intervals(system, 3) is None
 
 
 def test_labels_contribute(squares):
     # a word contributes a critical cell when its system covers every rank
     def contributes(word):
-        return covers_all_ranks(msi_characterization(squares.gb, squares.cfg, word), len(word) - 1)
+        system = msi_characterization(squares.gb, squares.cfg, word)
+        return cell_intervals(system, len(word) - 1) is not None
 
     assert contributes((3, 2, 1, 4))
     assert not contributes((1, 3, 2, 4))
+
+
+def non_nested_span_systems(r):
+    """Every sorted, non-nested span system on ranks 1 .. r, the empty one
+    included: both ends strictly increase from one span to the next."""
+    spans_ = [(lo, hi) for lo in range(1, r + 1) for hi in range(lo, r + 1)]
+    stack = [((), 0)]
+    while stack:
+        system, start = stack.pop()
+        yield system
+        for i in range(start, len(spans_)):
+            lo, hi = spans_[i]
+            if not system or (lo > system[-1][0] and hi > system[-1][1]):
+                stack.append((system + (spans_[i],), i + 1))
+
+
+def test_face_matching_cells_follow_the_shared_rule_on_every_shape():
+    # a shape has a non-base critical cell exactly when cell_intervals
+    # accepts its system, at the lowest ranks of its J-intervals.  A shape
+    # whose J-intervals leave a face the toggle rule cannot match keeps a
+    # breach instead (ROADMAP item 1); only accepted systems do that
+    accepted = breached = 0
+    for r in range(1, 8):
+        for spans_ in non_nested_span_systems(r):
+            system = tuple(RankInterval(lo, hi) for lo, hi in spans_)
+            j_system = cell_intervals(system, r)
+            accepted += j_system is not None
+            shape = morse._match_shape(r, system)
+            if shape.breach is not None:
+                assert j_system is not None, (r, spans_)
+                breached += 1
+                continue
+            cells = [ranks for ranks, is_base in shape.critical.values() if not is_base]
+            assert cells == ([] if j_system is None else [tuple(iv.lo for iv in j_system)])
+    assert (accepted, breached) == (625, 176)
 
 
 # -- the face matching --------------------------------------------------------------
@@ -426,11 +462,11 @@ def test_euler_identity_across_window(squares):
 
 def test_cell_dimension_counts_j_intervals(squares):
     fm = squares.matching((2, 2, 1, 1))
-    systems = SystemTable(squares.gb, squares.cfg)
     for j, facet in enumerate(fm.facets):
-        cell = label_cell(systems, facet.labels)
-        if cell is not None and j > 0:
-            assert cell.dimension == len(truncate_to_j_intervals(fm.systems[j])) - 1
+        system = msi_characterization(squares.gb, squares.cfg, facet)
+        j_system = cell_intervals(system, len(facet.interior))
+        if j_system is not None and j > 0:
+            assert len(j_system) == len(truncate_to_j_intervals(fm.systems[j]))
 
 
 def test_interval_system_accessor(squares):
@@ -711,8 +747,8 @@ def test_transversal_checks_come_before_the_shape_breach(squares, monkeypatch):
         for i, (f, shared, s) in enumerate(honest_walk(*args)):
             yield f, shared, system if i == j else s
 
-    def rule(r, planted, j_system, subs):
-        partner, critical = honest_rule(r, planted, j_system, subs)
+    def rule(r, planted, subs):
+        partner, critical = honest_rule(r, planted, subs)
         if planted == system:
             partner.clear()  # every subset unmatched
         return partner, critical
@@ -740,8 +776,8 @@ def plant_in_first_shape(monkeypatch, ring, lam, edit):
     fm = build_face_matching(ring.interval(lam), ring.cfg, ring.gb)
     honest, planted = morse._toggle_rule, []
 
-    def rule(r, system, j_system, subs):
-        partner, critical = honest(r, system, j_system, subs)
+    def rule(r, system, subs):
+        partner, critical = honest(r, system, subs)
         if not planted and edit(system, subs, partner, critical):
             planted.append((r, system))
         return partner, critical
@@ -840,7 +876,9 @@ def test_face_outside_every_truncated_interval_is_a_breach(squares, monkeypatch)
     with pytest.raises(InternalInvariantError) as err:
         build_face_matching(squares.interval(lam), squares.cfg, squares.gb)
     first = next(
-        f for f, s in zip(fm.facets, fm.systems) if s and covers_all_ranks(s, len(f.interior))
+        f
+        for f, s in zip(fm.facets, fm.systems)
+        if s and cell_intervals(s, len(f.interior)) is not None
     )
     assert str(err.value) == (
         f"face matching at {lam}: facet {first.labels}: "

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from conftest import reference_direct_spans
+from morsegraded import pipeline
 from morsegraded.cancellation import (
+    CancellationResult,
     SystemTable,
     cancel_interval,
     enumerate_gradient_paths,
@@ -94,6 +96,72 @@ def test_full_suite_squares(squares):
     out = full_consistency_suite(squares.pres, squares.gb, squares.cfg, 4)
     assert out["ok"], out["checks"]
     assert out["checks"]["class_bijection"]
+
+
+# A fault planted at the input of one of full's critical-cell checks, on
+# squares to window 4, where every check holds.  The worked interval
+# (2, 2, 1, 1) has nonreduced Betti numbers (1, 0, 2), equal to its Morse
+# numbers, and the content (1, 2, 3, 4) has two commutation classes.
+WORKED = (2, 2, 1, 1)
+
+
+def plant_betti(monkeypatch, shifts):
+    """morse_vs_betti reads WORKED's reduced Betti numbers shifted by
+    shifts (dimension -> change); no other stage sees the change."""
+    honest = pipeline.morse_vs_betti
+
+    def planted(res, betti):
+        if res.matching.ivl.top == WORKED:
+            betti = tuple(b + shifts.get(i, 0) for i, b in enumerate(betti, start=-1))
+        return honest(res, betti)
+
+    monkeypatch.setattr(pipeline, "morse_vs_betti", planted)
+
+
+def plant_face_word(monkeypatch):
+    """WORKED's face-level survivors gain the least facet's word, which the
+    base cell keeps out.  A fiber word added would also move
+    language_equals_survivors and class_bijection, which read the same
+    survivor set, so the word goes on the face side of the comparison."""
+    honest = CancellationResult.survivor_words
+
+    def planted(res):
+        words = honest(res)
+        if res.matching.ivl.top == WORKED:
+            words.append(tuple(reversed(res.matching.facets[0].labels)))
+        return words
+
+    monkeypatch.setattr(CancellationResult, "survivor_words", planted)
+
+
+def plant_dropped_class(monkeypatch):
+    """The content (1, 2, 3, 4) loses its first commutation class."""
+    honest = pipeline.commutation_classes
+
+    def planted(gb, cfg, content):
+        classes = honest(gb, cfg, content)
+        return classes[1:] if tuple(content) == (1, 2, 3, 4) else classes
+
+    monkeypatch.setattr(pipeline, "commutation_classes", planted)
+
+
+FULL_PLANTS = {
+    # b1 and b2 one higher: m1 = 0 < 1, and the Euler characteristic is kept
+    "morse_inequalities": lambda mp: plant_betti(mp, {1: 1, 2: 1}),
+    # b2 one lower: the inequalities still hold, the Euler identity does not
+    "euler_identity": lambda mp: plant_betti(mp, {2: -1}),
+    "face_level_agrees_with_fiber_level": plant_face_word,
+    "class_bijection": plant_dropped_class,
+}
+
+
+@pytest.mark.parametrize("check", sorted(FULL_PLANTS))
+def test_planted_fault_fails_its_full_check_alone(check, squares, monkeypatch):
+    FULL_PLANTS[check](monkeypatch)
+    out = full_consistency_suite(squares.pres, squares.gb, squares.cfg, 4)
+    # test_full_suite_squares shows every check holds without the plant
+    assert out["checks"] == dict.fromkeys(out["checks"], True) | {check: False}
+    assert out["ok"] is False
 
 
 def test_full_suite_reads_quadratic_off_the_basis(squares, monkeypatch):
