@@ -143,44 +143,56 @@ def transforming_permutation(src, dst) -> list[int]:
 
 
 def is_321_avoiding(perm) -> bool:
-    m = len(perm)
-    for j in range(m):
-        if any(perm[i] > perm[j] for i in range(j)) and any(
-            perm[k] < perm[j] for k in range(j + 1, m)
-        ):
+    """Does the permutation (distinct entries 0 .. m-1) avoid the pattern 321?
+
+    It does exactly when its entries that are not left-to-right maxima
+    increase.  An entry below an earlier one is no maximum, so a 321 at
+    i < j < k puts two such entries, perm[j] > perm[k], out of order;
+    conversely, two such entries perm[j] > perm[k] with j < k, perm[j]
+    below some earlier perm[i], are a 321.
+    """
+    top = low = -1
+    for p in perm:
+        if p > top:
+            top = p
+        elif p < low:
             return False
+        else:
+            low = p
     return True
-
-
-def _block_shifts(src, dst):
-    m = len(src)
-    for i in range(m):
-        for length in range(1, m - i + 1):
-            block = src[i : i + length]
-            rest = src[:i] + src[i + length :]
-            for dest in range(m - length + 1):
-                if dest == i:
-                    continue
-                if rest[:dest] + block + rest[dest:] == dst:
-                    yield i, length, dest
 
 
 def check_321_uniqueness(cfg: FacetOrderConfig, tau_labels, sigma_labels) -> str:
     """unique-by-theorem when the transforming permutation is 321-avoiding
-    and moves one ascending block up or one label down; else defer."""
-    tau_labels, sigma_labels = tuple(tau_labels), tuple(sigma_labels)
-    if sorted(tau_labels) != sorted(sigma_labels):
+    and moves one ascending block up or one label down; else defer.
+
+    Moving a block A of tau rotates one segment of tau, B A into A B when
+    A moves down and A B into B A when it moves up, and leaves every label
+    outside the segment where it was.  So a move that gives sigma rotates a
+    segment that holds every position where tau and sigma differ, and only
+    those segments are tried; when the words are equal, every segment is.
+    """
+    tau, sigma = tuple(tau_labels), tuple(sigma_labels)
+    if sorted(tau) != sorted(sigma):
         return "needs-enumeration"
-    if not is_321_avoiding(transforming_permutation(tau_labels, sigma_labels)):
+    if not is_321_avoiding(transforming_permutation(tau, sigma)):
         return "needs-enumeration"
     rank = cfg.order.label_rank
-    for i, length, dest in _block_shifts(tau_labels, sigma_labels):
-        block = tau_labels[i : i + length]
-        ascending = all(rank[block[t]] <= rank[block[t + 1]] for t in range(length - 1))
-        if dest > i and ascending:
-            return "unique-by-theorem"
-        if length == 1 and dest < i:
-            return "unique-by-theorem"
+    m = len(tau)
+    differ = [i for i in range(m) if tau[i] != sigma[i]]
+    first, end = (differ[0], differ[-1] + 1) if differ else (m - 1, 0)
+    for s in range(first + 1):
+        # the longest weakly ascending run of tau from s: the blocks that may move up
+        up = s + 1
+        while up < m and rank[tau[up - 1]] <= rank[tau[up]]:
+            up += 1
+        for e in range(max(s + 2, end), m + 1):
+            seg, want = tau[s:e], sigma[s:e]
+            if want == seg[-1:] + seg[:-1]:  # tau[e - 1] down to s
+                return "unique-by-theorem"
+            for k in range(1, min(up, e - 1) - s + 1):  # tau[s:s + k] up past the rest
+                if want == seg[k:] + seg[:k]:
+                    return "unique-by-theorem"
     return "needs-enumeration"
 
 
@@ -439,20 +451,20 @@ Pair = tuple[tuple[int, ...], tuple[int, ...]]
 def _path_table(fm: FaceMatching, cells, path_cap: int) -> dict[Pair, list[GradientPath]]:
     """Gradient paths between critical cells of equal content one dimension
     apart, keyed by (upper labels, lower labels); pairs without a path are
-    left out.  One traversal per upper cell reaches all its lower cells."""
+    left out.  The cells are bucketed once by (content, dimension), and one
+    traversal per upper cell reaches every cell of the bucket below it."""
     mask_of = {c.facet.labels: m for m, c in fm.critical.items()}
-    by_content: dict[tuple[int, ...], list[CriticalCell]] = {}
+    buckets: dict[tuple, dict[int, CriticalCell]] = {}  # (content, dimension) -> mask -> cell
     for c in cells:
-        by_content.setdefault(tuple(sorted(c.facet.labels)), []).append(c)
+        key = (tuple(sorted(c.facet.labels)), c.dimension)
+        buckets.setdefault(key, {})[mask_of[c.facet.labels]] = c
     table: dict[Pair, list[GradientPath]] = {}
-    for group in by_content.values():
-        for hi in group:
-            below = {
-                mask_of[lo.facet.labels]: lo for lo in group if lo.dimension + 1 == hi.dimension
-            }
-            if not below:
-                continue
-            found = gradient_paths_from(fm, mask_of[hi.facet.labels], below, path_cap)
+    for (content, dimension), uppers in buckets.items():
+        below = buckets.get((content, dimension - 1))
+        if not below:
+            continue
+        for hm, hi in uppers.items():
+            found = gradient_paths_from(fm, hm, below, path_cap)
             for lm, lo in below.items():
                 if lm in found:
                     table[(hi.facet.labels, lo.facet.labels)] = found[lm]

@@ -249,35 +249,60 @@ def covering_search(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: in
     once (interned_system), as in walk_systems, so a nested system names
     the first word yielded with it.
 
-    The search cuts a branch when a descent closes a run with a rank left
-    uncovered.  That is sound: a syzygy window is weakly increasing, so it
-    lies inside one run, and whether it is a window depends on its labels
-    alone.  No extension can add a window over a closed run's ranks, and
-    descents cover only the ranks where they occur.  The still-open run is
-    never cut, since a later window may yet cover its ranks.
+    Two cuts drop a child with no cell below it, the child included.  Both
+    rest on three facts: the intervals ending at ranks up to b are fixed
+    once position b is filled; a descent covers only its own rank; and a
+    syzygy window is weakly increasing, so it lies inside one run, and
+    whether it is a window depends on its labels alone.
+
+    - The descent cut.  A descent at rank b closes the run start .. b-1;
+      when one of its ranks start+1 .. b-1 is uncovered, no later interval
+      can cover it.  It reads only the ranks of the two labels and the
+      parent's (start, covered), so it is decided before the step runs.
+    - The window cut.  Let q be the lowest uncovered rank of the child's
+      open run, ranks run+1 .. b.  A later interval that covers q is a
+      window (a, b') with b' > b, lying inside q's run, so a is at or
+      after the run start (run starts never move back) and a <= q-1: a is
+      a position the child has already filled.  Its label word[a] is the
+      lowest-rank divisor of a lead (SyzygyWindows.firsts), or the window
+      fails _is_window's first test.  So when no position run .. q-1 holds
+      a label of any firsts set, q stays uncovered in every extension.
+
+    Both cuts test the union of the intervals, so they stay sound under any
+    yield test that implies union coverage, such as one on J-intervals.
 
     One search serves a whole degree window (counts of `length` for every
     label) as well as one content (that content's counts and size).  The
-    cut and the search state depend on the prefix alone, not on the
+    cuts and the search state depend on the prefix alone, not on the
     content a prefix is completed to, so the tree searched for a window is
     exactly the union of the trees searched for each of its contents, and
     a prefix shared by many contents is walked once.  Children are tried
     in increasing label order, so the words of each content come out in
-    lexicographic order whichever way the search is bounded.
+    lexicographic order whichever way the search is bounded; a cut drops
+    only subtrees that yield nothing, so the order of the other yields, and
+    the word each system is interned under, do not move.
     """
-    step = partial(_skipped_steps, cfg.order.label_rank, syzygy_windows(gb, cfg))
+    rank = cfg.order.label_rank
+    windows = syzygy_windows(gb, cfg)
+    step = partial(_skipped_steps, rank, windows)
+    opener = frozenset().union(*windows.firsts)  # labels a window can start with
     systems: dict[tuple, tuple[RankInterval, ...]] = {}
     # the mask a word of b labels must reach: all ranks of its interior
     full = [all_ranks(b - 1) for b in range(length + 2)]
-    # (word, remaining count per label, found, run start, covered rank mask)
-    stack = [((), tuple(counts), (), 0, 0)]
+    # (word, remaining count per label, found, run start, covered rank mask,
+    #  positions holding an opener label, bit a for position a)
+    stack = [((), tuple(counts), (), 0, 0, 0)]
     while stack:
-        word, left, found, start, covered = stack.pop()
+        word, left, found, start, covered, opens = stack.pop()
         b = len(word)  # the rank the next label closes
         if covered == full[b]:
             yield word, interned_system(systems, found, word)
         if b == length:
             continue
+        if b:
+            closed = (1 << (b - 1)) - (1 << start)  # ranks start+1 .. b-1
+            # a label ranked below floor descends and closes a run left uncovered
+            floor = rank[word[-1]] if covered & closed != closed else -1
         children = []
         for x, k in enumerate(left):
             if not k:
@@ -285,16 +310,19 @@ def covering_search(gb: GroebnerBasis, cfg: FacetOrderConfig, counts, length: in
             grown = word + (x,)
             now, run, cov = found, start, covered
             if b:
+                if rank[x] < floor:  # the descent cut
+                    continue
                 now, run = step(grown, found, start, b)
-                if run == b:  # a descent closed the run start .. b-1
-                    closed = (1 << (b - 1)) - (1 << start)  # ranks start+1 .. b-1
-                    if covered & closed != closed:
-                        continue
                 if now is not found:  # the step found intervals at rank b
                     for lo, hi, _ in now[len(found) :]:
                         cov |= (1 << hi) - (1 << (lo - 1))  # RankInterval(lo, hi).mask
             if b + 1 < length:
-                children.append((grown, left[:x] + (k - 1,) + left[x + 1 :], now, run, cov))
+                at = opens | (1 << b) if x in opener else opens
+                if gap := ~cov & ((1 << b) - (1 << run)):  # uncovered ranks run+1 .. b
+                    q = (gap & -gap).bit_length()
+                    if not at & ((1 << q) - (1 << run)):  # the window cut
+                        continue
+                children.append((grown, left[:x] + (k - 1,) + left[x + 1 :], now, run, cov, at))
             elif cov == full[b + 1]:  # a leaf is yielded here, where its pop would
                 yield grown, interned_system(systems, now, grown)
         stack.extend(reversed(children))

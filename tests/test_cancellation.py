@@ -294,6 +294,77 @@ def test_different_content_needs_enumeration(squares):
     assert check_321_uniqueness(squares.cfg, (1, 2), (3, 4)) == "needs-enumeration"
 
 
+def reference_is_321_avoiding(perm) -> bool:
+    """The quadratic scan: no entry has a larger one before it and a
+    smaller one after it."""
+    m = len(perm)
+    for j in range(m):
+        if any(perm[i] > perm[j] for i in range(j)) and any(
+            perm[k] < perm[j] for k in range(j + 1, m)
+        ):
+            return False
+    return True
+
+
+def reference_block_shifts(src, dst):
+    """Every (start, length, destination) whose block move turns src into dst."""
+    m = len(src)
+    for i in range(m):
+        for length in range(1, m - i + 1):
+            block = src[i : i + length]
+            rest = src[:i] + src[i + length :]
+            for dest in range(m - length + 1):
+                if dest == i:
+                    continue
+                if rest[:dest] + block + rest[dest:] == dst:
+                    yield i, length, dest
+
+
+def reference_321_uniqueness(cfg, tau_labels, sigma_labels) -> str:
+    """check_321_uniqueness over every block move of tau."""
+    tau_labels, sigma_labels = tuple(tau_labels), tuple(sigma_labels)
+    if sorted(tau_labels) != sorted(sigma_labels):
+        return "needs-enumeration"
+    if not reference_is_321_avoiding(transforming_permutation(tau_labels, sigma_labels)):
+        return "needs-enumeration"
+    rank = cfg.order.label_rank
+    for i, length, dest in reference_block_shifts(tau_labels, sigma_labels):
+        block = tau_labels[i : i + length]
+        ascending = all(rank[block[t]] <= rank[block[t + 1]] for t in range(length - 1))
+        if dest > i and ascending:
+            return "unique-by-theorem"
+        if length == 1 and dest < i:
+            return "unique-by-theorem"
+    return "needs-enumeration"
+
+
+def test_321_avoidance_equals_brute_force():
+    for m in range(8):
+        for perm in permutations(range(m)):
+            has_321 = any(a > b > c for a, b, c in combinations(perm, 3))
+            assert is_321_avoiding(perm) is not has_321, perm
+
+
+def test_321_uniqueness_equals_every_block_move_reference():
+    # every same-content pair of words of one to five labels, equal words
+    # included, over three and four labels, under both label rankings
+    pairs = unique = 0
+    for n in (3, 4):
+        for priority in (list(range(n)), list(range(n))[::-1]):
+            cfg = FacetOrderConfig(TermOrder(n, "lex", priority))
+            for m in range(1, 6):
+                for content in combinations_with_replacement(range(n), m):
+                    words = sorted(set(permutations(content)))
+                    for tau in words:
+                        for sigma in words:
+                            want = reference_321_uniqueness(cfg, tau, sigma)
+                            assert check_321_uniqueness(cfg, tau, sigma) == want, (tau, sigma)
+                            unique += want == "unique-by-theorem"
+                    pairs += len(words) ** 2
+    assert pairs == 79_822
+    assert 0 < unique < pairs
+
+
 # -- non-essential sets --------------------------------------------------------------
 
 
@@ -486,6 +557,19 @@ def window_cell_words(gb, cfg, degree):
     return grouped
 
 
+def assert_search_equals_filter(pres, gb, cfg, degree):
+    """The window search and each per-content search yield, content by
+    content and in order, the words of the exhaustive filter."""
+    window = window_cell_words(gb, cfg, degree)
+    for d in range(degree + 1):
+        for content in combinations_with_replacement(range(pres.n), d):
+            want = reference_cell_words(gb, cfg, content)
+            assert content_cell_words(gb, cfg, content) == want, (pres.generators, content)
+            # the window search gives each content the same words, in order
+            assert window.pop(content, []) == want, (pres.generators, content)
+    assert window == {}
+
+
 def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cyclic3):
     split = parse_input((FIXTURES / "cyclic_split3.json").read_text()).presentation
     rings = [(r.pres, r.gb, r.cfg, 6) for r in (squares, pair_swap, minor, cyclic3)]
@@ -496,14 +580,7 @@ def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cycli
     )
     assert [r[1].degree for r in rings[3:5]] == [3, 3]
     for pres, gb, cfg, degree in rings:
-        window = window_cell_words(gb, cfg, degree)
-        for d in range(degree + 1):
-            for content in combinations_with_replacement(range(pres.n), d):
-                want = reference_cell_words(gb, cfg, content)
-                assert content_cell_words(gb, cfg, content) == want, content
-                # the window search gives each content the same words, in order
-                assert window.pop(content, []) == want, content
-        assert window == {}
+        assert_search_equals_filter(pres, gb, cfg, degree)
     # the empty word is a cell; so is every one-letter word
     assert content_cell_words(squares.gb, squares.cfg, ()) == [()]
     assert content_cell_words(squares.gb, squares.cfg, (3,)) == [(3,)]
@@ -512,6 +589,33 @@ def test_covering_words_equal_exhaustive_filter(squares, pair_swap, minor, cycli
         (),
         *((x,) for x in range(n)),
     ]
+
+
+def sampled_deep_rings():
+    """Eight seeded rings of at least four generators whose basis at
+    window 5 has degree 3 or more, under shuffled priorities, lex and
+    graded-revlex by turns."""
+    rng = random.Random(20261021)
+    made = 0
+    while made < 8:
+        pres = random_presentation(rng, max_dimension=3, window_degree=4, face_budget=20_000)
+        priority = list(range(pres.n))
+        rng.shuffle(priority)
+        order = TermOrder(pres.n, "graded-revlex" if made % 2 else "lex", priority)
+        gb = groebner_for(pres, order, 5)
+        if gb.degree >= 3 and pres.n >= 4 and pres.dimension >= 2:
+            made += 1
+            yield pres, gb, FacetOrderConfig(order)
+
+
+def test_covering_words_equal_exhaustive_filter_on_sampled_deep_rings():
+    # the search's cuts read the union of intervals, which bases of degree
+    # 3 and more build from longer windows
+    degrees = []
+    for pres, gb, cfg in sampled_deep_rings():
+        assert_search_equals_filter(pres, gb, cfg, 5)
+        degrees.append(gb.degree)
+    assert max(degrees) >= 6
 
 
 def test_fiber_survivors_label_only_covering_words(pair_swap, monkeypatch):

@@ -299,6 +299,22 @@ def test_search_guard_catches_a_step_that_drops_a_syzygy_interval(pair_swap, mon
     assert search_systems(gb, cfg, 6) != want
 
 
+def test_covering_search_steps_only_prefixes_its_cuts_keep(pair_swap, monkeypatch):
+    # pair_swap's degree-6 window search takes 3,698 steps for its 1,280
+    # words: 7,248 without the window cut, and 14,076 when the descent cut
+    # also waits for the step
+    honest, steps = morse._skipped_steps, []
+
+    def spy(rank, windows, word, found=(), start=0, b=1):
+        steps.append(word)
+        return honest(rank, windows, word, found, start, b)
+
+    monkeypatch.setattr(morse, "_skipped_steps", spy)
+    assert len(search_systems(pair_swap.gb, pair_swap.cfg, 6)) == 1280
+    assert len(steps) <= 4000
+    assert len(steps) == len(set(steps))  # each prefix steps once
+
+
 # -- critical cells ---------------------------------------------------------------
 
 

@@ -98,8 +98,8 @@ def test_full_suite_squares(squares):
     assert out["checks"]["class_bijection"]
 
 
-# A fault planted at the input of one of full's critical-cell checks, on
-# squares to window 4, where every check holds.  The worked interval
+# A fault planted at the input of one of full's checks, on a fixture where
+# every check holds (FULL_PLANTS names it).  On squares, the worked interval
 # (2, 2, 1, 1) has nonreduced Betti numbers (1, 0, 2), equal to its Morse
 # numbers, and the content (1, 2, 3, 4) has two commutation classes.
 WORKED = (2, 2, 1, 1)
@@ -145,21 +145,61 @@ def plant_dropped_class(monkeypatch):
     monkeypatch.setattr(pipeline, "commutation_classes", planted)
 
 
+def plant_vanishing(monkeypatch):
+    """verify_vanishing reads WORKED's b0 one higher over the first prime
+    field.  At degree 4 under a quadratic basis b0 lies below the bound, and
+    the rational table is then checked on its own, where it still vanishes."""
+    honest = pipeline.verify_vanishing
+
+    def planted(tables, gb_degree, window):
+        char = next(c for c in tables if c)
+        table = tables[char]
+        betti = list(table.interval_betti[WORKED])
+        betti[1] += 1  # betti[i + 1] is b_i
+        shifted = {**table.interval_betti, WORKED: tuple(betti)}
+        tables = {**tables, char: dataclasses.replace(table, interval_betti=shifted)}
+        return honest(tables, gb_degree, window)
+
+    monkeypatch.setattr(pipeline, "verify_vanishing", planted)
+
+
+def plant_resolution(monkeypatch, shift):
+    """The resolution witness counts one more (shift 1) or one fewer (-1)
+    Tor_1 cell at the first generator's multidegree, where the oracle
+    counts one."""
+    honest = pipeline.morse_boundary
+
+    def planted(pres, gb, results):
+        data = honest(pres, gb, results)
+        key = (1, tuple(pres.generators[0]))
+        return dataclasses.replace(data, tor={**data.tor, key: data.tor.get(key, 0) + shift})
+
+    monkeypatch.setattr(pipeline, "morse_boundary", planted)
+
+
+# check -> (ring, window, planted fault).  The quadratic rows run on
+# squares (test_full_suite_squares: every check holds), and
+# resolution_bounds, which only a basis of higher degree checks, on
+# cyclic3 (test_full_suite_cyclic3)
 FULL_PLANTS = {
     # b1 and b2 one higher: m1 = 0 < 1, and the Euler characteristic is kept
-    "morse_inequalities": lambda mp: plant_betti(mp, {1: 1, 2: 1}),
+    "morse_inequalities": ("squares", 4, lambda mp: plant_betti(mp, {1: 1, 2: 1})),
     # b2 one lower: the inequalities still hold, the Euler identity does not
-    "euler_identity": lambda mp: plant_betti(mp, {2: -1}),
-    "face_level_agrees_with_fiber_level": plant_face_word,
-    "class_bijection": plant_dropped_class,
+    "euler_identity": ("squares", 4, lambda mp: plant_betti(mp, {2: -1})),
+    "face_level_agrees_with_fiber_level": ("squares", 4, plant_face_word),
+    "class_bijection": ("squares", 4, plant_dropped_class),
+    "vanishing_bound": ("squares", 4, plant_vanishing),
+    "resolution_minimal": ("squares", 4, lambda mp: plant_resolution(mp, 1)),
+    "resolution_bounds": ("cyclic3", 3, lambda mp: plant_resolution(mp, -1)),
 }
 
 
 @pytest.mark.parametrize("check", sorted(FULL_PLANTS))
-def test_planted_fault_fails_its_full_check_alone(check, squares, monkeypatch):
-    FULL_PLANTS[check](monkeypatch)
-    out = full_consistency_suite(squares.pres, squares.gb, squares.cfg, 4)
-    # test_full_suite_squares shows every check holds without the plant
+def test_planted_fault_fails_its_full_check_alone(check, request, monkeypatch):
+    name, window, plant = FULL_PLANTS[check]
+    ring = request.getfixturevalue(name)
+    plant(monkeypatch)
+    out = full_consistency_suite(ring.pres, ring.gb, ring.cfg, window)
     assert out["checks"] == dict.fromkeys(out["checks"], True) | {check: False}
     assert out["ok"] is False
 
